@@ -56,7 +56,6 @@ from .errors import (
     OrderingViolation,
     PreconditionError,
     QuadratureFailure,
-    StepFailure,
 )
 from .riemann import (
     Region,
@@ -113,7 +112,6 @@ __all__ = [
     "RarefactionSegment",
     "Region",
     "RiemannData",
-    "StepFailure",
     "TestFunction",
     "TransState",
     "Wave",

@@ -14,7 +14,7 @@ q = (u^2 + v^2)/2 gives the transformed system
 strictly hyperbolic and genuinely nonlinear on the half space q > u^2/2.
 This module holds the two state types, the flux functions, the eigenvalue
 and eigenvector formulas of both systems, and the elementary jump speeds.
-Everything here is closed-form; curve integration lives in wave_curves.
+Everything here is closed-form; the wave curves live in wave_curves.
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ from .core import (
     brio_flux,
     brio_flux_pair,
     energy,
-    family_lambda,
     lift,
     project,
 )
@@ -163,8 +162,7 @@ def _v_signs(data: RiemannData) -> tuple[float, float]:
 
 
 def solve_brio(data: RiemannData, *, flip_speed="rh",
-               tol_root: float | None = None,
-               tol_ode: float | None = None) -> DeltaSolution:
+               tol_root: float | None = None) -> DeltaSolution:
     """Admissible delta-type solution of the Riemann problem.
 
     flip_speed chooses the speed of the v-flip jump in the sign-change
@@ -173,11 +171,7 @@ def solve_brio(data: RiemannData, *, flip_speed="rh",
     (verification hook).  A flip speed outside the gap between the two
     family waves raises OrderingViolation.
     """
-    fan_kwargs = {}
-    if tol_root is not None:
-        fan_kwargs["tol_root"] = tol_root
-    if tol_ode is not None:
-        fan_kwargs["tol_ode"] = tol_ode
+    fan_kwargs = {} if tol_root is None else {"tol_root": tol_root}
     fan = build_fan(lift(data.left), lift(data.right), **fan_kwargs)
     s_left, s_right = _v_signs(data)
     sign_change = data.left.v * data.right.v < 0.0
@@ -283,38 +277,13 @@ def cardinality(sol: DeltaSolution) -> int:
     )
 
 
-def _segment_index(segments, xi: float) -> int:
-    for i, seg in enumerate(segments):
-        if seg.xi_lo <= xi < seg.xi_hi:
-            return i
-    return len(segments) - 1
-
-
-def _rarefaction_state(seg: RarefactionSegment, xi: float) -> BrioState:
-    a, b = seg.left.u, seg.right.u
-    for _ in range(64):
-        m = 0.5 * (a + b)
-        if float(family_lambda(seg.family, m, seg.curve.q_at(m))) < xi:
-            a = m
-        else:
-            b = m
-    u = 0.5 * (a + b)
-    q = max(float(seg.curve.q_at(u)), 0.5 * u * u)
-    return BrioState(u, seg.v_sign * math.sqrt(max(2.0 * q - u * u, 0.0)))
-
-
 def sample_brio(sol: DeltaSolution, x: float, t: float):
     """Regular state at (x, t) plus (position, strength) of every singularity."""
     if t <= 0.0:
         raise PreconditionError("sample time must be positive")
-    xi = x / t
-    seg = sol.segments[_segment_index(sol.segments, xi)]
-    if isinstance(seg, ConstantSegment):
-        state = seg.state
-    else:
-        state = _rarefaction_state(seg, xi)
+    u, v = sample_brio_many(sol, [x / t])
     carriers = [(s.speed * t, s.strength(t)) for s in sol.singular]
-    return state, carriers
+    return BrioState(float(u[0]), float(v[0])), carriers
 
 
 def sample_brio_many(sol: DeltaSolution, xi) -> tuple[np.ndarray, np.ndarray]:
@@ -332,17 +301,7 @@ def sample_brio_many(sol: DeltaSolution, xi) -> tuple[np.ndarray, np.ndarray]:
             u[m] = seg.state.u
             v[m] = seg.state.v
         else:
-            a = np.full(int(m.sum()), seg.left.u)
-            b = np.full(int(m.sum()), seg.right.u)
-            target = xi[m]
-            for _ in range(64):
-                mid = 0.5 * (a + b)
-                lam = np.asarray(family_lambda(seg.family, mid, seg.curve.q_at(mid)))
-                below = lam < target
-                a = np.where(below, mid, a)
-                b = np.where(below, b, mid)
-            um = 0.5 * (a + b)
-            qm = np.maximum(np.asarray(seg.curve.q_at(um)), 0.5 * um * um)
+            um, qm = seg.curve.at_speed(xi[m])
             u[m] = um
             v[m] = seg.v_sign * np.sqrt(np.maximum(2.0 * qm - um * um, 0.0))
     return u, v

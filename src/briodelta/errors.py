@@ -25,10 +25,6 @@ class BracketFailure(BrioError):
     """Root bracketing scan exhausted its window ladder without a sign change."""
 
 
-class StepFailure(BrioError):
-    """ODE integration failed to reach the requested target."""
-
-
 class QuadratureFailure(BrioError):
     """Weak-form quadrature could not be assembled (bad panels or supports)."""
 

@@ -26,7 +26,6 @@ from .core import (
 )
 from .errors import BracketFailure, OrderingViolation, PreconditionError
 from .wave_curves import (
-    TOL_ODE,
     IntegralCurve,
     backward_curve_2,
     forward_curve_1,
@@ -192,17 +191,15 @@ def _shock_wave(family: int, left: TransState, right: TransState) -> Wave:
     return w
 
 
-def _rarefaction_wave(family: int, left: TransState, right: TransState,
-                      rtol: float) -> Wave:
-    curve = integrate_rarefaction(family, left, right.u, rtol=rtol)
+def _rarefaction_wave(family: int, left: TransState, right: TransState) -> Wave:
+    curve = integrate_rarefaction(family, left, right.u)
     lam_l = float(family_lambda(family, left.u, left.q))
     lam_r = float(family_lambda(family, right.u, right.q))
     return Wave("rarefaction", family, left, right, lam_l, lam_r, curve)
 
 
 def build_fan(left: TransState, right: TransState, *,
-              tol_root: float = TOL_ROOT,
-              tol_ode: float = TOL_ODE) -> WaveFan:
+              tol_root: float = TOL_ROOT) -> WaveFan:
     """Solve, classify and assemble the ordered wave fan."""
     middle = solve_middle(left, right, tol_root=tol_root)
     region = classify(left, right, middle)
@@ -213,7 +210,7 @@ def build_fan(left: TransState, right: TransState, *,
         if du1 < 0.0:
             waves.append(_shock_wave(1, left, middle))
         else:
-            waves.append(_rarefaction_wave(1, left, middle, tol_ode))
+            waves.append(_rarefaction_wave(1, left, middle))
 
     du2 = right.u - middle.u
     if abs(du2) > TIE_TOL:
@@ -221,7 +218,7 @@ def build_fan(left: TransState, right: TransState, *,
         if du2 < 0.0:
             waves.append(_shock_wave(2, mid, right))
         else:
-            waves.append(_rarefaction_wave(2, mid, right, tol_ode))
+            waves.append(_rarefaction_wave(2, mid, right))
 
     for a, b in zip(waves, waves[1:]):
         if a.speed_hi > b.speed_lo + TOL_LAX * (1.0 + abs(a.speed_hi)):
@@ -231,32 +228,13 @@ def build_fan(left: TransState, right: TransState, *,
     return WaveFan(left, middle, right, tuple(waves), region)
 
 
-def _invert_rarefaction(w: Wave, xi: float) -> float:
-    a, b = w.left.u, w.right.u
-    for _ in range(64):
-        m = 0.5 * (a + b)
-        if float(w.curve.lam_at(m)) < xi:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
-
-
 def sample_fan(fan: WaveFan, xi: float) -> TransState:
     """Evaluate the self-similar fan at ray slope xi = x/t.
 
     At a shock ray the right limit is returned.
     """
-    state = fan.left
-    for w in fan.waves:
-        if xi < w.speed_lo:
-            return state
-        if w.kind == "rarefaction" and xi <= w.speed_hi:
-            u = _invert_rarefaction(w, xi)
-            q = max(float(w.curve.q_at(u)), 0.5 * u * u)
-            return TransState(u, q)
-        state = w.right
-    return state
+    u, q = sample_fan_many(fan, [xi])
+    return TransState(float(u[0]), float(q[0]))
 
 
 def sample_fan_many(fan: WaveFan, xi) -> tuple[np.ndarray, np.ndarray]:
@@ -280,22 +258,10 @@ def sample_fan_many(fan: WaveFan, xi) -> tuple[np.ndarray, np.ndarray]:
             q[m] = consts[region].q
     for widx, w in enumerate(fan.waves):
         m = idx == 2 * widx + 1
-        if not m.any():
-            continue
-        # inside this wave; shocks have zero-width slots, so this is a
-        # rarefaction interior
-        a = np.full(int(m.sum()), w.left.u)
-        b = np.full(int(m.sum()), w.right.u)
-        target = xi[m]
-        for _ in range(64):
-            mid = 0.5 * (a + b)
-            lam = np.asarray(family_lambda(w.family, mid, w.curve.q_at(mid)))
-            below = lam < target
-            a = np.where(below, mid, a)
-            b = np.where(below, b, mid)
-        um = 0.5 * (a + b)
-        u[m] = um
-        q[m] = np.maximum(np.asarray(w.curve.q_at(um)), 0.5 * um * um)
+        if m.any():
+            # inside this wave; shocks have zero-width slots, so this is a
+            # rarefaction interior
+            u[m], q[m] = w.curve.at_speed(xi[m])
     return u, q
 
 

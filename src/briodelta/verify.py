@@ -32,7 +32,6 @@ from .delta import (
     ConstantSegment,
     DeltaSingularity,
     DeltaSolution,
-    RarefactionSegment,
     cardinality,
     nonuniqueness_example,
     rh_deficit_v,
@@ -62,6 +61,10 @@ from .wave_curves import (
 )
 
 TOL_WEAK = 1e-7
+# Draws random_trans_pair makes before giving up on a region.
+_PAIR_TRIES = 64
+# Random bases of the shock-locus jump-condition check.
+_SHOCK_BASES = 64
 
 _gl_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -151,53 +154,6 @@ def solution_battery(sol: DeltaSolution, T: float = 1.0,
     return test_function_battery(speeds, T, **kwargs)
 
 
-class _RaySampler:
-    """Regular-part states over ray slopes, fast path via inverse tables.
-
-    Rarefaction wedges are tabulated once on a fine lambda grid and then
-    read back by linear interpolation (state error around 1e-9, well under
-    the weak tolerance).  exact=True switches to bisection on the curve
-    itself, needed when probing the quadrature floor.
-    """
-
-    def __init__(self, sol: DeltaSolution, *, exact: bool = False,
-                 table_n: int = 20001):
-        self.sol = sol
-        self.exact = exact
-        self.edges = np.asarray([seg.xi_hi for seg in sol.segments[:-1]])
-        self.tables = {}
-        if not exact:
-            for i, seg in enumerate(sol.segments):
-                if isinstance(seg, RarefactionSegment):
-                    us = np.linspace(seg.left.u, seg.right.u, table_n)
-                    qs = np.maximum(np.asarray(seg.curve.q_at(us)),
-                                    0.5 * us * us)
-                    lam_lo, lam_hi = trans_lambdas(us, qs)
-                    lams = lam_lo if seg.family == 1 else lam_hi
-                    self.tables[i] = (lams, us, qs)
-
-    def states(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self.exact:
-            return sample_brio_many(self.sol, xi)
-        u = np.empty_like(xi)
-        v = np.empty_like(xi)
-        idx = np.searchsorted(self.edges, xi, side="right")
-        for i, seg in enumerate(self.sol.segments):
-            m = idx == i
-            if not m.any():
-                continue
-            if isinstance(seg, ConstantSegment):
-                u[m] = seg.state.u
-                v[m] = seg.state.v
-            else:
-                lams, us, qs = self.tables[i]
-                um = np.interp(xi[m], lams, us)
-                qm = np.maximum(np.interp(xi[m], lams, qs), 0.5 * um * um)
-                u[m] = um
-                v[m] = seg.v_sign * np.sqrt(np.maximum(2.0 * qm - um * um, 0.0))
-        return u, v
-
-
 def _dedupe(values, tol):
     out = []
     for x in sorted(values):
@@ -207,8 +163,7 @@ def _dedupe(values, tol):
 
 
 def weak_residual(sol: DeltaSolution, phis, *, nodes: int = 32,
-                  arclength: bool = False,
-                  exact: bool = False) -> list[tuple[float, float]]:
+                  arclength: bool = False) -> list[tuple[float, float]]:
     """Absolute residuals (r_u, r_v) of both integral identities, per bump.
 
     Bulk space-time term split at every ray the regular part breaks on, one
@@ -218,7 +173,6 @@ def weak_residual(sol: DeltaSolution, phis, *, nodes: int = 32,
     independent of panel order.
     """
     gx, gw = _gl(nodes)
-    sampler = _RaySampler(sol, exact=exact)
     rays = sorted({b for seg in sol.segments for b in (seg.xi_lo, seg.xi_hi)
                    if math.isfinite(b)})
     fl, gl_flux = sol.flux.f, sol.flux.g
@@ -265,7 +219,7 @@ def weak_residual(sol: DeltaSolution, phis, *, nodes: int = 32,
                 X = mid[:, :, None] + half[:, :, None] * gx
                 WX = half[:, :, None] * gw
                 TT = np.broadcast_to(tn[:, None, None], X.shape)
-                u, v = sampler.states((X / TT).ravel())
+                u, v = sample_brio_many(sol, (X / TT).ravel())
                 u = u.reshape(X.shape)
                 v = v.reshape(X.shape)
                 pt = phi.dt(X, TT)
@@ -429,7 +383,7 @@ def _rw1_target(left: TransState, rng, lo=0.1, hi=1.2) -> float:
 
 def random_trans_pair(rng, region: str):
     """(left, right, expected middle) with the middle built on the curves."""
-    for _ in range(64):
+    for _ in range(_PAIR_TRIES):
         left = random_trans_state(rng)
         try:
             if region == "I":
@@ -613,7 +567,7 @@ def property_suite(seed: int = 0, *, n_pairs: int = 40,
     # Shock loci satisfy both jump conditions to rounding.
     try:
         worst = 0.0
-        for _ in range(64):
+        for _ in range(_SHOCK_BASES):
             base = random_trans_state(rng)
             u = base.u - float(rng.uniform(0.05, 1.5))
             for q in (shock_q_1(base, u), shock_q_2(base, u)):
@@ -760,8 +714,9 @@ def property_suite(seed: int = 0, *, n_pairs: int = 40,
     except BrioError:
         _check(checks, "fv_cross_validation", False, math.inf, 0.0)
 
-    # Quadrature convergence on a two-shock solution (no ODE error in the
-    # exact states): doubling nodes gains >= 4x until the floor.
+    # Quadrature convergence on a two-shock solution (piecewise-constant
+    # regular part, so only quadrature error remains): doubling nodes gains
+    # >= 4x until the floor.
     try:
         left = TransState(1.0, 5.0)
         mid = TransState(0.4, shock_q_1(left, 0.4))
@@ -772,7 +727,7 @@ def property_suite(seed: int = 0, *, n_pairs: int = 40,
         floor = 1e-12 * _suite_weak_scale(data)
         levels = []
         for n in (4, 8, 16):
-            ru, rv = wr(sol, [phi], nodes=n, exact=True)[0]
+            ru, rv = wr(sol, [phi], nodes=n)[0]
             levels.append(max(ru, rv))
         ratio_ok = True
         worst_ratio = math.inf

@@ -1,89 +1,76 @@
 """Elementary wave curves of the transformed system.
 
-Shock loci are closed-form: eliminating the speed from the two jump
-conditions c[u] = [q], c[q] = [G] leaves a quadratic in q_R whose two roots
-are the family-1 (upper) and family-2 (lower) shock curves through a base
-state.  Rarefaction curves solve dq/du = lambda_{-,+}(u, q), which is exact
-because the eigenvector of each family is (1, lambda).  The critical curve
-q = u^2/2 is itself an integral curve of the second family, so family-2
-curves never cross it; the family-1 forward branch does reach it, at a
-finite u, and stops there.
+Shock loci are closed-form: eliminating the speed from the jump conditions
+c[u] = [q], c[q] = [G] leaves a quadratic in q_R whose two roots are the
+family-1 (upper) and family-2 (lower) shock curves through a base state.
 
-Composite curves (everything reachable from a left state with a family-1
-wave, everything that reaches a right state with a family-2 wave) are the
-objects the Riemann solver intersects.  They memoize their integrations per
-base state and extend the integrated span through a fixed power-of-two
-ladder, so values do not depend on query order.
+Rarefaction curves solve dq/du = lambda_{-,+}(u, q), the eigenvector of
+each family being (1, lambda).  Along them w = 8q - 4u^2 + 1 obeys
+dw/du = 4(-+sqrt(w) - 1), so with s = sqrt(w) >= 1 and C fixed by the base
+
+    family 1:  u = -s/2 + ln(s + 1)/2 + C,   family 2:  u = s/2 + ln(s - 1)/2 + C.
+
+Solving for s at a given u or at a given speed is a Lambert W evaluation:
+Wright omega for family 2, the W_{-1} branch for family 1 (Corless et al.,
+"On the Lambert W function", Adv. Comput. Math. 5, 1996).  The critical
+curve q = u^2/2 (s = 1) is the family-2 curve with C = +inf, so family-2
+curves never cross it; family-1 curves reach it at u* = C - 1/2 + ln(2)/2
+and stop there.  Composite curves (everything reachable from a left state
+by a family-1 wave, everything that reaches a right state by a family-2
+wave) are what the Riemann solver intersects.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.special import lambertw, wrightomega
 
 from .core import TOL_DOMAIN, TOL_ZERO, TransState, family_lambda
-from .errors import DomainError, PreconditionError, StepFailure
+from .errors import DomainError, PreconditionError
 
-# Adaptive integration tolerance (relative and absolute) for rarefactions.
-TOL_ODE = 1e-10
-# Width of the clamp band below the critical curve: integrated q values in
-# [u^2/2 - TOL_CURVE, u^2/2] are rounding wobble and get clamped up.
-TOL_CURVE = 1e-8
+_LN2 = math.log(2.0)
 
 
 def shock_radicand(base: TransState, u: float) -> float:
     """Discriminant-quarter of the shock-locus quadratic at downstream velocity u."""
-    a, qa = base.u, base.q
-    return 2.0 * qa + 0.25 + 0.5 * (a - u) - (2.0 * a * a + 2.0 * a * u - u * u) / 3.0
+    a = base.u
+    return 2.0 * base.q + 0.25 + 0.5 * (a - u) - (2.0 * a * a + 2.0 * a * u - u * u) / 3.0
 
 
-def _checked_radicand(base: TransState, u: float) -> float:
-    rad = shock_radicand(base, u)
-    if rad < 0.0:
-        if rad >= -TOL_DOMAIN * (1.0 + u * u):
-            return 0.0
+def _root_of(rad: float, u: float, what: str, base: TransState) -> float:
+    """sqrt(rad), with rounding-size negative radicands read as zero."""
+    if rad < -TOL_DOMAIN * (1.0 + u * u):
         raise DomainError(
-            f"shock locus from {base} leaves the real branch at u={u!r} "
-            f"(radicand {rad:.3e})"
-        )
-    return rad
+            f"{what} from {base} leaves the real branch at u={u!r} (radicand {rad:.3e})")
+    return math.sqrt(max(rad, 0.0))
+
+
+def _shock_q(family: int, sign: float, base: TransState, u: float) -> float:
+    if u > base.u + TOL_ZERO:
+        raise PreconditionError(
+            f"family-{family} shock branch needs u <= base.u, got u={u!r} > {base.u!r}")
+    u = min(u, base.u)
+    root = _root_of(shock_radicand(base, u), u, "shock locus", base)
+    return base.q - 0.5 * (base.u - u) * (2.0 * u - 1.0) + sign * ((base.u - u) * root)
 
 
 def shock_q_1(base: TransState, u: float) -> float:
     """Family-1 shock locus through base, evaluated at u <= base.u (upper root)."""
-    if u > base.u + TOL_ZERO:
-        raise PreconditionError(
-            f"family-1 shock branch needs u <= base.u, got u={u!r} > {base.u!r}"
-        )
-    u = min(u, base.u)
-    rad = _checked_radicand(base, u)
-    return base.q - 0.5 * (base.u - u) * (2.0 * u - 1.0) + (base.u - u) * math.sqrt(rad)
+    return _shock_q(1, 1.0, base, u)
 
 
 def shock_q_2(base: TransState, u: float) -> float:
     """Family-2 shock locus through base, evaluated at u <= base.u (lower root)."""
-    if u > base.u + TOL_ZERO:
-        raise PreconditionError(
-            f"family-2 shock branch needs u <= base.u, got u={u!r} > {base.u!r}"
-        )
-    u = min(u, base.u)
-    rad = _checked_radicand(base, u)
-    return base.q - 0.5 * (base.u - u) * (2.0 * u - 1.0) - (base.u - u) * math.sqrt(rad)
+    return _shock_q(2, -1.0, base, u)
 
 
 def inverse_radicand(base_right: TransState, u: float) -> float:
     """Radicand of the inverse family-2 locus (left states reaching base_right)."""
     b, qb = base_right.u, base_right.q
-    return (
-        8.0 * qb + 1.0 + (4.0 * u * u - 8.0 * u * b - 8.0 * b * b) / 3.0
-        - 2.0 * u + 2.0 * b
-    )
+    return 8.0 * qb + 1.0 + (4.0 * u * u - 8.0 * u * b - 8.0 * b * b) / 3.0 - 2.0 * u + 2.0 * b
 
 
 def inverse_shock_q_2(base_right: TransState, u: float) -> float:
@@ -94,235 +81,139 @@ def inverse_shock_q_2(base_right: TransState, u: float) -> float:
     """
     if u < base_right.u - TOL_ZERO:
         raise PreconditionError(
-            f"inverse family-2 branch needs u >= base.u, got u={u!r} < {base_right.u!r}"
-        )
+            f"inverse family-2 branch needs u >= base.u, got u={u!r} < {base_right.u!r}")
     u = max(u, base_right.u)
-    rad = inverse_radicand(base_right, u)
-    if rad < 0.0:
-        if rad >= -TOL_DOMAIN * (1.0 + u * u):
-            rad = 0.0
-        else:
-            raise DomainError(
-                f"inverse family-2 locus from {base_right} has negative radicand "
-                f"{rad:.3e} at u={u!r}"
-            )
+    root = _root_of(inverse_radicand(base_right, u), u, "inverse family-2 locus", base_right)
     du = u - base_right.u
-    return base_right.q + 0.5 * du * (2.0 * u - 1.0) + 0.5 * du * math.sqrt(rad)
-
-
-@dataclass(frozen=True)
-class CurveSample:
-    """One point on a tabulated curve: state plus the curve's speed there."""
-
-    u: float
-    q: float
-    lam: float
+    return base_right.q + 0.5 * du * (2.0 * u - 1.0) + 0.5 * du * root
 
 
 @dataclass(frozen=True)
 class IntegralCurve:
-    """Dense rarefaction curve of one family through a base state.
+    """Rarefaction curve of one family through a base state, in closed form.
 
-    `samples` are the accepted integrator steps (first sample is the base);
-    `q_at` evaluates the dense interpolant at arbitrary u inside the
-    integrated range, clamped up to the critical curve within TOL_CURVE.
+    C is the curve constant (+inf for the family-2 curve along q = u^2/2),
+    u_end the velocity the rarefaction runs to, u_star the critical-curve
+    crossing (+inf for family 2).  The evaluators take a scalar or an
+    array; past u_star a family-1 curve continues along q = u^2/2.
     """
 
     family: int
     base: TransState
-    direction: str  # "increasing-u" or "decreasing-u"
-    samples: tuple[CurveSample, ...]
-    interp: Callable = field(repr=False, compare=False)
+    C: float
+    u_end: float
+    u_star: float
 
-    @property
-    def u_start(self) -> float:
-        return self.samples[0].u
-
-    @property
-    def u_end(self) -> float:
-        return self.samples[-1].u
+    def _offset(self, u):
+        """s - 1 >= 0 at velocity u."""
+        x = 2.0 * (np.asarray(u, dtype=float) - self.C) - 1.0
+        if self.family == 2:
+            return wrightomega(x)  # y + ln y = x
+        return _root_z_minus_ln_z(-x, 2.0) - 2.0  # z = s + 1
 
     def q_at(self, u):
-        return self.interp(u)
+        """Energy at velocity u; exactly base.q at the base."""
+        t = self._offset(u)
+        q = 0.5 * np.square(u) + 0.125 * t * (t + 2.0)
+        if np.ndim(u) == 0:
+            return self.base.q if u == self.base.u else float(q)
+        return np.where(u == self.base.u, self.base.q, q)
 
     def lam_at(self, u):
-        return family_lambda(self.family, u, self.interp(u))
+        """Characteristic speed of the family at velocity u."""
+        t = self._offset(u)
+        return u + 0.5 * t if self.family == 2 else u - 1.0 - 0.5 * t
+
+    def at_speed(self, xi) -> tuple[np.ndarray, np.ndarray]:
+        """State (u, q) where the family's characteristic speed equals xi.
+
+        With K = 2 xi - 1 - 2C: family 2 has s - 1 = y = omega(K + ln 2)/2,
+        u = xi - y/2; family 1 has s + 1 = z = -W_{-1}(-2 e^K)/2, u = xi + z/2.
+        Every fan sampler maps ray slopes to rarefaction states through here.
+        """
+        xi = np.asarray(xi, dtype=float)
+        k = 2.0 * (xi - self.C) - 1.0
+        if self.family == 2:
+            t = 0.5 * wrightomega(k + _LN2)
+            u = xi - 0.5 * t
+        else:
+            z = 0.5 * _root_z_minus_ln_z(-k - _LN2, 4.0)
+            t = z - 2.0
+            u = xi + 0.5 * z
+        return u, 0.5 * u * u + 0.125 * t * (t + 2.0)
 
 
-def _clamped_eval(sol, family: int):
-    """Wrap a scipy dense solution: scalar/array u -> q, clamped to >= u^2/2."""
+def _root_z_minus_ln_z(L, z_min: float):
+    """Root z >= z_min of z - ln z = L, that is -W_{-1}(-e^{-L}).
 
-    def interp(u):
-        q = sol(np.atleast_1d(np.asarray(u, dtype=float)))[0]
-        crit = 0.5 * np.square(np.atleast_1d(np.asarray(u, dtype=float)))
-        q = np.maximum(q, crit)
-        return float(q[0]) if np.ndim(u) == 0 else q
-
-    return interp
-
-
-def _rhs(family: int):
-    def f(u, y):
-        return [float(family_lambda(family, u, max(y[0], 0.5 * u * u)))]
-
-    return f
+    L below the value at z_min is clamped there.  Where e^{-L} would
+    underflow, the root comes from Newton steps on the asymptote L + ln L.
+    """
+    L = np.maximum(L, z_min - math.log(z_min))
+    z = -lambertw(-np.exp(-L), -1).real
+    far = L > 700.0
+    if far.any():
+        zf = np.where(far, L + np.log(L), z_min)
+        for _ in range(3):
+            zf = zf - (zf - np.log(zf) - L) / (1.0 - 1.0 / zf)
+        z = np.where(far, zf, z)
+    return np.maximum(z, z_min)
 
 
-def _critical_event(u, y):
-    return y[0] - 0.5 * u * u
+def _rarefaction_curve(family: int, base: TransState, u_end: float) -> IntegralCurve:
+    e = max(8.0 * (base.q - 0.5 * base.u * base.u), 0.0)  # w - 1 at the base
+    y = e / (1.0 + math.sqrt(1.0 + e))  # s - 1, without cancellation
+    if family == 2:
+        C = math.inf if y == 0.0 else base.u - 0.5 * (1.0 + y + math.log(y))
+        return IntegralCurve(2, base, C, u_end, math.inf)
+    C = base.u + 0.5 * (1.0 + y - math.log(2.0 + y))
+    return IntegralCurve(1, base, C, u_end, base.u + 0.5 * (y - math.log1p(0.5 * y)))
 
 
-_critical_event.terminal = True
-_critical_event.direction = -1
+def integrate_rarefaction(family: int, base: TransState, u_target: float) -> IntegralCurve:
+    """Rarefaction curve of a family from base to u_target.
 
-
-def _solve_segment(family: int, u0: float, q0: float, u1: float, rtol: float,
-                   with_event: bool):
-    events = [_critical_event] if with_event else None
-    res = solve_ivp(
-        _rhs(family), (u0, u1), [q0],
-        method="RK45", dense_output=True, rtol=rtol, atol=rtol, events=events,
-    )
-    if res.status == -1:
-        raise StepFailure(
-            f"family-{family} rarefaction integration from u={u0!r} failed: {res.message}"
-        )
-    hit = res.status == 1
-    return res, hit
-
-
-def integrate_rarefaction(family: int, base: TransState, u_target: float, *,
-                          rtol: float = TOL_ODE) -> IntegralCurve:
-    """Integrate the rarefaction curve of a family from base to u_target.
-
-    Family 1 integrates forward only (u_target >= base.u); family 2 may
-    integrate backward, which is how inverse curves are built.  Raises
-    DomainError if the family-1 branch would cross the critical curve
-    before reaching u_target.
+    Family 1 runs forward only (u_target >= base.u); family 2 may run
+    backward, which is how inverse curves are built.  Raises DomainError if
+    the family-1 branch would cross the critical curve before reaching
+    u_target.
     """
     if family not in (1, 2):
         raise ValueError(f"family must be 1 or 2, got {family!r}")
     if not math.isfinite(u_target):
         raise PreconditionError(f"u_target must be finite, got {u_target!r}")
     if family == 1 and u_target < base.u - TOL_ZERO:
-        raise PreconditionError(
-            f"family-1 rarefactions integrate forward only (u_target {u_target!r} "
-            f"< base.u {base.u!r})"
-        )
-
-    direction = "increasing-u" if u_target >= base.u else "decreasing-u"
-    if abs(u_target - base.u) <= TOL_ZERO:
-        lam = float(family_lambda(family, base.u, base.q))
-        sample = CurveSample(base.u, base.q, lam)
-
-        def interp(u):
-            q = np.full_like(np.asarray(u, dtype=float), base.q)
-            return float(base.q) if np.ndim(u) == 0 else q
-
-        return IntegralCurve(family, base, direction, (sample,), interp)
-
-    with_event = family == 1 and u_target > base.u
-    res, hit = _solve_segment(family, base.u, base.q, u_target, rtol, with_event)
-    if hit:
-        u_stop = float(res.t_events[0][0])
-        raise DomainError(
-            f"family-1 rarefaction from {base} meets the critical curve at "
-            f"u={u_stop!r} before reaching u_target={u_target!r}"
-        )
-
-    us = res.t
-    qs = np.maximum(res.y[0], 0.5 * us * us)
-    lams = np.asarray(family_lambda(family, us, qs), dtype=float)
-    samples = tuple(
-        CurveSample(float(u), float(q), float(l)) for u, q, l in zip(us, qs, lams)
-    )
-    return IntegralCurve(family, base, direction, samples, _clamped_eval(res.sol, family))
-
-
-class _LadderCurve:
-    """Lazily extended dense rarefaction curve in one direction from a base.
-
-    The integrated span grows through the fixed ladder 1, 2, 4, ... u-units,
-    stepping through every level, so segment boundaries (and hence values)
-    do not depend on the order in which spans were requested.  Family-1
-    forward extension stops at the critical-curve crossing, recorded in
-    `stopped_at`.
-    """
-
-    def __init__(self, family: int, base: TransState, step: int, rtol: float = TOL_ODE):
-        assert step in (1, -1)
-        self.family = family
-        self.base = base
-        self.step = step
-        self.rtol = rtol
-        self.stopped_at: float | None = None
-        self._level = 0.0  # current ladder span in u-units
-        self._frontier = (base.u, base.q)
-        self._segments: list = []  # (u_lo, u_hi, dense sol), in extension order
-        self._lock = threading.Lock()
-        self._with_event = family == 1 and step == 1
-
-    def ensure(self, u: float) -> None:
-        span = (u - self.base.u) * self.step
-        if span <= self._level or self.stopped_at is not None:
-            return
-        with self._lock:
-            while self._level < span and self.stopped_at is None:
-                next_level = 1.0 if self._level == 0.0 else 2.0 * self._level
-                u0, q0 = self._frontier
-                u1 = self.base.u + self.step * next_level
-                res, hit = _solve_segment(self.family, u0, q0, u1, self.rtol,
-                                          self._with_event)
-                u_end = float(res.t[-1])
-                q_end = float(res.y[0][-1])
-                if u_end != u0:
-                    lo, hi = sorted((u0, u_end))
-                    self._segments.append((lo, hi, _clamped_eval(res.sol, self.family)))
-                self._frontier = (u_end, max(q_end, 0.5 * u_end * u_end))
-                self._level = next_level
-                if hit:
-                    self.stopped_at = u_end
-
-    def q_at(self, u: float) -> float:
-        self.ensure(u)
-        if self.stopped_at is not None and (u - self.stopped_at) * self.step >= 0.0:
-            raise DomainError(
-                f"family-{self.family} rarefaction from {self.base} ends on the "
-                f"critical curve at u={self.stopped_at!r}; no value at u={u!r}"
-            )
-        if (u - self.base.u) * self.step <= 0.0:
-            return self.base.q
-        for lo, hi, interp in self._segments:
-            if lo <= u <= hi:
-                return float(interp(u))
-        raise StepFailure(f"no integrated segment covers u={u!r}")  # pragma: no cover
+        raise PreconditionError(f"family-1 rarefactions run forward only "
+                                f"(u_target {u_target!r} < base.u {base.u!r})")
+    curve = _rarefaction_curve(family, base, u_target)
+    if abs(u_target - base.u) > TOL_ZERO and u_target > curve.u_star:
+        raise DomainError(f"family-1 rarefaction from {base} meets the critical curve "
+                          f"at u={curve.u_star!r} before reaching u_target={u_target!r}")
+    return curve
 
 
 class Forward1Curve:
     """Everything reachable from a fixed left state by one family-1 wave.
 
-    Shock branch (closed form) for u < left.u, rarefaction branch for
-    u >= left.u.  Beyond the rarefaction's critical-curve crossing u* the
-    curve is continued along q = u^2/2 itself: the wave curve physically
-    ends there, and the continuation keeps the middle-state root function
-    defined on arbitrary brackets.
+    Shock branch for u < left.u, rarefaction branch for u >= left.u.
+    Beyond the rarefaction's critical-curve crossing u* the curve continues
+    along q = u^2/2: the wave curve ends there, and the continuation keeps
+    the middle-state root function defined on arbitrary brackets.
     """
 
     def __init__(self, left: TransState):
         self.left = left
-        self._rw = _LadderCurve(1, left, +1)
+        self._rw = _rarefaction_curve(1, left, math.inf)
+        self.u_star = self._rw.u_star
 
     def crossing(self, u_probe: float) -> float | None:
-        """Critical-curve crossing of the rarefaction branch, if at most u_probe."""
-        self._rw.ensure(u_probe)
-        return self._rw.stopped_at
+        """Critical-curve crossing u* of the rarefaction branch if u* <= u_probe."""
+        return self.u_star if self.u_star <= u_probe else None
 
     def q(self, u: float) -> float:
         if u < self.left.u:
             return shock_q_1(self.left, u)
-        self._rw.ensure(u)
-        stop = self._rw.stopped_at
-        if stop is not None and u >= stop:
+        if u >= self.u_star:
             return 0.5 * u * u
         return self._rw.q_at(u)
 
@@ -331,12 +222,12 @@ class Backward2Curve:
     """Everything connected to a fixed right state by one family-2 wave.
 
     Backward rarefaction branch for u < right.u (never reaches the critical
-    curve), inverse shock branch (closed form) for u >= right.u.
+    curve), inverse shock branch for u >= right.u.
     """
 
     def __init__(self, right: TransState):
         self.right = right
-        self._rw = _LadderCurve(2, right, -1)
+        self._rw = _rarefaction_curve(2, right, -math.inf)
 
     def q(self, u: float) -> float:
         if u > self.right.u:
@@ -346,24 +237,9 @@ class Backward2Curve:
         return self._rw.q_at(u)
 
 
-@lru_cache(maxsize=256)
-def _forward1_cached(u: float, q: float) -> Forward1Curve:
-    return Forward1Curve(TransState(u, q))
-
-
-@lru_cache(maxsize=256)
-def _backward2_cached(u: float, q: float) -> Backward2Curve:
-    return Backward2Curve(TransState(u, q))
-
-
-def forward_curve_1(left: TransState) -> Forward1Curve:
-    """Memoized composite family-1 curve object through a left state."""
-    return _forward1_cached(left.u, left.q)
-
-
-def backward_curve_2(right: TransState) -> Backward2Curve:
-    """Memoized composite inverse family-2 curve object through a right state."""
-    return _backward2_cached(right.u, right.q)
+# Composite curve objects through a left / right state.
+forward_curve_1 = Forward1Curve
+backward_curve_2 = Backward2Curve
 
 
 def forward_1_curve(left: TransState, u: float) -> float:
@@ -376,7 +252,8 @@ def backward_2_curve(right: TransState, u: float) -> float:
     return backward_curve_2(right).q(u)
 
 
-_SHOCK_KINDS = {"sw1": (shock_q_1, 1), "sw2": (shock_q_2, 2)}
+_SHOCK_KINDS = {"sw1": (shock_q_1, 1), "sw2": (shock_q_2, 2),
+                "sw2_inv": (inverse_shock_q_2, 2)}
 
 
 def tabulate_curve(kind: str, base: TransState, us) -> np.ndarray:
@@ -397,48 +274,23 @@ def tabulate_curve(kind: str, base: TransState, us) -> np.ndarray:
         rows = []
         for u in us:
             q = fn(base, float(u))
-            du = base.u - u
-            if abs(du) <= TOL_ZERO:
-                lam = float(family_lambda(fam, base.u, base.q))
-            else:
-                lam = (base.q - q) / du
-            rows.append((float(u), q, lam))
-        return np.asarray(rows)
-
-    if kind == "sw2_inv":
-        rows = []
-        for u in us:
-            q = inverse_shock_q_2(base, float(u))
             du = u - base.u
-            if abs(du) <= TOL_ZERO:
-                lam = float(family_lambda(2, base.u, base.q))
-            else:
-                lam = (q - base.q) / du
+            lam = (float(family_lambda(fam, base.u, base.q)) if abs(du) <= TOL_ZERO
+                   else (q - base.q) / du)
             rows.append((float(u), q, lam))
         return np.asarray(rows)
 
     if kind in ("rw1", "rw2", "rw2_inv"):
-        if kind == "rw1":
-            fam, ladder = 1, _LadderCurve(1, base, +1)
-            valid = us >= base.u - TOL_ZERO
-        elif kind == "rw2":
-            fam, ladder = 2, _LadderCurve(2, base, +1)
-            valid = us >= base.u - TOL_ZERO
-        else:
-            fam, ladder = 2, _LadderCurve(2, base, -1)
-            valid = us <= base.u + TOL_ZERO
+        fam = 1 if kind == "rw1" else 2
+        valid = us <= base.u + TOL_ZERO if kind == "rw2_inv" else us >= base.u - TOL_ZERO
         if not valid.all():
             raise PreconditionError(
-                f"{kind} branch from base.u={base.u!r} does not cover all requested u"
-            )
-        rows = []
-        for u in us:
-            u = float(u)
-            try:
-                q = base.q if abs(u - base.u) <= TOL_ZERO else ladder.q_at(u)
-            except DomainError:
-                break  # rw1 ended on the critical curve
-            rows.append((u, q, float(family_lambda(fam, u, q))))
-        return np.asarray(rows)
+                f"{kind} branch from base.u={base.u!r} does not cover all requested u")
+        curve = _rarefaction_curve(fam, base, float(us[-1]))
+        # rw1 rows end where the curve meets the critical curve.
+        beyond = us > curve.u_star
+        if beyond.any():
+            us = us[:int(np.argmax(beyond))]
+        return np.column_stack([us, curve.q_at(us), curve.lam_at(us)])
 
     raise ValueError(f"unknown curve kind {kind!r}")

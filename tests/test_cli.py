@@ -203,3 +203,21 @@ def test_default_out_is_working_directory(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert (tmp_path / "sw2.csv").exists()
     assert (tmp_path / "rw2.csv").exists()
+
+
+def test_tol_ode_is_an_accepted_no_op(tmp_path, capsys):
+    base = ("solve", "--left", "1,3", "--right", "0.7,-3.3")
+    plain, flagged, configured = (tmp_path / d for d in ("a", "b", "c"))
+    code, _, err = _run(capsys, *base, "--out", str(plain))
+    assert code == 0 and err == ""
+    code, _, err = _run(capsys, *base, "--tol-ode", "1e-6", "--out", str(flagged))
+    assert code == 0
+    assert err.count("warning") == 1 and "tol_ode is ignored" in err
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"tol_ode": 1e-6}))
+    code, _, err = _run(capsys, *base, "--config", str(cfg), "--out", str(configured))
+    assert code == 0
+    assert err.count("warning") == 1 and "tol_ode is ignored" in err
+    first = (plain / "solution.json").read_bytes()
+    assert (flagged / "solution.json").read_bytes() == first
+    assert (configured / "solution.json").read_bytes() == first

@@ -35,7 +35,7 @@ from briodelta.delta import (
 from briodelta.errors import DegenerateJump, OrderingViolation, PreconditionError
 from briodelta.riemann import build_fan, sample_fan_many
 from briodelta.verify import random_brio_data
-from briodelta.wave_curves import shock_q_2
+from briodelta.wave_curves import backward_2_curve, forward_1_curve, shock_q_2
 
 from conftest import assert_close
 
@@ -342,3 +342,23 @@ def test_solution_to_dict_schema(fixture_pair):
     doc = solution_to_dict(solve_brio(RiemannData(project(left, 1.0),
                                                   project(right, -1.0))))
     assert doc["options"]["flip_speed"] == "rh"
+
+
+def test_raw_data_with_zero_v_on_one_side():
+    # v = 0 puts a state on the critical curve q = u^2/2.  Every such draw
+    # must solve, and the two composite curves must meet at the middle.
+    rng = np.random.default_rng(20240817)
+    for _ in range(200):
+        ul, ur = rng.uniform(-2.0, 3.0, size=2)
+        vl, vr = rng.uniform(-3.0, 3.0, size=2)
+        if rng.integers(2):
+            vl = 0.0
+        else:
+            vr = 0.0
+        data = RiemannData(BrioState(float(ul), float(vl)),
+                           BrioState(float(ur), float(vr)))
+        sol = solve_brio(data)
+        mid = sol.fan.middle
+        gap = (forward_1_curve(sol.fan.left, mid.u)
+               - backward_2_curve(sol.fan.right, mid.u))
+        assert abs(gap) <= 1e-12 * (1.0 + abs(mid.q)), (data, gap)

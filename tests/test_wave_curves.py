@@ -1,9 +1,10 @@
-"""Shock loci, rarefaction integration, and composite wave curves."""
+"""Shock loci, closed-form rarefaction curves, and composite wave curves."""
 
 from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -12,8 +13,6 @@ from briodelta.errors import DomainError, PreconditionError
 from briodelta.wave_curves import (
     Backward2Curve,
     Forward1Curve,
-    _backward2_cached,
-    _forward1_cached,
     backward_2_curve,
     backward_curve_2,
     forward_1_curve,
@@ -143,7 +142,8 @@ def test_critical_curve_is_family_2_integral_curve():
         crv = integrate_rarefaction(2, base, u0 + 5.0)
         u1 = u0 + 5.0
         assert abs(crv.q_at(u1) - 0.5 * u1 * u1) <= 1e-8
-        assert max(abs(s.q - 0.5 * s.u * s.u) for s in crv.samples) <= 1e-8
+        us = np.linspace(u0 - 5.0, u1, 201)
+        assert np.max(np.abs(crv.q_at(us) - 0.5 * us * us)) <= 1e-8
         # Independent fixed-step confirmation; deviations amplify like
         # exp(2 du) along the critical curve, hence the looser bound.
         oracle = _rk4_curve(2, u0, 0.5 * u0 * u0, u1, 50000)
@@ -152,8 +152,10 @@ def test_critical_curve_is_family_2_integral_curve():
 
 def test_rarefaction_zero_length(base_left):
     crv = integrate_rarefaction(1, base_left, base_left.u)
-    assert len(crv.samples) == 1
+    assert crv.u_end == base_left.u
     assert crv.q_at(base_left.u) == base_left.q
+    us = np.full(5, base_left.u)
+    assert np.all(crv.q_at(us) == base_left.q)
 
 
 def test_rarefaction_argument_errors(base_left):
@@ -249,37 +251,155 @@ def test_tabulate_argument_errors(base_left):
         tabulate_curve("rw2_inv", base_left, np.array([2.0]))
 
 
-def test_ladder_values_independent_of_query_order():
+def test_independent_curves_bit_identical_in_any_order():
     right = TransState(0.7, 7.0)
-
-    _backward2_cached.cache_clear()
     warm = backward_curve_2(right)
     near_first = warm.q(-0.5)
     far_after = warm.q(-3.0)
-
-    _backward2_cached.cache_clear()
     cold = backward_curve_2(right)
+    assert cold is not warm
     far_first = cold.q(-3.0)
     near_after = cold.q(-0.5)
-
     assert near_first == near_after
     assert far_after == far_first
 
     left = TransState(1.0, 5.0)
-    _forward1_cached.cache_clear()
     a = forward_curve_1(left)
-    v1 = a.q(1.3)
-    v2 = a.q(2.7)
-    _forward1_cached.cache_clear()
+    v1, v2 = a.q(1.3), a.q(2.7)
     b = forward_curve_1(left)
-    w2 = b.q(2.7)
-    w1 = b.q(1.3)
-    assert v1 == w1
-    assert v2 == w2
+    w2, w1 = b.q(2.7), b.q(1.3)
+    assert (v1, v2) == (w1, w2)
+    assert isinstance(a, Forward1Curve)
+    assert isinstance(cold, Backward2Curve)
+
+    us = np.linspace(-1.0, 2.9, 17)
+    crv = integrate_rarefaction(1, left, 2.9)
+    assert np.array_equal(crv.q_at(us), crv.q_at(us[::-1])[::-1])
+    assert [crv.q_at(float(u)) for u in us] == list(crv.q_at(us))
 
 
-def test_curve_objects_are_memoized(base_left):
-    assert forward_curve_1(base_left) is forward_curve_1(TransState(1.0, 5.0))
-    assert backward_curve_2(base_left) is backward_curve_2(TransState(1.0, 5.0))
-    assert isinstance(forward_curve_1(base_left), Forward1Curve)
-    assert isinstance(backward_curve_2(base_left), Backward2Curve)
+def test_crossing_only_when_reached(base_left):
+    # u* = 2.909... for the (1, 5) base: no crossing before it is reached.
+    crv = forward_curve_1(base_left)
+    assert crv.crossing(2.5) is None
+    star = crv.crossing(3.0)
+    assert star == crv.crossing(100.0) == crv.u_star
+    assert crv.crossing(star) == star
+    assert crv.crossing(math.nextafter(star, -math.inf)) is None
+    # A left state on the critical curve crosses at its own velocity.
+    on = TransState(0.5, 0.125)
+    assert forward_curve_1(on).crossing(0.5) == 0.5
+
+
+# 50-digit references from the parametrization of each rarefaction by
+# s = sqrt(8q - 4u^2 + 1):  family 1 u = -s/2 + ln(s + 1)/2 + C,
+# family 2 u = s/2 + ln(s - 1)/2 + C.
+
+def _mp_constant(family: int, base: TransState):
+    u, q = mp.mpf(base.u), mp.mpf(base.q)
+    s = mp.sqrt(8 * q - 4 * u * u + 1)
+    if family == 1:
+        return u + s / 2 - mp.log(s + 1) / 2
+    return u - s / 2 - mp.log(s - 1) / 2
+
+
+def _mp_q(family: int, base: TransState, u: float):
+    c, u = _mp_constant(family, base), mp.mpf(u)
+    x = 2 * (u - c) - 1
+    if family == 1:
+        s = -mp.re(mp.lambertw(-mp.exp(x), -1)) - 1
+    else:
+        s = mp.re(mp.lambertw(mp.exp(x))) + 1
+    return u * u / 2 + (s * s - 1) / 8
+
+
+def _mp_at_speed(family: int, base: TransState, xi: float):
+    c, xi = _mp_constant(family, base), mp.mpf(xi)
+    k = 2 * xi - 1 - 2 * c
+    if family == 1:
+        z = -mp.re(mp.lambertw(-2 * mp.exp(k), -1)) / 2
+        u, s = xi + z / 2, z - 1
+    else:
+        y = mp.re(mp.lambertw(2 * mp.exp(k))) / 2
+        u, s = xi - y / 2, y + 1
+    return u, u * u / 2 + (s * s - 1) / 8
+
+
+def _rel(a, b, *inputs) -> float:
+    """Error of a against b, relative to the largest of |b|, 1 and |inputs|.
+
+    A value near zero that comes out of larger inputs (u* near 0, or
+    u = xi + z/2 with |xi| in the thousands) carries their rounding.
+    """
+    scale = max([abs(b), mp.mpf(1)] + [abs(mp.mpf(x)) for x in inputs])
+    return float(abs(mp.mpf(a) - b) / scale)
+
+
+def _varied_base(rng, i: int) -> TransState:
+    """Every third base near the critical curve, every fifth far above it.
+
+    Far above it (slack 1e5..1e7) the family-1 root z - ln z = L has
+    e^{-L} below the smallest double.
+    """
+    base = random_above_critical(rng)
+    if i % 3 == 0:
+        return TransState(base.u, 0.5 * base.u ** 2
+                          + 10.0 ** float(rng.uniform(-12.0, -2.0)))
+    if i % 5 == 0:
+        return TransState(base.u, 0.5 * base.u ** 2
+                          + 10.0 ** float(rng.uniform(5.0, 7.0)))
+    return base
+
+
+@pytest.fixture
+def mp50():
+    with mp.workdps(50):
+        yield
+
+
+def test_rarefaction_q_matches_mpmath(rng, mp50):
+    for i in range(60):
+        base = _varied_base(rng, i)
+        crv1 = integrate_rarefaction(1, base, base.u)
+        u1 = base.u + float(rng.uniform(0.0, 0.999)) * (crv1.u_star - base.u)
+        crv2 = integrate_rarefaction(2, base, base.u)
+        u2 = base.u + float(rng.uniform(-4.0, 4.0))
+        assert _rel(crv1.q_at(u1), _mp_q(1, base, u1)) <= 1e-13
+        assert _rel(crv2.q_at(u2), _mp_q(2, base, u2)) <= 1e-13
+
+
+def test_crossing_matches_mpmath(rng, mp50):
+    for i in range(40):
+        base = _varied_base(rng, i)
+        star = forward_curve_1(base).u_star
+        exact = _mp_constant(1, base) - mp.mpf(1) / 2 + mp.log(2) / 2
+        assert _rel(star, exact, base.u) <= 1e-13
+
+
+def test_ray_inverse_matches_mpmath(rng, mp50):
+    for i in range(40):
+        base = _varied_base(rng, i)
+        for family, crv in ((1, integrate_rarefaction(1, base, base.u)),
+                            (2, integrate_rarefaction(2, base, base.u + 2.0))):
+            hi = crv.u_star if family == 1 else base.u + 2.0
+            lo = base.u if family == 1 else base.u - 3.0
+            u_ray = lo + float(rng.uniform(0.0, 0.999)) * (hi - lo)
+            xi = crv.lam_at(u_ray)
+            u, q = crv.at_speed(xi)
+            u_ref, q_ref = _mp_at_speed(family, base, xi)
+            assert _rel(u, u_ref, xi) <= 1e-13
+            assert _rel(q, q_ref) <= 1e-13
+
+
+def test_ray_inverse_round_trip(rng):
+    for _ in range(100):
+        base = random_above_critical(rng)
+        for crv, lo, hi in (
+                (integrate_rarefaction(1, base, base.u), base.u, None),
+                (integrate_rarefaction(2, base, base.u), base.u - 3.0, base.u + 3.0)):
+            hi = crv.u_star if hi is None else hi
+            xi = crv.lam_at(np.linspace(lo, hi, 33))
+            u, q = crv.at_speed(xi)
+            assert np.all(np.abs(crv.lam_at(u) - xi) <= 1e-12 * (1.0 + np.abs(xi)))
+            assert np.all(np.abs(q - crv.q_at(u)) <= 1e-12 * (1.0 + np.abs(q)))
+            assert np.all(q >= 0.5 * u * u)
