@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import importlib.resources
 import json
 import math
@@ -22,14 +23,14 @@ import os
 import sys
 
 import numpy as np
-from jsonschema import validate
+from jsonschema.validators import validator_for
 
 from .core import BrioState, RiemannData, TransState, lift
 from .delta import sample_brio_many, solution_to_dict, solve_brio
 from .errors import BrioError, PreconditionError
 from .riemann import build_fan
 from .verify import FvGrid, compare_fan_fv, property_suite
-from .wave_curves import tabulate_curve
+from .wave_curves import DESCENDING_KINDS, tabulate_curve
 
 ENV_OUT = "BRIODELTA_OUT"
 
@@ -51,8 +52,8 @@ _CURVE_KINDS = {
     "inverse": ("sw2_inv", "rw2_inv"),
 }
 
-# Branches parametrized below the base state (the rest run above it).
-_DESCENDING = {"sw1", "sw2", "rw2_inv"}
+# Options whose value is a comma-separated pair (see _attach_pair_values).
+_PAIR_OPTIONS = ("--left", "--right", "--base")
 
 
 def _fmt(x: float) -> str:
@@ -76,6 +77,15 @@ def _schema(name: str) -> dict:
     path = importlib.resources.files("briodelta") / "schemas" / name
     with path.open("r", encoding="utf-8") as f:
         return json.load(f)
+
+
+@functools.cache
+def _validator(name: str):
+    """Validator of one packaged schema, built and schema-checked once per process."""
+    schema = _schema(name)
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def _apply_config(args: argparse.Namespace, subcommand: str) -> None:
@@ -111,7 +121,7 @@ def _out_dir(args: argparse.Namespace) -> str:
 
 
 def _write_json(path: str, doc: dict, schema_name: str) -> None:
-    validate(doc, _schema(schema_name))
+    _validator(schema_name).validate(doc)
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")
@@ -174,7 +184,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     written = []
     for kind in _CURVE_KINDS[family]:
-        if kind in _DESCENDING:
+        if kind in DESCENDING_KINDS:
             us = np.linspace(base.u - span, base.u, samples)
         else:
             us = np.linspace(base.u, base.u + span, samples)
@@ -339,10 +349,27 @@ _HANDLERS = {
 }
 
 
+def _attach_pair_values(argv: list[str]) -> list[str]:
+    """Rewrite `--left -1,2` as `--left=-1,2`.
+
+    argparse reads a token such as -1,2 as an option, not as the value of
+    the option before it, so a pair with a negative first component parses
+    only in the `=` form.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _PAIR_OPTIONS:
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_pair_values(argv))
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     try:

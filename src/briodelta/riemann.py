@@ -2,9 +2,12 @@
 
 The middle state is the unique intersection of the composite family-1 curve
 through the left state with the composite inverse family-2 curve through the
-right state.  Bracketing uses an expanding window scan of the difference
-function, then Brent's method; the four sign combinations of (u_M - u_L,
-u_R - u_M) classify the fan into the four shock/rarefaction regions.
+right state.  Bracketing scans windows of growing width, 65 points each;
+each window is evaluated with one array call per composite curve, and the
+first grid cell holding a zero or a sign change of the difference is
+polished by Brent's method on scalar calls.  The four sign combinations of
+(u_M - u_L, u_R - u_M) classify the fan into the four shock/rarefaction
+regions.
 """
 
 from __future__ import annotations
@@ -104,16 +107,13 @@ def solve_middle(left: TransState, right: TransState, *,
     for k in range(41):
         w = 2.0 ** k
         us = np.linspace(lo0 - w, hi0 + w, 65)
-        vals = [phi(float(u)) for u in us]
-        for i in range(len(us) - 1):
-            a, b = vals[i], vals[i + 1]
-            if a == 0.0:
-                pair = (float(us[i]), float(us[i]))
-                break
-            if (a > 0.0 and b <= 0.0) or (a < 0.0 and b >= 0.0):
-                pair = (float(us[i]), float(us[i + 1]))
-                break
-        if pair is not None:
+        vals = f1.q(us) - b2.q(us)
+        a, b = vals[:-1], vals[1:]
+        # First grid cell that holds a root: a zero at its left end, or a sign change.
+        hit = (a == 0.0) | ((a > 0.0) & (b <= 0.0)) | ((a < 0.0) & (b >= 0.0))
+        if hit.any():
+            i = int(np.argmax(hit))
+            pair = (float(us[i]), float(us[i] if a[i] == 0.0 else us[i + 1]))
             break
     if pair is None:
         raise BracketFailure(

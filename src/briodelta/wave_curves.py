@@ -40,21 +40,31 @@ def shock_radicand(base: TransState, u: float) -> float:
     return 2.0 * base.q + 0.25 + 0.5 * (a - u) - (2.0 * a * a + 2.0 * a * u - u * u) / 3.0
 
 
-def _root_of(rad: float, u: float, what: str, base: TransState) -> float:
-    """sqrt(rad), with rounding-size negative radicands read as zero."""
+def _root_of(rad, u, what: str, base: TransState):
+    """sqrt(rad) of a scalar or an array, with rounding-size negative radicands read as zero."""
+    if isinstance(rad, np.ndarray):
+        bad = rad < -TOL_DOMAIN * (1.0 + u * u)
+        if not bad.any():
+            return np.sqrt(np.maximum(rad, 0.0))
+        i = int(np.argmax(bad))  # report the first offending element below
+        rad, u = float(rad[i]), float(u[i])
     if rad < -TOL_DOMAIN * (1.0 + u * u):
         raise DomainError(
             f"{what} from {base} leaves the real branch at u={u!r} (radicand {rad:.3e})")
     return math.sqrt(max(rad, 0.0))
 
 
+def _shock_locus(sign: float, base: TransState, u):
+    """Shock-locus energy at u <= base.u, scalar or array: upper root for sign +1."""
+    root = _root_of(shock_radicand(base, u), u, "shock locus", base)
+    return base.q - 0.5 * (base.u - u) * (2.0 * u - 1.0) + sign * ((base.u - u) * root)
+
+
 def _shock_q(family: int, sign: float, base: TransState, u: float) -> float:
     if u > base.u + TOL_ZERO:
         raise PreconditionError(
             f"family-{family} shock branch needs u <= base.u, got u={u!r} > {base.u!r}")
-    u = min(u, base.u)
-    root = _root_of(shock_radicand(base, u), u, "shock locus", base)
-    return base.q - 0.5 * (base.u - u) * (2.0 * u - 1.0) + sign * ((base.u - u) * root)
+    return _shock_locus(sign, base, min(u, base.u))
 
 
 def shock_q_1(base: TransState, u: float) -> float:
@@ -82,7 +92,11 @@ def inverse_shock_q_2(base_right: TransState, u: float) -> float:
     if u < base_right.u - TOL_ZERO:
         raise PreconditionError(
             f"inverse family-2 branch needs u >= base.u, got u={u!r} < {base_right.u!r}")
-    u = max(u, base_right.u)
+    return _inverse_locus(base_right, max(u, base_right.u))
+
+
+def _inverse_locus(base_right: TransState, u):
+    """Inverse family-2 locus at u >= base_right.u, scalar or array."""
     root = _root_of(inverse_radicand(base_right, u), u, "inverse family-2 locus", base_right)
     du = u - base_right.u
     return base_right.q + 0.5 * du * (2.0 * u - 1.0) + 0.5 * du * root
@@ -210,12 +224,23 @@ class Forward1Curve:
         """Critical-curve crossing u* of the rarefaction branch if u* <= u_probe."""
         return self.u_star if self.u_star <= u_probe else None
 
-    def q(self, u: float) -> float:
-        if u < self.left.u:
-            return shock_q_1(self.left, u)
-        if u >= self.u_star:
-            return 0.5 * u * u
-        return self._rw.q_at(u)
+    def q(self, u):
+        """Energy at velocity u, a scalar or an array (branches picked by masks)."""
+        if isinstance(u, float) or np.ndim(u) == 0:
+            if u < self.left.u:
+                return _shock_locus(1.0, self.left, u)
+            if u >= self.u_star:
+                return 0.5 * u * u
+            return self._rw.q_at(u)
+        u = np.asarray(u, dtype=float)
+        q = 0.5 * u * u
+        shock = u < self.left.u
+        rare = ~(shock | (u >= self.u_star))
+        if shock.any():
+            q[shock] = _shock_locus(1.0, self.left, u[shock])
+        if rare.any():
+            q[rare] = self._rw.q_at(u[rare])
+        return q
 
 
 class Backward2Curve:
@@ -229,12 +254,23 @@ class Backward2Curve:
         self.right = right
         self._rw = _rarefaction_curve(2, right, -math.inf)
 
-    def q(self, u: float) -> float:
-        if u > self.right.u:
-            return inverse_shock_q_2(self.right, u)
-        if u >= self.right.u - TOL_ZERO:
-            return self.right.q
-        return self._rw.q_at(u)
+    def q(self, u):
+        """Energy at velocity u, a scalar or an array (branches picked by masks)."""
+        if isinstance(u, float) or np.ndim(u) == 0:
+            if u > self.right.u:
+                return _inverse_locus(self.right, u)
+            if u >= self.right.u - TOL_ZERO:
+                return self.right.q
+            return self._rw.q_at(u)
+        u = np.asarray(u, dtype=float)
+        q = np.full(u.shape, self.right.q)
+        shock = u > self.right.u
+        rare = ~(u >= self.right.u - TOL_ZERO)
+        if shock.any():
+            q[shock] = _inverse_locus(self.right, u[shock])
+        if rare.any():
+            q[rare] = self._rw.q_at(u[rare])
+        return q
 
 
 # Composite curve objects through a left / right state.
@@ -252,8 +288,11 @@ def backward_2_curve(right: TransState, u: float) -> float:
     return backward_curve_2(right).q(u)
 
 
-_SHOCK_KINDS = {"sw1": (shock_q_1, 1), "sw2": (shock_q_2, 2),
-                "sw2_inv": (inverse_shock_q_2, 2)}
+# Shock branches of tabulate_curve: kind -> (family, sign of the locus root);
+# sign None is the inverse family-2 locus.
+_SHOCK_KINDS = {"sw1": (1, 1.0), "sw2": (2, -1.0), "sw2_inv": (2, None)}
+# Branches tabulated at u <= base.u; the others run at u >= base.u.
+DESCENDING_KINDS = frozenset({"sw1", "sw2", "rw2_inv"})
 
 
 def tabulate_curve(kind: str, base: TransState, us) -> np.ndarray:
@@ -268,29 +307,26 @@ def tabulate_curve(kind: str, base: TransState, us) -> np.ndarray:
     us = np.asarray(us, dtype=float)
     if us.ndim != 1 or us.size == 0:
         raise PreconditionError("us must be a non-empty 1-d array")
+    if kind not in _SHOCK_KINDS and kind not in ("rw1", "rw2", "rw2_inv"):
+        raise ValueError(f"unknown curve kind {kind!r}")
+    valid = us <= base.u + TOL_ZERO if kind in DESCENDING_KINDS else us >= base.u - TOL_ZERO
+    if not valid.all():
+        raise PreconditionError(
+            f"{kind} branch from base.u={base.u!r} does not cover all requested u")
 
     if kind in _SHOCK_KINDS:
-        fn, fam = _SHOCK_KINDS[kind]
-        rows = []
-        for u in us:
-            q = fn(base, float(u))
-            du = u - base.u
-            lam = (float(family_lambda(fam, base.u, base.q)) if abs(du) <= TOL_ZERO
-                   else (q - base.q) / du)
-            rows.append((float(u), q, lam))
-        return np.asarray(rows)
+        fam, sign = _SHOCK_KINDS[kind]
+        q = (_inverse_locus(base, np.maximum(us, base.u)) if sign is None
+             else _shock_locus(sign, base, np.minimum(us, base.u)))
+        du = us - base.u
+        at_base = np.abs(du) <= TOL_ZERO
+        lam = np.where(at_base, float(family_lambda(fam, base.u, base.q)),
+                       (q - base.q) / np.where(at_base, 1.0, du))
+        return np.column_stack([us, q, lam])
 
-    if kind in ("rw1", "rw2", "rw2_inv"):
-        fam = 1 if kind == "rw1" else 2
-        valid = us <= base.u + TOL_ZERO if kind == "rw2_inv" else us >= base.u - TOL_ZERO
-        if not valid.all():
-            raise PreconditionError(
-                f"{kind} branch from base.u={base.u!r} does not cover all requested u")
-        curve = _rarefaction_curve(fam, base, float(us[-1]))
-        # rw1 rows end where the curve meets the critical curve.
-        beyond = us > curve.u_star
-        if beyond.any():
-            us = us[:int(np.argmax(beyond))]
-        return np.column_stack([us, curve.q_at(us), curve.lam_at(us)])
-
-    raise ValueError(f"unknown curve kind {kind!r}")
+    curve = _rarefaction_curve(1 if kind == "rw1" else 2, base, float(us[-1]))
+    # rw1 rows end where the curve meets the critical curve.
+    beyond = us > curve.u_star
+    if beyond.any():
+        us = us[:int(np.argmax(beyond))]
+    return np.column_stack([us, curve.q_at(us), curve.lam_at(us)])

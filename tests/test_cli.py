@@ -8,7 +8,9 @@ import json
 from pathlib import Path
 
 import jsonschema
+import pytest
 
+from briodelta import cli
 from briodelta.cli import ENV_OUT, main
 from briodelta.core import TransState
 from briodelta.wave_curves import shock_q_1
@@ -221,3 +223,34 @@ def test_tol_ode_is_an_accepted_no_op(tmp_path, capsys):
     first = (plain / "solution.json").read_bytes()
     assert (flagged / "solution.json").read_bytes() == first
     assert (configured / "solution.json").read_bytes() == first
+
+
+def test_negative_first_component_in_space_form(tmp_path, capsys):
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    code, _, err = _run(capsys, "solve", "--left", "-1,2", "--right", "1,1",
+                        "--out", str(spaced))
+    assert code == 0 and err == ""
+    code, _, _ = _run(capsys, "solve", "--left=-1,2", "--right=1,1",
+                      "--out", str(joined))
+    assert code == 0
+    first = (spaced / "solution.json").read_bytes()
+    assert (joined / "solution.json").read_bytes() == first
+    assert json.loads(first)["initial"]["left"] == {"u": -1.0, "v": 2.0}
+
+    code, out, err = _run(capsys, "curves", "--base", "-1,1", "--family", "1",
+                          "--out", str(tmp_path / "curves"))
+    assert code == 0 and err == ""
+    rows = _read_csv(tmp_path / "curves" / "sw1.csv")
+    assert float(rows[-1]["u"]) == -1.0 and float(rows[-1]["q"]) == 1.0
+
+
+def test_cached_validator_rejects_malformed_document(tmp_path, capsys):
+    assert _run(capsys, "solve", "--left", "1,3", "--right", "0.7,-3.3",
+                "--out", str(tmp_path))[0] == 0
+    assert cli._validator("solution.schema.json") is cli._validator("solution.schema.json")
+    doc = json.loads((tmp_path / "solution.json").read_text())
+    doc["options"]["flip_speed"] = "sideways"
+    bad = tmp_path / "bad.json"
+    with pytest.raises(jsonschema.ValidationError):
+        cli._write_json(str(bad), doc, "solution.schema.json")
+    assert not bad.exists()

@@ -8,12 +8,22 @@ import json
 import jsonschema
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from briodelta.core import TransState, family_lambda, trans_lambdas, trans_shock_speed
-from briodelta.errors import PreconditionError
+from briodelta.core import (
+    BrioState,
+    TransState,
+    family_lambda,
+    lift,
+    trans_lambdas,
+    trans_shock_speed,
+)
+from briodelta.errors import BracketFailure, BrioError, PreconditionError
 from briodelta.riemann import (
+    TOL_ROOT,
     Region,
     Wave,
+    _states_coincide,
     build_fan,
     classify,
     fan_to_dict,
@@ -231,3 +241,71 @@ def test_fan_to_dict_schema(fixture_pair):
     empty = fan_to_dict(build_fan(left, left))
     assert empty["waves"] == []
     jsonschema.validate(empty, _schema("fan.schema.json"))
+
+
+def _solve_middle_scalar_scan(left: TransState, right: TransState) -> TransState:
+    """Reference solve_middle whose scan evaluates one velocity at a time."""
+    if _states_coincide(left, right):
+        return left
+    f1 = forward_curve_1(left)
+    b2 = backward_curve_2(right)
+
+    def phi(u: float) -> float:
+        return f1.q(u) - b2.q(u)
+
+    lo0, hi0 = (min(left.u, right.u), max(left.u, right.u))
+    pair = None
+    for k in range(41):
+        w = 2.0 ** k
+        us = np.linspace(lo0 - w, hi0 + w, 65)
+        vals = [phi(float(u)) for u in us]
+        for i in range(len(us) - 1):
+            a, b = vals[i], vals[i + 1]
+            if a == 0.0:
+                pair = (float(us[i]), float(us[i]))
+                break
+            if (a > 0.0 and b <= 0.0) or (a < 0.0 and b >= 0.0):
+                pair = (float(us[i]), float(us[i + 1]))
+                break
+        if pair is not None:
+            break
+    if pair is None:
+        raise BracketFailure("no sign change within the widest scan window")
+    u_m = pair[0] if pair[0] == pair[1] else float(brentq(phi, pair[0], pair[1], xtol=1e-14))
+    ustar = f1.crossing(u_m)
+    if ustar is not None and u_m > ustar:
+        if abs(phi(ustar)) <= 1e-9 * (1.0 + abs(f1.q(ustar))):
+            u_m = ustar
+    q_m = f1.q(u_m)
+    residual = abs(q_m - b2.q(u_m))
+    if residual > TOL_ROOT * (1.0 + abs(q_m)):
+        raise BracketFailure(f"middle-state polish stalled: residual {residual:.3e}")
+    return TransState(u_m, max(q_m, 0.5 * u_m * u_m))
+
+
+def _outcome(fn, left: TransState, right: TransState):
+    try:
+        mid = fn(left, right)
+    except BrioError as e:
+        return type(e)
+    return (mid.u.hex(), mid.q.hex())
+
+
+def test_array_scan_matches_scalar_reference_scan():
+    # Raw (u, v) draws: generic, v = 0 on one side (a state on the critical
+    # curve), and |v| < 0.02 on both sides (near it).
+    rng = np.random.default_rng(20240818)
+    for k in range(600):
+        ul, ur = (float(x) for x in rng.uniform(-2.0, 3.0, size=2))
+        vl, vr = (float(x) for x in rng.uniform(-3.0, 3.0, size=2))
+        kind = ("generic", "zero_v", "small_v")[k % 3]
+        if kind == "zero_v":
+            if rng.integers(2):
+                vl = 0.0
+            else:
+                vr = 0.0
+        elif kind == "small_v":
+            vl, vr = (float(x) for x in rng.uniform(-0.02, 0.02, size=2))
+        left, right = lift(BrioState(ul, vl)), lift(BrioState(ur, vr))
+        expected = _outcome(_solve_middle_scalar_scan, left, right)
+        assert _outcome(solve_middle, left, right) == expected, (left, right)

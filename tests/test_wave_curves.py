@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from briodelta.core import TransState, family_lambda
+from briodelta.core import TOL_ZERO, TransState, family_lambda
 from briodelta.errors import DomainError, PreconditionError
 from briodelta.wave_curves import (
     Backward2Curve,
@@ -403,3 +404,96 @@ def test_ray_inverse_round_trip(rng):
             assert np.all(np.abs(crv.lam_at(u) - xi) <= 1e-12 * (1.0 + np.abs(xi)))
             assert np.all(np.abs(q - crv.q_at(u)) <= 1e-12 * (1.0 + np.abs(q)))
             assert np.all(q >= 0.5 * u * u)
+
+
+def _tabulate_shock_loop(kind: str, base: TransState, us) -> np.ndarray:
+    """Row-at-a-time reference for the shock branches of tabulate_curve."""
+    fn, fam = {"sw1": (shock_q_1, 1), "sw2": (shock_q_2, 2),
+               "sw2_inv": (inverse_shock_q_2, 2)}[kind]
+    rows = []
+    for u in us:
+        q = fn(base, float(u))
+        du = u - base.u
+        lam = (float(family_lambda(fam, base.u, base.q)) if abs(du) <= TOL_ZERO
+               else (q - base.q) / du)
+        rows.append((float(u), q, lam))
+    return np.asarray(rows)
+
+
+@pytest.mark.parametrize("slack", [0.0, 1e-12, 1e-6, 1e-2, 1.0, 1e5, 1e7])
+def test_tabulate_shock_rows_match_row_loop(rng, slack):
+    for _ in range(6):
+        u = float(rng.uniform(-2.0, 3.0))
+        base = TransState(u, 0.5 * u * u + slack)
+        span = float(10.0 ** rng.uniform(-3.0, 2.0))
+        n = int(rng.integers(2, 300))
+        near = [u - TOL_ZERO / 2, u + TOL_ZERO / 2]
+        below = np.sort(np.concatenate([np.linspace(u - span, u, n), near[:1]]))
+        above = np.sort(np.concatenate([np.linspace(u, u + span, n), near[1:]]))
+        for kind, us in (("sw1", below), ("sw2", below), ("sw2_inv", above)):
+            rows = tabulate_curve(kind, base, us)
+            assert rows.tobytes() == _tabulate_shock_loop(kind, base, us).tobytes()
+    with pytest.raises(PreconditionError):
+        tabulate_curve("sw2", base, np.array([u - 1.0, u + 1e-3]))
+    with pytest.raises(PreconditionError):
+        tabulate_curve("sw2_inv", base, np.array([u + 1.0, u - 1e-3]))
+
+
+def _branch_grid(left: TransState, right: TransState, u_star: float) -> np.ndarray:
+    """Velocities that cross every branch of both composite curves.
+
+    Holds each breakpoint (left.u, u*, right.u, and right.u - TOL_ZERO/2 on
+    the flat stretch of the inverse curve) and its floating-point neighbours.
+    """
+    marks = np.array([left.u, u_star, right.u, right.u - TOL_ZERO / 2])
+    lo = min(left.u, right.u) - 3.0
+    hi = max(left.u, right.u, u_star) + 3.0
+    return np.concatenate([np.linspace(lo, hi, 513), marks,
+                           np.nextafter(marks, -np.inf), np.nextafter(marks, np.inf)])
+
+
+@pytest.mark.parametrize("slack", [0.0, 1e-12, 1e-6, 1e-2, 1.0, 1e5, 1e7])
+def test_composite_array_q_matches_scalar_bit_for_bit(rng, slack):
+    # Slack is the height above the critical curve: near it (u* close to
+    # left.u, inverse curve hugging q = u^2/2) and far from it.
+    for _ in range(6):
+        ul, ur = (float(x) for x in rng.uniform(-2.0, 3.0, size=2))
+        left = TransState(ul, 0.5 * ul * ul + slack)
+        right = TransState(ur, 0.5 * ur * ur + slack * float(rng.uniform(0.5, 2.0)))
+        f1, b2 = Forward1Curve(left), Backward2Curve(right)
+        us = _branch_grid(left, right, f1.u_star)
+        for crv in (f1, b2):
+            scalar = np.array([crv.q(float(u)) for u in us])
+            assert crv.q(us).tobytes() == scalar.tobytes()
+            assert crv.q(list(us[:5])).tobytes() == scalar[:5].tobytes()
+        assert (us < left.u).any() and (us > f1.u_star).any()
+        assert (us > right.u).any() and (us < right.u - TOL_ZERO).any()
+        assert (us == right.u - TOL_ZERO / 2).any()
+        if slack > 0.0:
+            assert ((us >= left.u) & (us < f1.u_star)).any()
+
+
+def test_composite_array_q_raises_where_scalar_q_raises():
+    # A stand-in base below the critical curve (TransState refuses one)
+    # gives shock radicands that are negative near the base only.
+    below = SimpleNamespace(u=1.0, q=0.2)
+    for crv, lo, hi in ((Forward1Curve(below), -3.0, 2.0),
+                        (Backward2Curve(below), 0.0, 5.0)):
+        us = np.linspace(lo, hi, 121)
+        raised = []
+        for u in us:
+            try:
+                crv.q(float(u))
+                raised.append(False)
+            except DomainError:
+                raised.append(True)
+        raised = np.array(raised)
+        assert raised.any() and not raised.all()
+        for i in range(0, len(us), 5):
+            for j in (i + 1, i + 9, len(us)):
+                if raised[i:j].any():
+                    with pytest.raises(DomainError):
+                        crv.q(us[i:j])
+                else:
+                    scalar = np.array([crv.q(float(u)) for u in us[i:j]])
+                    assert crv.q(us[i:j]).tobytes() == scalar.tobytes()
