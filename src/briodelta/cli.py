@@ -203,9 +203,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     finite = [s.speed for s in sol.singular]
     for seg in sol.segments:
         finite += [b for b in (seg.xi_lo, seg.xi_hi) if math.isfinite(b)]
-    x_min = args.x_min if args.x_min is not None else \
+    x_min = float(args.x_min) if args.x_min is not None else \
         min(finite + [0.0]) * t - 1.0
-    x_max = args.x_max if args.x_max is not None else \
+    x_max = float(args.x_max) if args.x_max is not None else \
         max(finite + [0.0]) * t + 1.0
     if not x_max > x_min:
         raise PreconditionError("sampling window must have x_max > x_min")

@@ -2,12 +2,12 @@
 
 The middle state is the unique intersection of the composite family-1 curve
 through the left state with the composite inverse family-2 curve through the
-right state.  Bracketing scans windows of growing width, 65 points each;
-each window is evaluated with one array call per composite curve, and the
-first grid cell holding a zero or a sign change of the difference is
-polished by Brent's method on scalar calls.  The four sign combinations of
-(u_M - u_L, u_R - u_M) classify the fan into the four shock/rarefaction
-regions.
+right state.  Their difference phi(u) = f1(u) - b2(u) falls monotonically, so
+its one root is bracketed from the data: the interval between the two
+velocities, with each end whose sign is wrong pushed outward by 1, 2, 4, ...
+until phi(lo) >= 0 >= phi(hi), then polished by Brent's method.  The four
+sign combinations of (u_M - u_L, u_R - u_M) classify the fan into the four
+shock/rarefaction regions.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ TOL_ROOT = 1e-12
 TOL_LAX = 1e-10
 # Wave strengths with |u_M - u_neighbor| at or below this are zero.
 TIE_TOL = 1e-10
+# The bracket's ends move at most 2**_REACH past the starting interval.
+_REACH = 40
 
 
 class Region(enum.Enum):
@@ -87,9 +89,11 @@ def solve_middle(left: TransState, right: TransState, *,
                  bracket: tuple[float, float] | None = None) -> TransState:
     """Intersect the two composite curves; returns the middle state.
 
-    `bracket` optionally replaces the initial scan window (the result must
+    The root is bracketed starting from [min(u_L, u_R), max(u_L, u_R)];
+    `bracket` optionally replaces that starting interval (the result must
     not depend on it; it exists so uniqueness can be probed from perturbed
-    windows).
+    intervals).  An end is widened only while phi has the wrong sign there,
+    by 1, 2, 4, ... up to 2**40 past its start.
     """
     if _states_coincide(left, right):
         return left
@@ -103,37 +107,31 @@ def solve_middle(left: TransState, right: TransState, *,
     if bracket is not None:
         lo0, hi0 = min(bracket), max(bracket)
 
-    pair = None
-    for k in range(41):
-        w = 2.0 ** k
-        us = np.linspace(lo0 - w, hi0 + w, 65)
-        vals = f1.q(us) - b2.q(us)
-        a, b = vals[:-1], vals[1:]
-        # First grid cell that holds a root: a zero at its left end, or a sign change.
-        hit = (a == 0.0) | ((a > 0.0) & (b <= 0.0)) | ((a < 0.0) & (b >= 0.0))
-        if hit.any():
-            i = int(np.argmax(hit))
-            pair = (float(us[i]), float(us[i] if a[i] == 0.0 else us[i + 1]))
-            break
-    if pair is None:
-        raise BracketFailure(
-            f"no sign change of the curve difference between {left} and {right} "
-            f"within the widest scan window"
-        )
-
-    if pair[0] == pair[1]:
-        u_m = pair[0]
-    else:
-        u_m = float(brentq(phi, pair[0], pair[1], xtol=1e-14))
+    lo, hi = lo0, hi0
+    phi_lo, phi_hi = phi(lo), phi(hi)
+    k = 0
+    while not phi_lo >= 0.0 >= phi_hi:
+        if k > _REACH:
+            raise BracketFailure(
+                f"no sign change of the curve difference between {left} and {right} "
+                f"within 2**{_REACH} of the starting interval [{lo0!r}, {hi0!r}]"
+            )
+        if phi_lo < 0.0:
+            lo = lo0 - 2.0 ** k
+            phi_lo = phi(lo)
+        if phi_hi > 0.0:
+            hi = hi0 + 2.0 ** k
+            phi_hi = phi(hi)
+        k += 1
+    u_m = float(brentq(phi, lo, hi, xtol=1e-14))
 
     # First-touch refinement: when the family-1 rarefaction has been
     # continued along the critical curve and the root landed on that flat
     # stretch (right state on the critical curve), the middle state is the
     # touch point itself.
-    ustar = f1.crossing(u_m)
-    if ustar is not None and u_m > ustar:
-        if abs(phi(ustar)) <= 1e-9 * (1.0 + abs(f1.q(ustar))):
-            u_m = ustar
+    ustar = f1.u_star
+    if u_m > ustar and abs(phi(ustar)) <= 1e-9 * (1.0 + abs(f1.q(ustar))):
+        u_m = ustar
 
     q_m = f1.q(u_m)
     residual = abs(q_m - b2.q(u_m))

@@ -162,6 +162,28 @@ def _dedupe(values, tol):
     return out
 
 
+def _time_panels(speeds, xlo: float, xhi: float, t_lo: float, t_hi: float, gx, gw):
+    """Gauss-Legendre panels of [t_lo, t_hi], cut where a ray x = c t leaves [xlo, xhi].
+
+    Yields (tmid, nodes, weights) per panel; cuts closer than 1e-13
+    relative merge and panels that short are skipped.
+    """
+    cuts = [t_lo, t_hi]
+    for c in speeds:
+        if c == 0.0:
+            continue
+        for e in (xlo, xhi):
+            tc = e / c
+            if t_lo < tc < t_hi:
+                cuts.append(tc)
+    breaks = _dedupe(cuts, 1e-13 * (1.0 + t_hi))
+    for ta, tb in zip(breaks[:-1], breaks[1:]):
+        if tb - ta <= 1e-13 * (1.0 + tb):
+            continue
+        tmid = 0.5 * (ta + tb)
+        yield tmid, tmid + 0.5 * (tb - ta) * gx, 0.5 * (tb - ta) * gw
+
+
 def weak_residual(sol: DeltaSolution, phis, *, nodes: int = 32,
                   arclength: bool = False) -> list[tuple[float, float]]:
     """Absolute residuals (r_u, r_v) of both integral identities, per bump.
@@ -188,21 +210,7 @@ def weak_residual(sol: DeltaSolution, phis, *, nodes: int = 32,
         parts_v: list[float] = []
 
         if t_hi > t_lo:
-            crossings = [t_lo, t_hi]
-            for c in rays:
-                if c == 0.0:
-                    continue
-                for e in (xlo, xhi):
-                    tc = e / c
-                    if t_lo < tc < t_hi:
-                        crossings.append(tc)
-            breaks = _dedupe(crossings, 1e-13 * (1.0 + t_hi))
-            for ta, tb in zip(breaks[:-1], breaks[1:]):
-                if tb - ta <= 1e-13 * (1.0 + tb):
-                    continue
-                tmid = 0.5 * (ta + tb)
-                tn = tmid + 0.5 * (tb - ta) * gx
-                tw = 0.5 * (tb - ta) * gw
+            for tmid, tn, tw in _time_panels(rays, xlo, xhi, t_lo, t_hi, gx, gw):
                 inside = [c for c in rays if xlo < c * tmid < xhi]
                 if inside:
                     xb = np.clip(np.outer(tn, inside), xlo, xhi)
@@ -231,20 +239,9 @@ def weak_residual(sol: DeltaSolution, phis, *, nodes: int = 32,
 
             for s in sol.singular:
                 c = s.speed
-                cuts = [t_lo, t_hi]
-                if c != 0.0:
-                    for e in (xlo, xhi):
-                        tc = e / c
-                        if t_lo < tc < t_hi:
-                            cuts.append(tc)
                 weight = math.sqrt(1.0 + c * c) if arclength else 1.0
-                cut_list = _dedupe(cuts, 1e-13 * (1.0 + t_hi))
                 acc = []
-                for ta, tb in zip(cut_list[:-1], cut_list[1:]):
-                    if tb - ta <= 1e-13 * (1.0 + tb):
-                        continue
-                    tn = 0.5 * (ta + tb) + 0.5 * (tb - ta) * gx
-                    tw = 0.5 * (tb - ta) * gw
+                for _, tn, tw in _time_panels((c,), xlo, xhi, t_lo, t_hi, gx, gw):
                     xr = c * tn
                     beta = s.rate * tn + s.constant
                     vals = beta * (phi.dt(xr, tn) + c * phi.dx(xr, tn))
@@ -374,9 +371,8 @@ def random_trans_state(rng, u_range=(-2.0, 3.0),
 def _rw1_target(left: TransState, rng, lo=0.1, hi=1.2) -> float:
     """Forward family-1 rarefaction endpoint, kept short of the critical hit."""
     d = float(rng.uniform(lo, hi))
-    f1 = forward_curve_1(left)
-    ustar = f1.crossing(left.u + d)
-    if ustar is not None:
+    ustar = forward_curve_1(left).u_star
+    if ustar <= left.u + d:
         d = 0.8 * (ustar - left.u)
     return left.u + d
 

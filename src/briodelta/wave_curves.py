@@ -220,27 +220,13 @@ class Forward1Curve:
         self._rw = _rarefaction_curve(1, left, math.inf)
         self.u_star = self._rw.u_star
 
-    def crossing(self, u_probe: float) -> float | None:
-        """Critical-curve crossing u* of the rarefaction branch if u* <= u_probe."""
-        return self.u_star if self.u_star <= u_probe else None
-
-    def q(self, u):
-        """Energy at velocity u, a scalar or an array (branches picked by masks)."""
-        if isinstance(u, float) or np.ndim(u) == 0:
-            if u < self.left.u:
-                return _shock_locus(1.0, self.left, u)
-            if u >= self.u_star:
-                return 0.5 * u * u
-            return self._rw.q_at(u)
-        u = np.asarray(u, dtype=float)
-        q = 0.5 * u * u
-        shock = u < self.left.u
-        rare = ~(shock | (u >= self.u_star))
-        if shock.any():
-            q[shock] = _shock_locus(1.0, self.left, u[shock])
-        if rare.any():
-            q[rare] = self._rw.q_at(u[rare])
-        return q
+    def q(self, u: float) -> float:
+        """Energy at velocity u."""
+        if u < self.left.u:
+            return _shock_locus(1.0, self.left, u)
+        if u >= self.u_star:
+            return 0.5 * u * u
+        return self._rw.q_at(u)
 
 
 class Backward2Curve:
@@ -254,23 +240,13 @@ class Backward2Curve:
         self.right = right
         self._rw = _rarefaction_curve(2, right, -math.inf)
 
-    def q(self, u):
-        """Energy at velocity u, a scalar or an array (branches picked by masks)."""
-        if isinstance(u, float) or np.ndim(u) == 0:
-            if u > self.right.u:
-                return _inverse_locus(self.right, u)
-            if u >= self.right.u - TOL_ZERO:
-                return self.right.q
-            return self._rw.q_at(u)
-        u = np.asarray(u, dtype=float)
-        q = np.full(u.shape, self.right.q)
-        shock = u > self.right.u
-        rare = ~(u >= self.right.u - TOL_ZERO)
-        if shock.any():
-            q[shock] = _inverse_locus(self.right, u[shock])
-        if rare.any():
-            q[rare] = self._rw.q_at(u[rare])
-        return q
+    def q(self, u: float) -> float:
+        """Energy at velocity u."""
+        if u > self.right.u:
+            return _inverse_locus(self.right, u)
+        if u >= self.right.u - TOL_ZERO:
+            return self.right.q
+        return self._rw.q_at(u)
 
 
 # Composite curve objects through a left / right state.

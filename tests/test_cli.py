@@ -104,6 +104,26 @@ def test_sample_writes_grid_and_sidecar(tmp_path, capsys):
         assert carrier["component"] == "v"
 
 
+def test_sample_window_from_config_strings(tmp_path, capsys):
+    # Config values arrive as JSON; a numeric string is read as a number,
+    # anything else is a bad input with a JSON error, not a traceback.
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"x_min": "-3", "x_max": "4"}))
+    code, _, _ = _run(capsys, "sample", "--left", "1,3", "--right", "0.7,3.3",
+                      "--nx", "8", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 0
+    rows = _read_csv(tmp_path / "samples.csv")
+    assert (float(rows[0]["x"]), float(rows[-1]["x"])) == (-3.0, 4.0)
+
+    cfg.write_text(json.dumps({"x_min": "left"}))
+    code, _, err = _run(capsys, "sample", "--left", "1,3", "--right", "0.7,3.3",
+                        "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 1
+    msg = json.loads(err)
+    assert msg["error"] == "ValueError"
+    assert "left" in msg["message"]
+
+
 def test_verify_seed_42_passes(tmp_path, capsys):
     code, out, _ = _run(capsys, "verify", "--seed", "42", "--out",
                         str(tmp_path))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -177,8 +176,7 @@ def test_family_1_stops_on_critical_curve(base_left):
 
 def test_forward_curve_crossing(base_left):
     crv = forward_curve_1(base_left)
-    star = crv.crossing(5.0)
-    assert star is not None
+    star = crv.u_star
     assert_close(star, 2.909122845035592, 1e-9)
     # Just below the crossing the curve sits above critical, at and past it
     # the composite continuation is the critical curve itself.
@@ -280,16 +278,12 @@ def test_independent_curves_bit_identical_in_any_order():
 
 
 def test_crossing_only_when_reached(base_left):
-    # u* = 2.909... for the (1, 5) base: no crossing before it is reached.
+    # u* of the (1, 5) base is its rarefaction's exact critical-curve crossing.
     crv = forward_curve_1(base_left)
-    assert crv.crossing(2.5) is None
-    star = crv.crossing(3.0)
-    assert star == crv.crossing(100.0) == crv.u_star
-    assert crv.crossing(star) == star
-    assert crv.crossing(math.nextafter(star, -math.inf)) is None
+    assert crv.u_star == integrate_rarefaction(1, base_left, 2.5).u_star
+    assert_close(crv.u_star, 2.909122845680405, 1e-15)
     # A left state on the critical curve crosses at its own velocity.
-    on = TransState(0.5, 0.125)
-    assert forward_curve_1(on).crossing(0.5) == 0.5
+    assert forward_curve_1(TransState(0.5, 0.125)).u_star == 0.5
 
 
 # 50-digit references from the parametrization of each rarefaction by
@@ -437,63 +431,3 @@ def test_tabulate_shock_rows_match_row_loop(rng, slack):
         tabulate_curve("sw2", base, np.array([u - 1.0, u + 1e-3]))
     with pytest.raises(PreconditionError):
         tabulate_curve("sw2_inv", base, np.array([u + 1.0, u - 1e-3]))
-
-
-def _branch_grid(left: TransState, right: TransState, u_star: float) -> np.ndarray:
-    """Velocities that cross every branch of both composite curves.
-
-    Holds each breakpoint (left.u, u*, right.u, and right.u - TOL_ZERO/2 on
-    the flat stretch of the inverse curve) and its floating-point neighbours.
-    """
-    marks = np.array([left.u, u_star, right.u, right.u - TOL_ZERO / 2])
-    lo = min(left.u, right.u) - 3.0
-    hi = max(left.u, right.u, u_star) + 3.0
-    return np.concatenate([np.linspace(lo, hi, 513), marks,
-                           np.nextafter(marks, -np.inf), np.nextafter(marks, np.inf)])
-
-
-@pytest.mark.parametrize("slack", [0.0, 1e-12, 1e-6, 1e-2, 1.0, 1e5, 1e7])
-def test_composite_array_q_matches_scalar_bit_for_bit(rng, slack):
-    # Slack is the height above the critical curve: near it (u* close to
-    # left.u, inverse curve hugging q = u^2/2) and far from it.
-    for _ in range(6):
-        ul, ur = (float(x) for x in rng.uniform(-2.0, 3.0, size=2))
-        left = TransState(ul, 0.5 * ul * ul + slack)
-        right = TransState(ur, 0.5 * ur * ur + slack * float(rng.uniform(0.5, 2.0)))
-        f1, b2 = Forward1Curve(left), Backward2Curve(right)
-        us = _branch_grid(left, right, f1.u_star)
-        for crv in (f1, b2):
-            scalar = np.array([crv.q(float(u)) for u in us])
-            assert crv.q(us).tobytes() == scalar.tobytes()
-            assert crv.q(list(us[:5])).tobytes() == scalar[:5].tobytes()
-        assert (us < left.u).any() and (us > f1.u_star).any()
-        assert (us > right.u).any() and (us < right.u - TOL_ZERO).any()
-        assert (us == right.u - TOL_ZERO / 2).any()
-        if slack > 0.0:
-            assert ((us >= left.u) & (us < f1.u_star)).any()
-
-
-def test_composite_array_q_raises_where_scalar_q_raises():
-    # A stand-in base below the critical curve (TransState refuses one)
-    # gives shock radicands that are negative near the base only.
-    below = SimpleNamespace(u=1.0, q=0.2)
-    for crv, lo, hi in ((Forward1Curve(below), -3.0, 2.0),
-                        (Backward2Curve(below), 0.0, 5.0)):
-        us = np.linspace(lo, hi, 121)
-        raised = []
-        for u in us:
-            try:
-                crv.q(float(u))
-                raised.append(False)
-            except DomainError:
-                raised.append(True)
-        raised = np.array(raised)
-        assert raised.any() and not raised.all()
-        for i in range(0, len(us), 5):
-            for j in (i + 1, i + 9, len(us)):
-                if raised[i:j].any():
-                    with pytest.raises(DomainError):
-                        crv.q(us[i:j])
-                else:
-                    scalar = np.array([crv.q(float(u)) for u in us[i:j]])
-                    assert crv.q(us[i:j]).tobytes() == scalar.tobytes()
