@@ -7,6 +7,12 @@ verify (property suite report), fv-compare (finite-volume refinement
 table).  Outputs land in --out, the BRIODELTA_OUT directory, or the
 working directory, with fixed file names so reruns are byte-identical.
 
+--config FILE holds a JSON object keyed by option (x_min for --x-min) whose
+values win over flags, with a warning.  Each value is read by its option's
+type and choices: a string as written, a number as its text, a list joined by
+commas (--left, --right, --base, --ladder), true/false for --arclength only,
+null as not given.
+
 Exit codes: 0 success, 1 bad input or a solver error (machine-readable
 JSON on stderr), 2 verification failure.
 """
@@ -34,17 +40,6 @@ from .wave_curves import DESCENDING_KINDS, tabulate_curve
 
 ENV_OUT = "BRIODELTA_OUT"
 
-# Config keys each subcommand accepts (anything else is rejected).
-_ALLOWED_KEYS = {
-    "solve": {"left", "right", "flip_speed", "tol_root", "tol_ode", "out"},
-    "curves": {"base", "family", "span", "samples", "out"},
-    "sample": {"left", "right", "flip_speed", "time", "x_min", "x_max",
-               "nx", "out"},
-    "verify": {"seed", "arclength", "tol_weak", "out"},
-    "fv-compare": {"left", "right", "x_min", "x_max", "final_time", "cfl",
-                   "ladder", "out"},
-}
-
 _CURVE_KINDS = {
     "1": ("sw1", "rw1"),
     "2": ("sw2", "rw2"),
@@ -52,24 +47,22 @@ _CURVE_KINDS = {
     "inverse": ("sw2_inv", "rw2_inv"),
 }
 
-# Options whose value is a comma-separated pair (see _attach_pair_values).
+# Options whose value is a comma list (pairs: see _attach_pair_values).
 _PAIR_OPTIONS = ("--left", "--right", "--base")
+_LIST_OPTIONS = _PAIR_OPTIONS + ("--ladder",)
 
 
 def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _parse_pair(value, what: str) -> tuple[float, float]:
-    if isinstance(value, (list, tuple)):
-        parts = list(value)
-    else:
-        parts = str(value).split(",")
+def _parse_pair(value: str, what: str) -> tuple[float, float]:
+    parts = value.split(",")
     if len(parts) != 2:
         raise PreconditionError(f"{what} must be two comma-separated numbers")
     try:
         return float(parts[0]), float(parts[1])
-    except (TypeError, ValueError):
+    except ValueError:
         raise PreconditionError(f"{what} must be numeric, got {value!r}")
 
 
@@ -88,29 +81,50 @@ def _validator(name: str):
     return cls(schema)
 
 
-def _apply_config(args: argparse.Namespace, subcommand: str) -> None:
-    if getattr(args, "config", None) is None:
+def _config_value(action: argparse.Action, value):
+    """Read one JSON config value the way its option reads a flag's text."""
+    if value is None or (action.nargs == 0 and isinstance(value, bool)):
+        return value
+    if isinstance(value, list) and action.option_strings[0] in _LIST_OPTIONS:
+        value = ",".join(map(str, value))
+    if action.nargs == 0 or isinstance(value, (bool, list, dict)):
+        raise PreconditionError(f"config {action.dest} cannot be {value!r}")
+    try:
+        value = (action.type or str)(str(value))
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"must be one of {', '.join(action.choices)}")
+    except ValueError as e:
+        raise ValueError(f"config {action.dest}: {e}") from None
+    return value
+
+
+def _apply_config(args: argparse.Namespace) -> None:
+    if args.config is None:
         return
     with open(args.config, "r", encoding="utf-8") as f:
         cfg = json.load(f)
     if not isinstance(cfg, dict):
         raise PreconditionError("config file must hold a JSON object")
-    unknown = sorted(set(cfg) - _ALLOWED_KEYS[subcommand])
+    options = {a.dest: a for a in args.parser._actions
+               if a.dest not in ("help", "config")}
+    unknown = sorted(set(cfg) - set(options))
     if unknown:
         raise PreconditionError(
-            f"unknown config keys for {subcommand}: {', '.join(unknown)}")
-    for key, value in cfg.items():
-        dest = key.replace("-", "_")
-        if getattr(args, dest, None) is not None:
+            f"unknown config keys for {args.subcommand}: {', '.join(unknown)}")
+    # Read all values before warning: a bad one leaves only the JSON error.
+    values = {k: _config_value(options[k], v) for k, v in cfg.items()}
+    for key, value in values.items():
+        if getattr(args, key) is not None:
             print(f"warning: config file overrides --{key.replace('_', '-')}",
                   file=sys.stderr)
-        setattr(args, dest, value)
+        setattr(args, key, value)
 
 
 def _require_positive(name: str, value: float) -> float:
-    value = float(value)
     if not value > 0.0:
         raise PreconditionError(f"{name} must be positive, got {value!r}")
+    if value == math.inf:
+        raise PreconditionError(f"{name} must be finite, got {value!r}")
     return value
 
 
@@ -143,17 +157,9 @@ def _riemann_data(args: argparse.Namespace) -> RiemannData:
     return RiemannData(BrioState(ul, vl), BrioState(ur, vr))
 
 
-def _flip_speed(args: argparse.Namespace):
-    fs = args.flip_speed if args.flip_speed is not None else "rh"
-    if fs not in ("rh", "paper"):
-        raise PreconditionError(
-            f"flip-speed must be 'rh' or 'paper', got {fs!r}")
-    return fs
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     data = _riemann_data(args)
-    kwargs = {"flip_speed": _flip_speed(args)}
+    kwargs = {"flip_speed": args.flip_speed or "rh"}
     if args.tol_root is not None:
         kwargs["tol_root"] = _require_positive("tol_root", args.tol_root)
     if args.tol_ode is not None:
@@ -172,13 +178,10 @@ def _cmd_curves(args: argparse.Namespace) -> int:
         raise PreconditionError("a base state is required")
     bu, bq = _parse_pair(args.base, "base state")
     base = TransState(bu, bq)
-    family = args.family if args.family is not None else "all"
-    if family not in _CURVE_KINDS:
-        raise PreconditionError(
-            f"family must be one of 1, 2, all, inverse; got {family!r}")
+    family = args.family or "all"
     span = _require_positive("span", args.span if args.span is not None
                              else 2.0)
-    samples = int(args.samples if args.samples is not None else 257)
+    samples = args.samples if args.samples is not None else 257
     if samples < 2:
         raise PreconditionError("samples must be at least 2")
     out = _out_dir(args)
@@ -198,18 +201,20 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     data = _riemann_data(args)
-    sol = solve_brio(data, flip_speed=_flip_speed(args))
+    sol = solve_brio(data, flip_speed=args.flip_speed or "rh")
     t = _require_positive("time", args.time if args.time is not None else 1.0)
     finite = [s.speed for s in sol.singular]
     for seg in sol.segments:
         finite += [b for b in (seg.xi_lo, seg.xi_hi) if math.isfinite(b)]
-    x_min = float(args.x_min) if args.x_min is not None else \
+    x_min = args.x_min if args.x_min is not None else \
         min(finite + [0.0]) * t - 1.0
-    x_max = float(args.x_max) if args.x_max is not None else \
+    x_max = args.x_max if args.x_max is not None else \
         max(finite + [0.0]) * t + 1.0
     if not x_max > x_min:
         raise PreconditionError("sampling window must have x_max > x_min")
-    nx = int(args.nx if args.nx is not None else 1001)
+    if not math.isfinite(x_max - x_min):
+        raise PreconditionError("sampling window must be finite")
+    nx = args.nx if args.nx is not None else 1001
     if nx < 2:
         raise PreconditionError("nx must be at least 2")
     x = np.linspace(x_min, x_max, nx)
@@ -236,7 +241,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    seed = int(args.seed if args.seed is not None else 0)
+    seed = args.seed if args.seed is not None else 0
     kwargs = {}
     if args.tol_weak is not None:
         kwargs["tol_weak"] = _require_positive("tol_weak", args.tol_weak)
@@ -253,16 +258,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_fv_compare(args: argparse.Namespace) -> int:
     data = _riemann_data(args)
     fan = build_fan(lift(data.left), lift(data.right))
-    x_min = float(args.x_min if args.x_min is not None else -5.0)
-    x_max = float(args.x_max if args.x_max is not None else 5.0)
+    x_min = args.x_min if args.x_min is not None else -5.0
+    x_max = args.x_max if args.x_max is not None else 5.0
     T = _require_positive("final-time", args.final_time
                           if args.final_time is not None else 0.5)
     cfl = _require_positive("cfl", args.cfl if args.cfl is not None else 0.45)
     ladder = args.ladder if args.ladder is not None else "512,1024,2048,4096"
-    if isinstance(ladder, str):
-        ns = [int(p) for p in ladder.split(",")]
-    else:
-        ns = [int(p) for p in ladder]
+    ns = [int(p) for p in ladder.split(",")]
     rows = []
     for n in ns:
         err = compare_fan_fv(fan, FvGrid(x_min, x_max, n, cfl, T))
@@ -273,7 +275,8 @@ def _cmd_fv_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, handler) -> None:
+    sub.set_defaults(handler=handler, parser=sub)
     sub.add_argument("--config", help="JSON config file; its keys override "
                      "command-line options (a warning is printed)")
     sub.add_argument("--out", help="output directory (default: "
@@ -299,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-root", dest="tol_root", type=float)
     p.add_argument("--tol-ode", dest="tol_ode", type=float,
                    help="accepted and ignored (no ODE is integrated)")
-    _add_common(p)
+    _add_common(p, _cmd_solve)
 
     p = sub.add_parser("curves", help="tabulate wave curves from a base state")
     p.add_argument("--base", help="base state as u,q")
@@ -307,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--span", type=float, help="u-extent of each table "
                    "(default 2)")
     p.add_argument("--samples", type=int, help="rows per table (default 257)")
-    _add_common(p)
+    _add_common(p, _cmd_curves)
 
     p = sub.add_parser("sample", help="sample the regular part on an x-grid")
     _add_data_options(p)
@@ -317,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-min", dest="x_min", type=float)
     p.add_argument("--x-max", dest="x_max", type=float)
     p.add_argument("--nx", type=int, help="grid points (default 1001)")
-    _add_common(p)
+    _add_common(p, _cmd_sample)
 
     p = sub.add_parser("verify", help="run the property suite")
     p.add_argument("--seed", type=int)
@@ -325,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arclength", action="store_true", default=None,
                    help="weight line terms by sqrt(1+c^2) (diagnostic; "
                    "the carried rates are calibrated to the unweighted form)")
-    _add_common(p)
+    _add_common(p, _cmd_verify)
 
     p = sub.add_parser("fv-compare", help="finite-volume refinement table")
     _add_data_options(p)
@@ -335,18 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cfl", type=float)
     p.add_argument("--ladder", help="comma-separated cell counts "
                    "(default 512,1024,2048,4096)")
-    _add_common(p)
+    _add_common(p, _cmd_fv_compare)
 
     return parser
 
 
-_HANDLERS = {
-    "solve": _cmd_solve,
-    "curves": _cmd_curves,
-    "sample": _cmd_sample,
-    "verify": _cmd_verify,
-    "fv-compare": _cmd_fv_compare,
-}
+# One parser per process: parse_args keeps nothing between calls.
+_PARSER = build_parser()
 
 
 def _attach_pair_values(argv: list[str]) -> list[str]:
@@ -366,15 +364,14 @@ def _attach_pair_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_attach_pair_values(argv))
+        args = _PARSER.parse_args(_attach_pair_values(argv))
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     try:
-        _apply_config(args, args.subcommand)
-        return _HANDLERS[args.subcommand](args)
+        _apply_config(args)
+        return args.handler(args)
     except (BrioError, ValueError, OSError) as e:
         print(json.dumps({"error": type(e).__name__, "message": str(e)}),
               file=sys.stderr)

@@ -22,7 +22,7 @@ class DegenerateJump(BrioError):
 
 
 class BracketFailure(BrioError):
-    """Root bracketing scan exhausted its window ladder without a sign change."""
+    """The middle-state root has no sign change within reach, or its polish stalled."""
 
 
 class QuadratureFailure(BrioError):

@@ -280,6 +280,8 @@ class FvGrid:
     def __post_init__(self):
         if not self.x_max > self.x_min:
             raise PreconditionError("grid needs x_max > x_min")
+        if not math.isfinite(self.x_max - self.x_min):
+            raise PreconditionError("grid needs a finite x-range")
         if not (isinstance(self.n_cells, int) and self.n_cells >= 16):
             raise PreconditionError("grid needs at least 16 cells")
         if not 0.0 < self.cfl <= 0.9:

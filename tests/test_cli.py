@@ -13,6 +13,7 @@ import pytest
 from briodelta import cli
 from briodelta.cli import ENV_OUT, main
 from briodelta.core import TransState
+from briodelta.errors import BrioError
 from briodelta.wave_curves import shock_q_1
 
 
@@ -185,12 +186,18 @@ def test_bad_inputs_exit_1(tmp_path, capsys):
         ("curves", "--base", "1,5", "--span", "-2"),
         ("sample", "--left", "1,1", "--right", "0,0", "--time", "-1"),
         ("sample", "--left", "1,1", "--right", "0,0", "--nx", "1"),
+        ("solve", "--left", "1,1", "--right", "0,0", "--tol-root", "inf"),
+        ("sample", "--left", "1,3", "--right", "0.7,3.3", "--time", "inf"),
+        ("sample", "--left", "1,3", "--right", "0.7,3.3", "--x-max", "inf"),
+        ("fv-compare", "--left", "1,3", "--right", "0.7,3.3", "--x-max",
+         "inf", "--ladder", "64"),
     ]
     for argv in cases:
         code, _, err = _run(capsys, *argv, "--out", str(tmp_path))
         assert code == 1, argv
         msg = json.loads(err)
         assert set(msg) == {"error", "message"}
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_flag_exits_1(tmp_path, capsys):
@@ -274,3 +281,114 @@ def test_cached_validator_rejects_malformed_document(tmp_path, capsys):
     with pytest.raises(jsonschema.ValidationError):
         cli._write_json(str(bad), doc, "solution.schema.json")
     assert not bad.exists()
+
+
+def _outputs(out_dir: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+_DATA = ("--left", "1,3", "--right", "0.7,3.3")
+
+
+@pytest.mark.parametrize("base, flags, cfg", [
+    (("curves", "--base", "1,5", "--family", "1"), ("--samples", "17"),
+     {"samples": 17}),
+    (("curves", "--base", "1,5", "--samples", "9"), ("--family", "1"),
+     {"family": 1}),
+    (("solve", "--right", "0.7,-3.3"), ("--left", "1,3"), {"left": [1, 3]}),
+    (("fv-compare",) + _DATA, ("--ladder", "128,256"), {"ladder": [128, 256]}),
+    (("fv-compare",) + _DATA, ("--ladder", "64"), {"ladder": 64}),
+    (("sample",) + _DATA + ("--nx", "8"), ("--x-min", "-3"), {"x_min": "-3"}),
+    (("solve",) + _DATA, ("--tol-root", "1e-10"), {"tol_root": 1e-10}),
+    (("verify", "--seed", "0"), ("--arclength",), {"arclength": True}),
+])
+def test_config_value_matches_its_flag(tmp_path, capsys, base, flags, cfg):
+    flagged, configured = tmp_path / "flag", tmp_path / "config"
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(cfg))
+    code, out, err = _run(capsys, *base, *flags, "--out", str(flagged))
+    code_c, out_c, err_c = _run(capsys, *base, "--config", str(job),
+                                "--out", str(configured))
+    assert (code_c, err_c) == (code, err)
+    assert out_c.replace(str(configured), str(flagged)) == out
+    assert _outputs(configured) == _outputs(flagged) != {}
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    (("sample",) + _DATA, {"x_min": [1]}),
+    (("fv-compare",) + _DATA, {"x_min": [1]}),
+    (("solve",) + _DATA, {"tol_root": [1]}),
+    (("curves", "--base", "1,5"), {"samples": 17.9}),
+    (("verify",), {"seed": 1.5}),
+    (("verify", "--seed", "0"), {"arclength": "false"}),
+    (("solve",) + _DATA, {"flip_speed": "sideways"}),
+    (("solve",) + _DATA, {"out": {"dir": "x"}}),
+])
+def test_bad_config_values_exit_1(tmp_path, capsys, argv, cfg):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(cfg))
+    code, out, err = _run(capsys, *argv, "--config", str(job),
+                          "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert out == ""
+    msg = json.loads(err)
+    assert set(msg) == {"error", "message"}
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+_CONFIG_KEYS = {
+    "solve": {"left", "right", "flip_speed", "tol_root", "tol_ode", "out"},
+    "curves": {"base", "family", "span", "samples", "out"},
+    "sample": {"left", "right", "flip_speed", "time", "x_min", "x_max",
+               "nx", "out"},
+    "verify": {"seed", "arclength", "tol_weak", "out"},
+    "fv-compare": {"left", "right", "x_min", "x_max", "final_time", "cfl",
+                   "ladder", "out"},
+}
+
+
+def test_apply_config_sweep_of_json_kinds(tmp_path):
+    # Every key of every subcommand, one JSON value of each kind: the value
+    # lands with its flag's type, or the input is refused with a typed
+    # error; never a TypeError or a silent truncation.
+    job = tmp_path / "job.json"
+    kinds = ["-2.5", 3, 2.5, True, False, None, [1, 2], {"a": 1}]
+    for subcommand, keys in _CONFIG_KEYS.items():
+        options = {a.dest: a for a in cli._PARSER.parse_args(
+            [subcommand]).parser._actions}
+        assert keys <= set(options)
+        assert set(options) - keys == {"help", "config"}
+        for key in sorted(keys):
+            action = options[key]
+            for value in kinds:
+                job.write_text(json.dumps({key: value}))
+                args = cli._PARSER.parse_args([subcommand, "--config", str(job)])
+                try:
+                    cli._apply_config(args)
+                except (BrioError, ValueError):
+                    continue
+                got = getattr(args, key)
+                if value is None:
+                    assert got is None
+                elif action.nargs == 0:
+                    assert isinstance(value, bool) and got is value
+                elif isinstance(value, list):
+                    assert key in ("left", "right", "base", "ladder")
+                    assert got == "1,2"
+                else:
+                    assert not isinstance(value, (bool, dict)), (key, value)
+                    assert type(got) is (action.type or str), (key, value)
+                    assert got == (action.type or str)(str(value))
+
+
+def test_parser_is_built_once(tmp_path, capsys, monkeypatch):
+    def rebuilt():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    code, _, err = _run(capsys, "solve", *_DATA, "--tol-root", "1e-10",
+                        "--out", str(tmp_path))
+    assert code == 0 and err == ""
+    # The shared parser keeps nothing from one call to the next.
+    assert cli._PARSER.parse_args(["solve"]).tol_root is None
