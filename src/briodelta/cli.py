@@ -47,9 +47,8 @@ _CURVE_KINDS = {
     "inverse": ("sw2_inv", "rw2_inv"),
 }
 
-# Options whose value is a comma list (pairs: see _attach_pair_values).
-_PAIR_OPTIONS = ("--left", "--right", "--base")
-_LIST_OPTIONS = _PAIR_OPTIONS + ("--ladder",)
+# Options whose value is a comma list.
+_LIST_OPTIONS = ("--left", "--right", "--base", "--ladder")
 
 
 def _fmt(x: float) -> str:
@@ -345,18 +344,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 # One parser per process: parse_args keeps nothing between calls.
 _PARSER = build_parser()
+# Subcommand -> its option strings that take a value, from its own actions.
+_VALUE_OPTIONS = {
+    name: frozenset(opt for a in sub._actions if a.nargs != 0 for opt in a.option_strings)
+    for action in _PARSER._actions if isinstance(action, argparse._SubParsersAction)
+    for name, sub in action.choices.items()
+}
 
 
-def _attach_pair_values(argv: list[str]) -> list[str]:
-    """Rewrite `--left -1,2` as `--left=-1,2`.
+def _attach_values(argv: list[str]) -> list[str]:
+    """Rewrite `--x-min -1e-3` as `--x-min=-1e-3` for every option of the subcommand
+    that takes a value.
 
-    argparse reads a token such as -1,2 as an option, not as the value of
-    the option before it, so a pair with a negative first component parses
-    only in the `=` form.
+    argparse reads a token such as -1,2, -1e-3 or -inf as an option, not as
+    the value of the option before it, so such a value parses only in the
+    `=` form.  A token starting with `--` stays an option.
     """
+    options = _VALUE_OPTIONS.get(argv[0], frozenset()) if argv else frozenset()
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in _PAIR_OPTIONS:
+        if out and out[-1] in options and not token.startswith("--"):
             out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)
@@ -366,7 +373,7 @@ def _attach_pair_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _PARSER.parse_args(_attach_pair_values(argv))
+        args = _PARSER.parse_args(_attach_values(argv))
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     try:

@@ -228,7 +228,11 @@ def brio_shock_speed(left: BrioState, right: BrioState) -> float:
 
 
 def trans_shock_speed(left: TransState, right: TransState) -> float:
-    """Rankine-Hugoniot speed [q]/[u] of the transformed first equation."""
+    """Rankine-Hugoniot speed [q]/[u] of the transformed first equation.
+
+    A reference: the Riemann solver takes shock speeds from the loci
+    (wave_curves.shock_speed), because [q]/[u] cancels on a weak shock.
+    """
     du = left.u - right.u
     if abs(du) <= TOL_ZERO:
         raise DegenerateJump(f"u-jump {du:.3e} too small for a shock speed")

@@ -6,7 +6,9 @@ Dirac measure along the jump line, with strength growing linearly in time.
 The model-specific one lifts Riemann data to the transformed plane, solves
 for the admissible wave fan there, maps the fan back through
 v = sign * sqrt(2q - u^2), and attaches one delta per transformed shock,
-carrying that shock's deficit in the second equation.  Data whose v
+carrying that shock's deficit in the second equation.  Inside a rarefaction
+|v| = sqrt(t(t + 2))/2 with t = s - 1 from the ray inverse, which does not
+cancel near q = u^2/2 as 2q - u^2 does.  Data whose v
 components differ in sign additionally get a regular v-flip jump at
 constant u = u_M between the two families; at its default speed u_M - 1 the
 flip satisfies the jump condition of the second equation exactly and
@@ -301,9 +303,8 @@ def sample_brio_many(sol: DeltaSolution, xi) -> tuple[np.ndarray, np.ndarray]:
             u[m] = seg.state.u
             v[m] = seg.state.v
         else:
-            um, qm = seg.curve.at_speed(xi[m])
-            u[m] = um
-            v[m] = seg.v_sign * np.sqrt(np.maximum(2.0 * qm - um * um, 0.0))
+            u[m], _, t = seg.curve.ray(xi[m])
+            v[m] = seg.v_sign * 0.5 * np.sqrt(t * (t + 2.0))
     return u, v
 
 

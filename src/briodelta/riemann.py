@@ -8,6 +8,14 @@ velocities, with each end whose sign is wrong pushed outward by 1, 2, 4, ...
 until phi(lo) >= 0 >= phi(hi), then polished by Brent's method.  The four
 sign combinations of (u_M - u_L, u_R - u_M) classify the fan into the four
 shock/rarefaction regions.
+
+Each wave is built on the curve the middle state was found on: a family-1
+wave on the curve through the left state, a family-2 wave on the curve
+through the right state.  A rarefaction is the rarefaction curve of that
+data state (for family 2 the same base and constant C as the backward curve
+that was intersected), and its edge speeds are that curve's speeds at the
+end velocities, so the ray inverse maps them back onto the end states.  A
+shock's speed is its locus speed (wave_curves.shock_speed), not [q]/[u].
 """
 
 from __future__ import annotations
@@ -22,10 +30,8 @@ from scipy.optimize import brentq
 from .core import (
     TOL_ZERO,
     TransState,
-    family_lambda,
     trans_flux_g,
     trans_lambdas,
-    trans_shock_speed,
 )
 from .errors import BracketFailure, OrderingViolation, PreconditionError
 from .wave_curves import (
@@ -33,6 +39,7 @@ from .wave_curves import (
     backward_curve_2,
     forward_curve_1,
     integrate_rarefaction,
+    shock_speed,
 )
 
 TOL_ROOT = 1e-12
@@ -173,7 +180,7 @@ def lax_check(w: Wave, tol: float = TOL_LAX) -> bool:
 
 
 def _shock_wave(family: int, left: TransState, right: TransState) -> Wave:
-    c = trans_shock_speed(left, right)
+    c = shock_speed(family, left, right)
     w = Wave("shock", family, left, right, c, c)
     if not lax_check(w):
         raise OrderingViolation(
@@ -190,10 +197,11 @@ def _shock_wave(family: int, left: TransState, right: TransState) -> Wave:
 
 
 def _rarefaction_wave(family: int, left: TransState, right: TransState) -> Wave:
-    curve = integrate_rarefaction(family, left, right.u)
-    lam_l = float(family_lambda(family, left.u, left.q))
-    lam_r = float(family_lambda(family, right.u, right.q))
-    return Wave("rarefaction", family, left, right, lam_l, lam_r, curve)
+    # Family 2 runs backward from the right state to left.u.
+    curve = (integrate_rarefaction(1, left, right.u) if family == 1
+             else integrate_rarefaction(2, right, left.u))
+    return Wave("rarefaction", family, left, right,
+                float(curve.lam_at(left.u)), float(curve.lam_at(right.u)), curve)
 
 
 def build_fan(left: TransState, right: TransState, *,

@@ -3,6 +3,11 @@
 Shock loci are closed-form: eliminating the speed from the jump conditions
 c[u] = [q], c[q] = [G] leaves a quadratic in q_R whose two roots are the
 family-1 (upper) and family-2 (lower) shock curves through a base state.
+Each locus is written speed-first: the shock speed c at velocity u is a
+closed form (u - 1/2 -+ sqrt(radicand)), and q = q_base + (u - u_base) c.
+So the energy on a locus, the tabulated speed and the fan's shock speed
+(shock_speed) are one formula, and no speed is taken as [q]/[u], which
+cancels on a weak shock.
 
 Rarefaction curves solve dq/du = lambda_{-,+}(u, q), the eigenvector of
 each family being (1, lambda).  Along them w = 8q - 4u^2 + 1 obeys
@@ -17,7 +22,9 @@ curve q = u^2/2 (s = 1) is the family-2 curve with C = +inf, so family-2
 curves never cross it; family-1 curves reach it at u* = C - 1/2 + ln(2)/2
 and stop there.  Composite curves (everything reachable from a left state
 by a family-1 wave, everything that reaches a right state by a family-2
-wave) are what the Riemann solver intersects.
+wave) are what the Riemann solver intersects, and every wave of the fan
+lies on one of them: family-1 waves on the curve through the left state,
+family-2 waves on the curve through the right state.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import lambertw, wrightomega
 
-from .core import TOL_DOMAIN, TOL_ZERO, TransState, family_lambda
+from .core import TOL_DOMAIN, TOL_ZERO, TransState
 from .errors import DomainError, PreconditionError
 
 _LN2 = math.log(2.0)
@@ -54,27 +61,45 @@ def _root_of(rad, u, what: str, base: TransState):
     return math.sqrt(max(rad, 0.0))
 
 
-def _shock_locus(sign: float, base: TransState, u):
-    """Shock-locus energy at u <= base.u, scalar or array: upper root for sign +1."""
-    root = _root_of(shock_radicand(base, u), u, "shock locus", base)
-    return base.q - 0.5 * (base.u - u) * (2.0 * u - 1.0) + sign * ((base.u - u) * root)
+def _locus(sign, base: TransState, u):
+    """(q, c) at velocity u on a shock locus through base, scalar or array.
+
+    c is the speed of the shock joining base to the state at u, and
+    q = base.q + (u - base.u) c.  sign +1 / -1 is the family-1 / family-2
+    locus at u <= base.u, c = u - 1/2 -+ sqrt(shock_radicand); sign None is
+    the inverse family-2 locus at u >= base.u (left states reaching base),
+    c = u - 1/2 + sqrt(inverse_radicand)/2.  At u = base.u, c is the
+    family's characteristic speed.
+    """
+    if sign is None:
+        root = _root_of(inverse_radicand(base, u), u, "inverse family-2 locus", base)
+        c = u - 0.5 + 0.5 * root
+    else:
+        c = u - 0.5 - sign * _root_of(shock_radicand(base, u), u, "shock locus", base)
+    return base.q + (u - base.u) * c, c
 
 
-def _shock_q(family: int, sign: float, base: TransState, u: float) -> float:
+def _branch(sign, base: TransState, u: float):
+    """_locus at a scalar u, which must lie on the locus's side of base.u up to TOL_ZERO."""
+    if sign is None:
+        if u < base.u - TOL_ZERO:
+            raise PreconditionError(
+                f"inverse family-2 branch needs u >= base.u, got u={u!r} < {base.u!r}")
+        return _locus(None, base, max(u, base.u))
     if u > base.u + TOL_ZERO:
-        raise PreconditionError(
-            f"family-{family} shock branch needs u <= base.u, got u={u!r} > {base.u!r}")
-    return _shock_locus(sign, base, min(u, base.u))
+        raise PreconditionError(f"family-{1 if sign > 0 else 2} shock branch needs "
+                                f"u <= base.u, got u={u!r} > {base.u!r}")
+    return _locus(sign, base, min(u, base.u))
 
 
 def shock_q_1(base: TransState, u: float) -> float:
     """Family-1 shock locus through base, evaluated at u <= base.u (upper root)."""
-    return _shock_q(1, 1.0, base, u)
+    return _branch(1.0, base, u)[0]
 
 
 def shock_q_2(base: TransState, u: float) -> float:
     """Family-2 shock locus through base, evaluated at u <= base.u (lower root)."""
-    return _shock_q(2, -1.0, base, u)
+    return _branch(-1.0, base, u)[0]
 
 
 def inverse_radicand(base_right: TransState, u: float) -> float:
@@ -89,17 +114,21 @@ def inverse_shock_q_2(base_right: TransState, u: float) -> float:
     Upper root of the same jump-condition quadratic solved for the left
     state; continuous at u = base_right.u with value base_right.q.
     """
-    if u < base_right.u - TOL_ZERO:
-        raise PreconditionError(
-            f"inverse family-2 branch needs u >= base.u, got u={u!r} < {base_right.u!r}")
-    return _inverse_locus(base_right, max(u, base_right.u))
+    return _branch(None, base_right, u)[0]
 
 
-def _inverse_locus(base_right: TransState, u):
-    """Inverse family-2 locus at u >= base_right.u, scalar or array."""
-    root = _root_of(inverse_radicand(base_right, u), u, "inverse family-2 locus", base_right)
-    du = u - base_right.u
-    return base_right.q + 0.5 * du * (2.0 * u - 1.0) + 0.5 * du * root
+def shock_speed(family: int, left: TransState, right: TransState) -> float:
+    """Speed of the family's shock from left to right, read off its locus.
+
+    Family 1 reads the locus through left at right.u, family 2 the inverse
+    locus through right at left.u: the curves the middle state is found on.
+    Unlike [q]/[u], the locus speed does not cancel on a weak shock.
+    """
+    if family == 1:
+        return _branch(1.0, left, right.u)[1]
+    if family == 2:
+        return _branch(None, right, left.u)[1]
+    raise ValueError(f"family must be 1 or 2, got {family!r}")
 
 
 @dataclass(frozen=True)
@@ -138,12 +167,14 @@ class IntegralCurve:
         t = self._offset(u)
         return u + 0.5 * t if self.family == 2 else u - 1.0 - 0.5 * t
 
-    def at_speed(self, xi) -> tuple[np.ndarray, np.ndarray]:
-        """State (u, q) where the family's characteristic speed equals xi.
+    def ray(self, xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """State (u, q) and t = s - 1 >= 0 where the family's speed equals xi.
 
         With K = 2 xi - 1 - 2C: family 2 has s - 1 = y = omega(K + ln 2)/2,
         u = xi - y/2; family 1 has s + 1 = z = -W_{-1}(-2 e^K)/2, u = xi + z/2.
         Every fan sampler maps ray slopes to rarefaction states through here.
+        t gives 2q - u^2 = t(t + 2)/4 without the cancellation of the
+        difference near the critical curve.
         """
         xi = np.asarray(xi, dtype=float)
         k = 2.0 * (xi - self.C) - 1.0
@@ -154,7 +185,12 @@ class IntegralCurve:
             z = 0.5 * _root_z_minus_ln_z(-k - _LN2, 4.0)
             t = z - 2.0
             u = xi + 0.5 * z
-        return u, 0.5 * u * u + 0.125 * t * (t + 2.0)
+        return u, 0.5 * u * u + 0.125 * t * (t + 2.0), t
+
+    def at_speed(self, xi) -> tuple[np.ndarray, np.ndarray]:
+        """State (u, q) where the family's characteristic speed equals xi (see ray)."""
+        u, q, _ = self.ray(xi)
+        return u, q
 
 
 def _root_z_minus_ln_z(L, z_min: float):
@@ -223,7 +259,7 @@ class Forward1Curve:
     def q(self, u: float) -> float:
         """Energy at velocity u."""
         if u < self.left.u:
-            return _shock_locus(1.0, self.left, u)
+            return _locus(1.0, self.left, u)[0]
         if u >= self.u_star:
             return 0.5 * u * u
         return self._rw.q_at(u)
@@ -243,7 +279,7 @@ class Backward2Curve:
     def q(self, u: float) -> float:
         """Energy at velocity u."""
         if u > self.right.u:
-            return _inverse_locus(self.right, u)
+            return _locus(None, self.right, u)[0]
         if u >= self.right.u - TOL_ZERO:
             return self.right.q
         return self._rw.q_at(u)
@@ -264,9 +300,8 @@ def backward_2_curve(right: TransState, u: float) -> float:
     return backward_curve_2(right).q(u)
 
 
-# Shock branches of tabulate_curve: kind -> (family, sign of the locus root);
-# sign None is the inverse family-2 locus.
-_SHOCK_KINDS = {"sw1": (1, 1.0), "sw2": (2, -1.0), "sw2_inv": (2, None)}
+# Shock branches of tabulate_curve: kind -> sign of the locus root (see _locus).
+_SHOCK_KINDS = {"sw1": 1.0, "sw2": -1.0, "sw2_inv": None}
 # Branches tabulated at u <= base.u; the others run at u >= base.u.
 DESCENDING_KINDS = frozenset({"sw1", "sw2", "rw2_inv"})
 
@@ -276,8 +311,8 @@ def tabulate_curve(kind: str, base: TransState, us) -> np.ndarray:
 
     kind is one of sw1, sw2, sw2_inv, rw1, rw2, rw2_inv.  The lambda column
     is the characteristic speed of the family along rarefaction branches and
-    the jump speed of the shock joining base to the row state along shock
-    branches (equal to the characteristic speed in the zero-jump limit).
+    the locus speed of the shock joining base to the row state along shock
+    branches (the characteristic speed at u = base.u).
     Rows of the rw1 branch stop at the critical-curve crossing.
     """
     us = np.asarray(us, dtype=float)
@@ -291,13 +326,9 @@ def tabulate_curve(kind: str, base: TransState, us) -> np.ndarray:
             f"{kind} branch from base.u={base.u!r} does not cover all requested u")
 
     if kind in _SHOCK_KINDS:
-        fam, sign = _SHOCK_KINDS[kind]
-        q = (_inverse_locus(base, np.maximum(us, base.u)) if sign is None
-             else _shock_locus(sign, base, np.minimum(us, base.u)))
-        du = us - base.u
-        at_base = np.abs(du) <= TOL_ZERO
-        lam = np.where(at_base, float(family_lambda(fam, base.u, base.q)),
-                       (q - base.q) / np.where(at_base, 1.0, du))
+        sign = _SHOCK_KINDS[kind]
+        q, lam = _locus(sign, base, np.maximum(us, base.u) if sign is None
+                        else np.minimum(us, base.u))
         return np.column_stack([us, q, lam])
 
     curve = _rarefaction_curve(1 if kind == "rw1" else 2, base, float(us[-1]))

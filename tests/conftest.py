@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -66,3 +67,60 @@ def critical_slack(t: TransState) -> float:
 
 def finite(x: float) -> bool:
     return math.isfinite(x)
+
+
+# 50-digit references from the parametrization of each rarefaction by
+# s = sqrt(8q - 4u^2 + 1):  family 1 u = -s/2 + ln(s + 1)/2 + C,
+# family 2 u = s/2 + ln(s - 1)/2 + C.
+
+@pytest.fixture
+def mp50():
+    with mp.workdps(50):
+        yield
+
+
+def mp_constant(family: int, base: TransState):
+    u, q = mp.mpf(base.u), mp.mpf(base.q)
+    s = mp.sqrt(8 * q - 4 * u * u + 1)
+    if family == 1:
+        return u + s / 2 - mp.log(s + 1) / 2
+    return u - s / 2 - mp.log(s - 1) / 2
+
+
+def mp_offset(family: int, c, u):
+    """t = s - 1 at velocity u on the family's curve with constant c.
+
+    q - u^2/2 = t(t + 2)/8 keeps its digits however small t is.
+    """
+    x = 2 * (mp.mpf(u) - c) - 1
+    if family == 1:
+        return -mp.re(mp.lambertw(-mp.exp(x), -1)) - 2
+    return mp.re(mp.lambertw(mp.exp(x)))
+
+
+def mp_q(family: int, base: TransState, u: float):
+    t = mp_offset(family, mp_constant(family, base), u)
+    return mp.mpf(u) ** 2 / 2 + t * (t + 2) / 8
+
+
+def mp_at_speed(family: int, c, xi: float):
+    """State (u, q) where the speed of the family's curve with constant c is xi."""
+    xi = mp.mpf(xi)
+    k = 2 * xi - 1 - 2 * c
+    if family == 1:
+        z = -mp.re(mp.lambertw(-2 * mp.exp(k), -1)) / 2
+        u, s = xi + z / 2, z - 1
+    else:
+        y = mp.re(mp.lambertw(2 * mp.exp(k))) / 2
+        u, s = xi - y / 2, y + 1
+    return u, u * u / 2 + (s * s - 1) / 8
+
+
+def mp_rel(a, b, *inputs) -> float:
+    """Error of a against b, relative to the largest of |b|, 1 and |inputs|.
+
+    A value near zero that comes out of larger inputs (u* near 0, or
+    u = xi + z/2 with |xi| in the thousands) carries their rounding.
+    """
+    scale = max([abs(b), mp.mpf(1)] + [abs(mp.mpf(x)) for x in inputs])
+    return float(abs(mp.mpf(a) - b) / scale)

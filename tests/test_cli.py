@@ -270,6 +270,26 @@ def test_negative_first_component_in_space_form(tmp_path, capsys):
     rows = _read_csv(tmp_path / "curves" / "sw1.csv")
     assert float(rows[-1]["u"]) == -1.0 and float(rows[-1]["q"]) == 1.0
 
+    # Every option that takes a value, not only the pairs.
+    outputs = []
+    for window in (("--x-min", "-1e-3"), ("--x-min=-1e-3",)):
+        out_dir = tmp_path / f"sample{len(outputs)}"
+        code, _, err = _run(capsys, "sample", "--left", "1,3", "--right", "0.7,3.3",
+                            *window, "--x-max", "2", "--nx", "5", "--out", str(out_dir))
+        assert code == 0 and err == ""
+        outputs.append((out_dir / "samples.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert float(_read_csv(tmp_path / "sample0" / "samples.csv")[0]["x"]) == -1e-3
+    # Refused by the program, not by the parser: the JSON error names the cause.
+    for option, value, cause in (("--x-min", "-inf", "finite"), ("--x-max", "-1e308", "x_max > x_min")):
+        code, _, err = _run(capsys, "fv-compare", "--left", "1,3", "--right", "0.7,3.3",
+                            option, value, "--ladder", "8", "--out", str(tmp_path / "fv"))
+        assert code == 1
+        assert cause in json.loads(err)["message"]
+    # A token starting with -- is the next option, not a value.
+    code, _, err = _run(capsys, "solve", "--left", "--right", "1,1")
+    assert code == 1 and "--left: expected one argument" in err
+
 
 def test_cached_validator_rejects_malformed_document(tmp_path, capsys):
     assert _run(capsys, "solve", "--left", "1,3", "--right", "0.7,-3.3",

@@ -7,6 +7,7 @@ import json
 import math
 
 import jsonschema
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -32,12 +33,12 @@ from briodelta.delta import (
     solution_to_dict,
     solve_brio,
 )
-from briodelta.errors import DegenerateJump, OrderingViolation, PreconditionError
+from briodelta.errors import BrioError, DegenerateJump, OrderingViolation, PreconditionError
 from briodelta.riemann import build_fan, sample_fan_many
-from briodelta.verify import random_brio_data
+from briodelta.verify import TOL_WEAK, random_brio_data, solution_battery, weak_residual
 from briodelta.wave_curves import backward_2_curve, forward_1_curve, shock_q_2
 
-from conftest import assert_close
+from conftest import assert_close, mp_at_speed
 
 EXPECTED_CARDINALITY = {"I": 0, "II": 1, "III": 1, "IV": 2}
 
@@ -362,3 +363,97 @@ def test_raw_data_with_zero_v_on_one_side():
         gap = (forward_1_curve(sol.fan.left, mid.u)
                - backward_2_curve(sol.fan.right, mid.u))
         assert abs(gap) <= 1e-12 * (1.0 + abs(mid.q)), (data, gap)
+
+
+NEAR_RHOS = (1e-12, 1e-10, 1e-9, 1e-7, 1e-5, 1e-3)
+
+
+def _data(ul, vl, ur, vr) -> RiemannData:
+    return RiemannData(BrioState(float(ul), float(vl)), BrioState(float(ur), float(vr)))
+
+
+def _signed_magnitudes(rng, n: int) -> np.ndarray:
+    """n values with |x| = 10^U(-3, 3) and random signs."""
+    return 10.0 ** rng.uniform(-3.0, 3.0, size=n) * rng.choice((-1.0, 1.0), size=n)
+
+
+def _raw_draws():
+    """Seeded raw data as (must_solve, RiemannData), no forward construction.
+
+    Uniform boxes of half-width 10 and 100 and magnitudes 10^U(-3, 3) may
+    end in a typed BrioError; near-equal pairs (each component moved by
+    rho (1 + |x|) U(-1, 1)) and data with v = 0 or -0.0 on one side must
+    solve.
+    """
+    rng = np.random.default_rng(20261018)
+    for half_width in (10.0, 100.0):
+        for x in rng.uniform(-half_width, half_width, size=(500, 4)):
+            yield False, _data(*x)
+    for x in _signed_magnitudes(rng, 2000).reshape(500, 4):
+        yield False, _data(*x)
+    for rho in NEAR_RHOS:
+        for _ in range(100):
+            ul, vl = _signed_magnitudes(rng, 2)
+            du, dv = rho * rng.uniform(-1.0, 1.0, size=2)
+            yield True, _data(ul, vl, ul + du * (1.0 + abs(ul)), vl + dv * (1.0 + abs(vl)))
+    for zero in (0.0, -0.0):
+        for component in (1, 3):
+            for x in rng.uniform(-10.0, 10.0, size=(50, 4)):
+                x[component] = zero
+                yield True, _data(*x)
+
+
+def test_raw_data_solves_and_rarefactions_reach_their_end_states():
+    # Each rarefaction lies on the curve through its data state, so the ray
+    # inverse at either edge speed lands on the wave's end state.
+    for must_solve, data in _raw_draws():
+        try:
+            sol = solve_brio(data)
+        except BrioError:
+            assert not must_solve, data
+            continue
+        for w in sol.fan.waves:
+            if w.kind != "rarefaction":
+                continue
+            for xi, end in ((w.speed_lo, w.left), (w.speed_hi, w.right)):
+                u, _ = w.curve.at_speed(xi)
+                assert abs(u - end.u) <= 1e-12 * (1.0 + abs(end.u)), (data, w)
+
+
+def test_weak_residual_on_raw_box_data():
+    # Judged at the finest of 32/64/128/256 nodes, as wide fans need more
+    # nodes before the quadrature error drops under TOL_WEAK.
+    rng = np.random.default_rng(7)
+    for x in rng.uniform(-10.0, 10.0, size=(30, 4)):
+        sol = solve_brio(_data(*x))
+        scale = 1.0 + float(np.max(np.abs(x)))
+        for nodes in (32, 64, 128, 256):
+            res = weak_residual(sol, solution_battery(sol), nodes=nodes)
+            worst = max(max(r) for r in res) / scale
+            if worst <= TOL_WEAK:
+                break
+        assert worst <= TOL_WEAK, (x, nodes, worst)
+
+
+def test_rarefaction_v_matches_mpmath_near_the_critical_curve(mp50):
+    # |u| in [50, 150] and |v| in [1e-6, 1e-2]: 2q - u^2 cancels there, while
+    # sqrt(t(t + 2))/2 from the ray inverse carries the error of t alone,
+    # about an ulp of 2 on family 1, so |v| errs by about 1e-16 / |v|.  The
+    # reference is the ray inverse of the same curve constant in 50 digits.
+    rng = np.random.default_rng(20261018)
+    checked = 0
+    while checked < 400:
+        u = rng.uniform(50.0, 150.0, size=2) * rng.choice((-1.0, 1.0), size=2)
+        v = 10.0 ** rng.uniform(-6.0, -2.0, size=2) * rng.choice((-1.0, 1.0), size=2)
+        sol = solve_brio(_data(u[0], v[0], u[1], v[1]))
+        for seg in sol.segments:
+            if not isinstance(seg, RarefactionSegment):
+                continue
+            xi = np.linspace(seg.xi_lo, seg.xi_hi, 12)[1:-1]
+            _, vs = sample_brio_many(sol, xi)
+            for x, vx in zip(xi, vs):
+                if not 1e-6 <= abs(vx) <= 1e-2:
+                    continue
+                u_ref, q_ref = mp_at_speed(seg.family, mp.mpf(seg.curve.C), x)
+                assert abs(abs(mp.mpf(vx)) - mp.sqrt(2 * q_ref - u_ref ** 2)) <= 1e-10, (seg, x)
+                checked += 1

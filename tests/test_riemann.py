@@ -6,6 +6,7 @@ import importlib.resources
 import json
 
 import jsonschema
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -40,7 +41,7 @@ from briodelta.wave_curves import (
     shock_q_2,
 )
 
-from conftest import assert_close, region_iv_pair
+from conftest import assert_close, mp_constant, mp_offset, region_iv_pair
 
 MIDDLE_FIXTURE = TransState(0.5406739149257195, 6.400775468929284)
 
@@ -338,3 +339,61 @@ def test_curve_difference_falls_and_changes_sign_at_the_middle():
         u_m = solve_middle(left, right).u
         assert np.all(us[phi > tol] <= u_m), (left, right)
         assert np.all(us[phi < -tol] >= u_m), (left, right)
+
+
+def _mp_excess_f1(left: TransState, u):
+    """q - u^2/2 on the composite family-1 curve through left, in mpmath.
+
+    Taken as an excess so that the exponentially small gap of a curve
+    running along q = u^2/2 is not lost beside u^2/2.
+    """
+    a, qa = mp.mpf(left.u), mp.mpf(left.q)
+    if u < a:  # shock locus, upper root of the jump-condition quadratic
+        rad = 2 * qa + mp.mpf(1) / 4 + (a - u) / 2 - (2 * a * a + 2 * a * u - u * u) / 3
+        return qa - u * u / 2 - (a - u) * (2 * u - 1) / 2 + (a - u) * mp.sqrt(rad)
+    c = mp_constant(1, left)
+    if u >= c - mp.mpf(1) / 2 + mp.log(2) / 2:  # past the critical-curve crossing
+        return mp.mpf(0)
+    t = mp_offset(1, c, u)
+    return t * (t + 2) / 8
+
+
+def _mp_excess_b2(right: TransState, u):
+    """q - u^2/2 on the composite backward family-2 curve through right."""
+    b, qb = mp.mpf(right.u), mp.mpf(right.q)
+    if u > b:  # inverse shock locus
+        rad = 8 * qb + 1 + (4 * u * u - 8 * u * b - 8 * b * b) / 3 - 2 * u + 2 * b
+        return qb - u * u / 2 + (u - b) * (2 * u - 1) / 2 + (u - b) * mp.sqrt(rad) / 2
+    t = mp_offset(2, mp_constant(2, right), u)
+    return t * (t + 2) / 8
+
+
+def test_middle_state_matches_mpmath(mp50):
+    # Raw draws from boxes of half-width 3, 10 and 100 and with magnitudes
+    # 10^U(-3, 3); the 50-digit root is bisected inside 1e-6 (1 + |u_M|) of
+    # the solver's and must lie within 1e-12 relative of it.
+    rng = np.random.default_rng(20261018)
+    regions = set()
+    for k in range(40):
+        if k % 4 == 3:
+            x = 10.0 ** rng.uniform(-3.0, 3.0, size=4) * rng.choice((-1.0, 1.0), size=4)
+        else:
+            x = rng.uniform(-1.0, 1.0, size=4) * (3.0, 10.0, 100.0)[k % 4]
+        left = lift(BrioState(float(x[0]), float(x[1])))
+        right = lift(BrioState(float(x[2]), float(x[3])))
+        mid = solve_middle(left, right)
+        regions.add(classify(left, right, mid))
+
+        def phi(u):
+            return _mp_excess_f1(left, u) - _mp_excess_b2(right, u)
+
+        width = mp.mpf(1e-6) * (1 + abs(mid.u))
+        lo, hi = mid.u - width, mid.u + width
+        assert phi(lo) > 0 > phi(hi), (left, right)
+        while hi - lo > mp.mpf(1e-22) * (1 + abs(lo)):
+            lo, hi = ((lo + hi) / 2, hi) if phi((lo + hi) / 2) > 0 else (lo, (lo + hi) / 2)
+        u = (lo + hi) / 2
+        q = u * u / 2 + _mp_excess_f1(left, u)
+        assert abs(mid.u - u) <= 1e-12 * max(1, abs(u)), (left, right)
+        assert abs(mid.q - q) <= 1e-12 * max(1, abs(q)), (left, right)
+    assert regions == {Region.I, Region.II, Region.III, Region.IV}

@@ -23,10 +23,18 @@ from briodelta.wave_curves import (
     shock_q_1,
     shock_q_2,
     shock_radicand,
+    shock_speed,
     tabulate_curve,
 )
 
-from conftest import assert_close, random_above_critical
+from conftest import (
+    assert_close,
+    mp_at_speed,
+    mp_constant,
+    mp_q,
+    mp_rel,
+    random_above_critical,
+)
 
 
 def _rk4_curve(family: int, u0: float, q0: float, u1: float, n: int) -> float:
@@ -286,50 +294,6 @@ def test_crossing_only_when_reached(base_left):
     assert forward_curve_1(TransState(0.5, 0.125)).u_star == 0.5
 
 
-# 50-digit references from the parametrization of each rarefaction by
-# s = sqrt(8q - 4u^2 + 1):  family 1 u = -s/2 + ln(s + 1)/2 + C,
-# family 2 u = s/2 + ln(s - 1)/2 + C.
-
-def _mp_constant(family: int, base: TransState):
-    u, q = mp.mpf(base.u), mp.mpf(base.q)
-    s = mp.sqrt(8 * q - 4 * u * u + 1)
-    if family == 1:
-        return u + s / 2 - mp.log(s + 1) / 2
-    return u - s / 2 - mp.log(s - 1) / 2
-
-
-def _mp_q(family: int, base: TransState, u: float):
-    c, u = _mp_constant(family, base), mp.mpf(u)
-    x = 2 * (u - c) - 1
-    if family == 1:
-        s = -mp.re(mp.lambertw(-mp.exp(x), -1)) - 1
-    else:
-        s = mp.re(mp.lambertw(mp.exp(x))) + 1
-    return u * u / 2 + (s * s - 1) / 8
-
-
-def _mp_at_speed(family: int, base: TransState, xi: float):
-    c, xi = _mp_constant(family, base), mp.mpf(xi)
-    k = 2 * xi - 1 - 2 * c
-    if family == 1:
-        z = -mp.re(mp.lambertw(-2 * mp.exp(k), -1)) / 2
-        u, s = xi + z / 2, z - 1
-    else:
-        y = mp.re(mp.lambertw(2 * mp.exp(k))) / 2
-        u, s = xi - y / 2, y + 1
-    return u, u * u / 2 + (s * s - 1) / 8
-
-
-def _rel(a, b, *inputs) -> float:
-    """Error of a against b, relative to the largest of |b|, 1 and |inputs|.
-
-    A value near zero that comes out of larger inputs (u* near 0, or
-    u = xi + z/2 with |xi| in the thousands) carries their rounding.
-    """
-    scale = max([abs(b), mp.mpf(1)] + [abs(mp.mpf(x)) for x in inputs])
-    return float(abs(mp.mpf(a) - b) / scale)
-
-
 def _varied_base(rng, i: int) -> TransState:
     """Every third base near the critical curve, every fifth far above it.
 
@@ -346,12 +310,6 @@ def _varied_base(rng, i: int) -> TransState:
     return base
 
 
-@pytest.fixture
-def mp50():
-    with mp.workdps(50):
-        yield
-
-
 def test_rarefaction_q_matches_mpmath(rng, mp50):
     for i in range(60):
         base = _varied_base(rng, i)
@@ -359,16 +317,16 @@ def test_rarefaction_q_matches_mpmath(rng, mp50):
         u1 = base.u + float(rng.uniform(0.0, 0.999)) * (crv1.u_star - base.u)
         crv2 = integrate_rarefaction(2, base, base.u)
         u2 = base.u + float(rng.uniform(-4.0, 4.0))
-        assert _rel(crv1.q_at(u1), _mp_q(1, base, u1)) <= 1e-13
-        assert _rel(crv2.q_at(u2), _mp_q(2, base, u2)) <= 1e-13
+        assert mp_rel(crv1.q_at(u1), mp_q(1, base, u1)) <= 1e-13
+        assert mp_rel(crv2.q_at(u2), mp_q(2, base, u2)) <= 1e-13
 
 
 def test_crossing_matches_mpmath(rng, mp50):
     for i in range(40):
         base = _varied_base(rng, i)
         star = forward_curve_1(base).u_star
-        exact = _mp_constant(1, base) - mp.mpf(1) / 2 + mp.log(2) / 2
-        assert _rel(star, exact, base.u) <= 1e-13
+        exact = mp_constant(1, base) - mp.mpf(1) / 2 + mp.log(2) / 2
+        assert mp_rel(star, exact, base.u) <= 1e-13
 
 
 def test_ray_inverse_matches_mpmath(rng, mp50):
@@ -381,9 +339,36 @@ def test_ray_inverse_matches_mpmath(rng, mp50):
             u_ray = lo + float(rng.uniform(0.0, 0.999)) * (hi - lo)
             xi = crv.lam_at(u_ray)
             u, q = crv.at_speed(xi)
-            u_ref, q_ref = _mp_at_speed(family, base, xi)
-            assert _rel(u, u_ref, xi) <= 1e-13
-            assert _rel(q, q_ref) <= 1e-13
+            u_ref, q_ref = mp_at_speed(family, mp_constant(family, base), xi)
+            assert mp_rel(u, u_ref, xi) <= 1e-13
+            assert mp_rel(q, q_ref) <= 1e-13
+
+
+def test_shock_speed_matches_mpmath_near_the_base(rng, mp50):
+    # Reference: the root form of the locus in 50 digits, then [q]/[u].
+    # In doubles [q]/[u] loses digits as the jump shrinks; the locus speed
+    # does not.
+    for i in range(120):
+        base = random_above_critical(rng)
+        du = 10.0 ** float(rng.uniform(-10.0, 0.0))
+        a, qa = mp.mpf(base.u), mp.mpf(base.q)
+        if i % 2 == 0:  # family 1, from base down to u
+            u = base.u - du
+            m = mp.mpf(u)
+            root = mp.sqrt(2 * qa + mp.mpf(1) / 4 + (a - m) / 2 - (2 * a * a + 2 * a * m - m * m) / 3)
+            q = qa - (a - m) * (2 * m - 1) / 2 + (a - m) * root
+            got = shock_speed(1, base, TransState(u, shock_q_1(base, u)))
+        else:  # family 2, from u down to base
+            u = base.u + du
+            m = mp.mpf(u)
+            root = mp.sqrt(8 * qa + 1 + (4 * m * m - 8 * m * a - 8 * a * a) / 3 - 2 * m + 2 * a)
+            q = qa + (m - a) * (2 * m - 1) / 2 + (m - a) * root / 2
+            got = shock_speed(2, TransState(u, inverse_shock_q_2(base, u)), base)
+        assert mp_rel(got, (q - qa) / (m - a), base.u) <= 1e-13, (base, u)
+    with pytest.raises(PreconditionError):
+        shock_speed(1, TransState(0.0, 1.0), TransState(0.5, 1.0))
+    with pytest.raises(ValueError):
+        shock_speed(3, TransState(0.0, 1.0), TransState(-0.5, 1.0))
 
 
 def test_ray_inverse_round_trip(rng):
@@ -401,16 +386,25 @@ def test_ray_inverse_round_trip(rng):
 
 
 def _tabulate_shock_loop(kind: str, base: TransState, us) -> np.ndarray:
-    """Row-at-a-time reference for the shock branches of tabulate_curve."""
-    fn, fam = {"sw1": (shock_q_1, 1), "sw2": (shock_q_2, 2),
-               "sw2_inv": (inverse_shock_q_2, 2)}[kind]
+    """Row-at-a-time reference for the shock branches of tabulate_curve.
+
+    The speed column is the locus speed at the row's velocity, clamped to
+    the branch's side of the base: u - 1/2 -+ sqrt(shock_radicand) on the
+    forward loci, u - 1/2 + sqrt(inverse_radicand)/2 on the inverse one.
+    """
     rows = []
     for u in us:
-        q = fn(base, float(u))
-        du = u - base.u
-        lam = (float(family_lambda(fam, base.u, base.q)) if abs(du) <= TOL_ZERO
-               else (q - base.q) / du)
-        rows.append((float(u), q, lam))
+        u = float(u)
+        if kind == "sw2_inv":
+            q = inverse_shock_q_2(base, u)
+            a = max(u, base.u)
+            lam = a - 0.5 + 0.5 * math.sqrt(max(inverse_radicand(base, a), 0.0))
+        else:
+            sign = 1.0 if kind == "sw1" else -1.0
+            q = (shock_q_1 if kind == "sw1" else shock_q_2)(base, u)
+            a = min(u, base.u)
+            lam = a - 0.5 - sign * math.sqrt(max(shock_radicand(base, a), 0.0))
+        rows.append((u, q, lam))
     return np.asarray(rows)
 
 
