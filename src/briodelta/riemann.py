@@ -7,7 +7,9 @@ its one root is bracketed from the data: the interval between the two
 velocities, with each end whose sign is wrong pushed outward by 1, 2, 4, ...
 until phi(lo) >= 0 >= phi(hi), then polished by Brent's method.  The four
 sign combinations of (u_M - u_L, u_R - u_M) classify the fan into the four
-shock/rarefaction regions.
+shock/rarefaction regions.  A wave exists exactly when u_M differs from the
+data velocity on its side: there is no tie tolerance, since near q = u^2/2 a
+family-1 wave of u-width du still jumps v by about sqrt(du).
 
 Each wave is built on the curve the middle state was found on: a family-1
 wave on the curve through the left state, a family-2 wave on the curve
@@ -44,8 +46,6 @@ from .wave_curves import (
 
 TOL_ROOT = 1e-12
 TOL_LAX = 1e-10
-# Wave strengths with |u_M - u_neighbor| at or below this are zero.
-TIE_TOL = 1e-10
 # The bracket's ends move at most 2**_REACH past the starting interval.
 _REACH = 40
 
@@ -150,17 +150,16 @@ def solve_middle(left: TransState, right: TransState, *,
     return TransState(u_m, q_m)
 
 
-def classify(left: TransState, right: TransState, middle: TransState, *,
-             tie_tol: float = TIE_TOL) -> Region:
+def classify(left: TransState, right: TransState, middle: TransState) -> Region:
     """Assign the region from the middle-state position.
 
     I: two rarefactions, II: family-1 shock + family-2 rarefaction,
-    III: rarefaction + shock, IV: two shocks; Degenerate when either wave
-    has zero strength.
+    III: rarefaction + shock, IV: two shocks; Degenerate when u_M equals
+    u_L or u_R exactly, that is when a wave is absent.
     """
     du1 = middle.u - left.u
     du2 = right.u - middle.u
-    if abs(du1) <= tie_tol or abs(du2) <= tie_tol:
+    if du1 == 0.0 or du2 == 0.0:
         return Region.DEGENERATE
     if du1 > 0.0:
         return Region.I if du2 > 0.0 else Region.III
@@ -211,20 +210,15 @@ def build_fan(left: TransState, right: TransState, *,
     region = classify(left, right, middle)
     waves: list[Wave] = []
 
-    du1 = middle.u - left.u
-    if abs(du1) > TIE_TOL:
-        if du1 < 0.0:
-            waves.append(_shock_wave(1, left, middle))
-        else:
-            waves.append(_rarefaction_wave(1, left, middle))
+    if middle.u < left.u:
+        waves.append(_shock_wave(1, left, middle))
+    elif middle.u > left.u:
+        waves.append(_rarefaction_wave(1, left, middle))
 
-    du2 = right.u - middle.u
-    if abs(du2) > TIE_TOL:
-        mid = middle if waves else left
-        if du2 < 0.0:
-            waves.append(_shock_wave(2, mid, right))
-        else:
-            waves.append(_rarefaction_wave(2, mid, right))
+    if right.u < middle.u:
+        waves.append(_shock_wave(2, middle, right))
+    elif right.u > middle.u:
+        waves.append(_rarefaction_wave(2, middle, right))
 
     for a, b in zip(waves, waves[1:]):
         if a.speed_hi > b.speed_lo + TOL_LAX * (1.0 + abs(a.speed_hi)):

@@ -156,11 +156,12 @@ class IntegralCurve:
 
     def q_at(self, u):
         """Energy at velocity u; exactly base.q at the base."""
+        scalar = np.ndim(u) == 0
+        if scalar and u == self.base.u:
+            return self.base.q
         t = self._offset(u)
         q = 0.5 * np.square(u) + 0.125 * t * (t + 2.0)
-        if np.ndim(u) == 0:
-            return self.base.q if u == self.base.u else float(q)
-        return np.where(u == self.base.u, self.base.q, q)
+        return float(q) if scalar else np.where(u == self.base.u, self.base.q, q)
 
     def lam_at(self, u):
         """Characteristic speed of the family at velocity u."""
@@ -280,8 +281,6 @@ class Backward2Curve:
         """Energy at velocity u."""
         if u > self.right.u:
             return _locus(None, self.right, u)[0]
-        if u >= self.right.u - TOL_ZERO:
-            return self.right.q
         return self._rw.q_at(u)
 
 

@@ -34,11 +34,11 @@ from briodelta.delta import (
     solve_brio,
 )
 from briodelta.errors import BrioError, DegenerateJump, OrderingViolation, PreconditionError
-from briodelta.riemann import build_fan, sample_fan_many
+from briodelta.riemann import Region, build_fan, sample_fan_many
 from briodelta.verify import TOL_WEAK, random_brio_data, solution_battery, weak_residual
 from briodelta.wave_curves import backward_2_curve, forward_1_curve, shock_q_2
 
-from conftest import assert_close, mp_at_speed
+from conftest import assert_close, data_scale, mp_at_speed
 
 EXPECTED_CARDINALITY = {"I": 0, "II": 1, "III": 1, "IV": 2}
 
@@ -372,19 +372,37 @@ def _data(ul, vl, ur, vr) -> RiemannData:
     return RiemannData(BrioState(float(ul), float(vl)), BrioState(float(ur), float(vr)))
 
 
+# Raw data whose middle velocity lies within 1e-10 of the left velocity: a
+# family-1 rarefaction of u-width 9.7e-11 that still changes |v| by 1.4e-5
+# (region I), and a family-1 shock of u-width -7.3e-11 from v = -0.0
+# (region II).  A fan that drops either tiny wave misses its jump in v.
+NEAR_TIES = (
+    _data(-111.1473190069753, 1.3947e-5, -85.998, -9.11e-3),
+    _data(-4.373914947683328, -0.0, 5.185220690353269, 0.16937488724128613),
+)
+
+
 def _signed_magnitudes(rng, n: int) -> np.ndarray:
     """n values with |x| = 10^U(-3, 3) and random signs."""
     return 10.0 ** rng.uniform(-3.0, 3.0, size=n) * rng.choice((-1.0, 1.0), size=n)
+
+
+def _near_equal(rng, rho: float) -> RiemannData:
+    """Raw pair whose right state moves each left component by rho (1 + |x|) U(-1, 1)."""
+    ul, vl = _signed_magnitudes(rng, 2)
+    du, dv = rho * rng.uniform(-1.0, 1.0, size=2)
+    return _data(ul, vl, ul + du * (1.0 + abs(ul)), vl + dv * (1.0 + abs(vl)))
 
 
 def _raw_draws():
     """Seeded raw data as (must_solve, RiemannData), no forward construction.
 
     Uniform boxes of half-width 10 and 100 and magnitudes 10^U(-3, 3) may
-    end in a typed BrioError; near-equal pairs (each component moved by
-    rho (1 + |x|) U(-1, 1)) and data with v = 0 or -0.0 on one side must
-    solve.
+    end in a typed BrioError; NEAR_TIES, near-equal pairs (_near_equal)
+    and data with v = 0 or -0.0 on one side must solve.
     """
+    for data in NEAR_TIES:
+        yield True, data
     rng = np.random.default_rng(20261018)
     for half_width in (10.0, 100.0):
         for x in rng.uniform(-half_width, half_width, size=(500, 4)):
@@ -393,9 +411,7 @@ def _raw_draws():
         yield False, _data(*x)
     for rho in NEAR_RHOS:
         for _ in range(100):
-            ul, vl = _signed_magnitudes(rng, 2)
-            du, dv = rho * rng.uniform(-1.0, 1.0, size=2)
-            yield True, _data(ul, vl, ul + du * (1.0 + abs(ul)), vl + dv * (1.0 + abs(vl)))
+            yield True, _near_equal(rng, rho)
     for zero in (0.0, -0.0):
         for component in (1, 3):
             for x in rng.uniform(-10.0, 10.0, size=(50, 4)):
@@ -405,7 +421,10 @@ def _raw_draws():
 
 def test_raw_data_solves_and_rarefactions_reach_their_end_states():
     # Each rarefaction lies on the curve through its data state, so the ray
-    # inverse at either edge speed lands on the wave's end state.
+    # inverse at either edge speed lands on the wave's end state, and at a
+    # data-state edge |v| = sqrt(t(t + 2))/2 is the datum's |v|.  Middle-side
+    # edges are left out of the |v| check: the two curves meet at u_M in q,
+    # not in |v|.
     for must_solve, data in _raw_draws():
         try:
             sol = solve_brio(data)
@@ -416,23 +435,42 @@ def test_raw_data_solves_and_rarefactions_reach_their_end_states():
             if w.kind != "rarefaction":
                 continue
             for xi, end in ((w.speed_lo, w.left), (w.speed_hi, w.right)):
-                u, _ = w.curve.at_speed(xi)
+                u, _, t = w.curve.ray(xi)
                 assert abs(u - end.u) <= 1e-12 * (1.0 + abs(end.u)), (data, w)
+                datum = (data.left if end is sol.fan.left
+                         else data.right if end is sol.fan.right else None)
+                if datum is not None:
+                    v = 0.5 * math.sqrt(t * (t + 2.0))
+                    assert abs(v - abs(datum.v)) <= 1e-7 * (1.0 + abs(datum.u)), (data, w)
+
+
+def test_near_ties_keep_their_tiny_family_1_wave():
+    regular = solve_brio(NEAR_TIES[0])
+    assert regular.region is Region.I
+    assert regular.fan.waves[0].kind == "rarefaction" and regular.fan.waves[0].family == 1
+    shocked = solve_brio(NEAR_TIES[1])
+    assert shocked.region is Region.II
+    assert shocked.fan.waves[0].kind == "shock" and shocked.fan.waves[0].family == 1
 
 
 def test_weak_residual_on_raw_box_data():
     # Judged at the finest of 32/64/128/256 nodes, as wide fans need more
     # nodes before the quadrature error drops under TOL_WEAK.
+    # The v = 0 near tie and near-equal pairs join the box draws: their
+    # tiny waves must carry the jumps the data make.
     rng = np.random.default_rng(7)
-    for x in rng.uniform(-10.0, 10.0, size=(30, 4)):
-        sol = solve_brio(_data(*x))
-        scale = 1.0 + float(np.max(np.abs(x)))
+    draws = [_data(*x) for x in rng.uniform(-10.0, 10.0, size=(30, 4))]
+    draws.append(NEAR_TIES[1])
+    draws.extend(_near_equal(rng, rho) for rho in NEAR_RHOS for _ in range(4))
+    for data in draws:
+        sol = solve_brio(data)
+        scale = data_scale(data)
         for nodes in (32, 64, 128, 256):
             res = weak_residual(sol, solution_battery(sol), nodes=nodes)
             worst = max(max(r) for r in res) / scale
             if worst <= TOL_WEAK:
                 break
-        assert worst <= TOL_WEAK, (x, nodes, worst)
+        assert worst <= TOL_WEAK, (data, nodes, worst)
 
 
 def test_rarefaction_v_matches_mpmath_near_the_critical_curve(mp50):

@@ -184,6 +184,10 @@ def test_classify_quadrants(base_left):
     assert classify(base_left, TransState(1.2, 5.5), mid_up) is Region.III
     assert classify(base_left, TransState(0.2, 5.5), mid_down) is Region.IV
     assert classify(base_left, right_down, base_left) is Region.DEGENERATE
+    # A wave exists exactly when u_M differs from its data velocity.
+    assert classify(base_left, right_up, TransState(base_left.u, 5.0)) is Region.DEGENERATE
+    one_ulp = float(np.nextafter(base_left.u, np.inf))
+    assert classify(base_left, right_up, TransState(one_ulp, 5.0)) is Region.I
 
 
 def test_sample_fan_segments(fixture_pair):
