@@ -106,9 +106,19 @@ def solve_middle(left: TransState, right: TransState, *,
         return left
     f1 = forward_curve_1(left)
     b2 = backward_curve_2(right)
+    # brentq starts by re-evaluating both bracket ends, and the residual
+    # check below needs both curves at the root: each velocity is evaluated
+    # once.
+    memo: dict[float, tuple[float, float]] = {}
+
+    def curves(u: float) -> tuple[float, float]:
+        if u not in memo:
+            memo[u] = (f1.q(u), b2.q(u))
+        return memo[u]
 
     def phi(u: float) -> float:
-        return f1.q(u) - b2.q(u)
+        q1, q2 = curves(u)
+        return q1 - q2
 
     lo0, hi0 = (min(left.u, right.u), max(left.u, right.u))
     if bracket is not None:
@@ -137,11 +147,11 @@ def solve_middle(left: TransState, right: TransState, *,
     # stretch (right state on the critical curve), the middle state is the
     # touch point itself.
     ustar = f1.u_star
-    if u_m > ustar and abs(phi(ustar)) <= 1e-9 * (1.0 + abs(f1.q(ustar))):
+    if u_m > ustar and abs(phi(ustar)) <= 1e-9 * (1.0 + abs(curves(ustar)[0])):
         u_m = ustar
 
-    q_m = f1.q(u_m)
-    residual = abs(q_m - b2.q(u_m))
+    q_m, q_b = curves(u_m)
+    residual = abs(q_m - q_b)
     if residual > tol_root * (1.0 + abs(q_m)):
         raise BracketFailure(
             f"middle-state polish stalled: residual {residual:.3e} at u={u_m!r}"

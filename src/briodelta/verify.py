@@ -32,6 +32,8 @@ from .delta import (
     ConstantSegment,
     DeltaSingularity,
     DeltaSolution,
+    RarefactionSegment,
+    _rarefaction_uv,
     cardinality,
     nonuniqueness_example,
     rh_deficit_v,
@@ -61,6 +63,9 @@ from .wave_curves import (
 )
 
 TOL_WEAK = 1e-7
+# Quadrature points per array pass of weak_residual: bounds its temporaries
+# whatever the battery size or node count.
+_CHUNK_POINTS = 8192
 # Draws random_trans_pair makes before giving up on a region.
 _PAIR_TRIES = 64
 # Random bases of the shock-locus jump-condition check.
@@ -73,6 +78,19 @@ def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n not in _gl_cache:
         _gl_cache[n] = np.polynomial.legendre.leggauss(n)
     return _gl_cache[n]
+
+
+def _bump_pair(s, p: int):
+    """B(s) = (1 - s^2)^p on |s| <= 1 (zero outside) and B'(s).
+
+    The integer powers are repeated products; p >= 2.
+    """
+    z = np.maximum(1.0 - np.square(s), 0.0)
+    zp = z.copy()  # z^(p - 1)
+    for _ in range(p - 2):
+        zp *= z
+    z *= zp
+    return z, -2.0 * p * s * zp
 
 
 @dataclass(frozen=True)
@@ -100,28 +118,23 @@ class TestFunction:
         if not (isinstance(self.p, int) and self.p >= 3):
             raise PreconditionError("test function exponent must be an integer >= 3")
 
-    def _bump(self, s):
-        z = np.maximum(1.0 - np.square(s), 0.0)
-        return z ** self.p
-
-    def _bump_prime(self, s):
-        z = np.maximum(1.0 - np.square(s), 0.0)
-        return -2.0 * self.p * s * z ** (self.p - 1)
+    def _factors(self, x, t):
+        """(B, B') of the x factor and of the t factor at (x, t)."""
+        sx = (np.asarray(x) - self.center[0]) / self.halfwidths[0]
+        st = (np.asarray(t) - self.center[1]) / self.halfwidths[1]
+        return _bump_pair(sx, self.p), _bump_pair(st, self.p)
 
     def value(self, x, t):
-        sx = (np.asarray(x) - self.center[0]) / self.halfwidths[0]
-        st = (np.asarray(t) - self.center[1]) / self.halfwidths[1]
-        return self._bump(sx) * self._bump(st)
+        (bx, _), (bt, _) = self._factors(x, t)
+        return bx * bt
 
     def dx(self, x, t):
-        sx = (np.asarray(x) - self.center[0]) / self.halfwidths[0]
-        st = (np.asarray(t) - self.center[1]) / self.halfwidths[1]
-        return self._bump_prime(sx) / self.halfwidths[0] * self._bump(st)
+        (_, dbx), (bt, _) = self._factors(x, t)
+        return dbx / self.halfwidths[0] * bt
 
     def dt(self, x, t):
-        sx = (np.asarray(x) - self.center[0]) / self.halfwidths[0]
-        st = (np.asarray(t) - self.center[1]) / self.halfwidths[1]
-        return self._bump(sx) * self._bump_prime(st) / self.halfwidths[1]
+        (bx, _), (_, dbt) = self._factors(x, t)
+        return bx * dbt / self.halfwidths[1]
 
 
 def test_function_battery(speeds, T: float, *, pad: float = 0.75,
@@ -162,11 +175,10 @@ def _dedupe(values, tol):
     return out
 
 
-def _time_panels(speeds, xlo: float, xhi: float, t_lo: float, t_hi: float, gx, gw):
-    """Gauss-Legendre panels of [t_lo, t_hi], cut where a ray x = c t leaves [xlo, xhi].
+def _time_panels(speeds, xlo: float, xhi: float, t_lo: float, t_hi: float):
+    """Panels (ta, tb) of [t_lo, t_hi], cut where a ray x = c t leaves [xlo, xhi].
 
-    Yields (tmid, nodes, weights) per panel; cuts closer than 1e-13
-    relative merge and panels that short are skipped.
+    Cuts closer than 1e-13 relative merge and panels that short are skipped.
     """
     cuts = [t_lo, t_hi]
     for c in speeds:
@@ -178,93 +190,210 @@ def _time_panels(speeds, xlo: float, xhi: float, t_lo: float, t_hi: float, gx, g
                 cuts.append(tc)
     breaks = _dedupe(cuts, 1e-13 * (1.0 + t_hi))
     for ta, tb in zip(breaks[:-1], breaks[1:]):
-        if tb - ta <= 1e-13 * (1.0 + tb):
-            continue
-        tmid = 0.5 * (ta + tb)
-        yield tmid, tmid + 0.5 * (tb - ta) * gx, 0.5 * (tb - ta) * gw
+        if tb - ta > 1e-13 * (1.0 + tb):
+            yield ta, tb
+
+
+def _nodes(a, b, gx, gw):
+    """Gauss-Legendre nodes and weights on [a, b], along a new last axis."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    return mid[..., None] + half[..., None] * gx, half[..., None] * gw
+
+
+def _chunks(keys, size: int):
+    """Row indices in runs of equal key, at most `size` rows per chunk."""
+    order = np.argsort(keys, kind="stable")
+    for run in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
+        for i in range(0, len(run), size):
+            yield run[i:i + size]
+
+
+@dataclass(frozen=True)
+class _Bumps:
+    """A battery as columns, one entry per bump."""
+
+    x0: np.ndarray
+    t0: np.ndarray
+    wx: np.ndarray
+    wt: np.ndarray
+    p: np.ndarray
+
+    def factors(self, r, x, t):
+        """(B, B') at s_x = (x - x0)/wx and at s_t = (t - t0)/wt for rows r.
+
+        x and t hold one leading entry per row, which all share one bump
+        exponent, and any trailing node axes.
+        """
+        p = int(self.p[r[0]])
+
+        def scaled(y, c, w):
+            shape = r.shape + (1,) * (np.ndim(y) - 1)
+            return (y - c[r].reshape(shape)) / w[r].reshape(shape)
+
+        return (_bump_pair(scaled(x, self.x0, self.wx), p),
+                _bump_pair(scaled(t, self.t0, self.wt), p))
+
+
+def _weak_rows(sol: DeltaSolution, phis):
+    """Tables of the bulk, line and initial-data pieces of the weak form.
+
+    bulk: (bump, ta, tb, ca, da, cb, db), the x-piece from ca t + da to
+    cb t + db over the time panel [ta, tb]; line: (bump, ta, tb, carrier);
+    initial: (bump, xa, xb, u, v).
+    """
+    rays = sorted({b for seg in sol.segments for b in (seg.xi_lo, seg.xi_hi)
+                   if math.isfinite(b)})
+    bulk, line, init = [], [], []
+    for b, phi in enumerate(phis):
+        x0, t0 = phi.center
+        wx, wt = phi.halfwidths
+        xlo, xhi = x0 - wx, x0 + wx
+        t_lo, t_hi = max(0.0, t0 - wt), t0 + wt
+        if t_hi > t_lo:
+            for ta, tb in _time_panels(rays, xlo, xhi, t_lo, t_hi):
+                tmid = 0.5 * (ta + tb)
+                ends = [(0.0, xlo)]
+                ends += [(c, 0.0) for c in rays if xlo < c * tmid < xhi]
+                ends.append((0.0, xhi))
+                bulk += [(b, ta, tb, *lo, *hi)
+                         for lo, hi in zip(ends[:-1], ends[1:])]
+            for k, s in enumerate(sol.singular):
+                for ta, tb in _time_panels((s.speed,), xlo, xhi, t_lo, t_hi):
+                    if xlo < s.speed * 0.5 * (ta + tb) < xhi:
+                        line.append((b, ta, tb, k))
+        if t0 - wt < 0.0:
+            xcuts = [xlo, 0.0, xhi] if xlo < 0.0 < xhi else [xlo, xhi]
+            for xa, xb in zip(xcuts[:-1], xcuts[1:]):
+                if xb > xa:
+                    state = (sol.initial.left if 0.5 * (xa + xb) < 0.0
+                             else sol.initial.right)
+                    init.append((b, xa, xb, state.u, state.v))
+    return bulk, line, init
+
+
+def _bulk_parts(sol: DeltaSolution, bumps: _Bumps, rows, gx, gw):
+    """(bump, u part, v part) of the space-time integral, per chunk of rows."""
+    if not rows:
+        return
+    fl, gl_flux = sol.flux.f, sol.flux.g
+    b, ta, tb, ca, da, cb, db = np.array(rows).T
+    b = b.astype(np.intp)
+    tm = 0.5 * (ta + tb)
+    edges = np.asarray([seg.xi_hi for seg in sol.segments[:-1]])
+    seg = np.searchsorted(edges, 0.5 * ((ca + cb) * tm + da + db) / tm,
+                          side="right")
+    rare = np.array([isinstance(g, RarefactionSegment) for g in sol.segments])
+    su, sv = np.array([(math.nan, math.nan) if isinstance(g, RarefactionSegment)
+                       else (g.state.u, g.state.v) for g in sol.segments]).T
+    sf, sg = fl(su, sv), gl_flux(su, sv)
+    keys = bumps.p[b] * (len(sol.segments) + 1) + np.where(rare[seg], seg + 1, 0)
+    for idx in _chunks(keys, max(1, _CHUNK_POINTS // len(gx) ** 2)):
+        r = b[idx]
+        T, TW = _nodes(ta[idx], tb[idx], gx, gw)
+        lo = (bumps.x0[r] - bumps.wx[r])[:, None]
+        hi = (bumps.x0[r] + bumps.wx[r])[:, None]
+        xa = np.clip(ca[idx, None] * T + da[idx, None], lo, hi)
+        xb = np.clip(cb[idx, None] * T + db[idx, None], lo, hi)
+        if np.any(xb - xa < -1e-12 * (1.0 + np.abs(hi))):
+            raise QuadratureFailure("ray positions not monotone inside a panel")
+        X, WX = _nodes(xa, xb, gx, gw)
+        (bx, dbx), (bt, dbt) = bumps.factors(r, X, T)
+        wb, wd = WX * bx, WX * dbx
+        k = seg[idx[0]]
+        if rare[k]:
+            u, v = _rarefaction_uv(sol.segments[k], X / T[:, :, None])
+            iu, iv = (wb * u).sum(-1), (wb * v).sum(-1)
+            jf, jg = (wd * fl(u, v)).sum(-1), (wd * gl_flux(u, v)).sum(-1)
+        else:
+            k = seg[idx, None]
+            sb, sd = wb.sum(-1), wd.sum(-1)
+            iu, iv, jf, jg = su[k] * sb, sv[k] * sb, sf[k] * sd, sg[k] * sd
+        at = TW * dbt / bumps.wt[r, None]
+        ax = TW * bt / bumps.wx[r, None]
+        yield r, (at * iu + ax * jf).sum(-1), (at * iv + ax * jg).sum(-1)
+
+
+def _line_parts(sol: DeltaSolution, bumps: _Bumps, rows, gx, gw,
+                arclength: bool):
+    """(bump, u part, v part) of the carrier line integrals, per chunk."""
+    if not rows:
+        return
+    b, ta, tb, k = np.array(rows).T
+    b, k = b.astype(np.intp), k.astype(np.intp)
+    c, rate, const = np.array([(s.speed, s.rate, s.constant)
+                               for s in sol.singular])[k].T
+    on_u = np.array([s.component == "u" for s in sol.singular])[k]
+    weight = np.sqrt(1.0 + c * c) if arclength else np.ones_like(c)
+    for idx in _chunks(bumps.p[b], max(1, _CHUNK_POINTS // len(gx))):
+        r = b[idx]
+        T, TW = _nodes(ta[idx], tb[idx], gx, gw)
+        cc = c[idx, None]
+        (bx, dbx), (bt, dbt) = bumps.factors(r, cc * T, T)
+        beta = rate[idx, None] * T + const[idx, None]
+        vals = beta * (bx * dbt / bumps.wt[r, None]
+                       + cc * dbx / bumps.wx[r, None] * bt)
+        val = (TW * vals).sum(-1) * weight[idx]
+        yield r, np.where(on_u[idx], val, 0.0), np.where(on_u[idx], 0.0, val)
+
+
+def _initial_parts(bumps: _Bumps, rows, gx, gw):
+    """(bump, u part, v part) of the initial-data integrals, per chunk."""
+    if not rows:
+        return
+    b, xa, xb, u, v = np.array(rows).T
+    b = b.astype(np.intp)
+    for idx in _chunks(bumps.p[b], max(1, _CHUNK_POINTS // len(gx))):
+        r = b[idx]
+        X, XW = _nodes(xa[idx], xb[idx], gx, gw)
+        (bx, _), (bt, _) = bumps.factors(r, X, np.zeros(len(r)))
+        mass = (XW * bx).sum(-1) * bt
+        yield r, u[idx] * mass, v[idx] * mass
 
 
 def weak_residual(sol: DeltaSolution, phis, *, nodes: int = 32,
                   arclength: bool = False) -> list[tuple[float, float]]:
     """Absolute residuals (r_u, r_v) of both integral identities, per bump.
 
-    Bulk space-time term split at every ray the regular part breaks on, one
-    line term per Dirac carrier, one initial-data term when the support
-    reaches t = 0; each piece integrated by tensor Gauss-Legendre with
-    `nodes` points per axis.  Compensated summation keeps the result
-    independent of panel order.
+    Every term is integrated by Gauss-Legendre with `nodes` points per axis
+    on pieces where its integrand is smooth, listed first in three tables:
+
+    - bulk: one row per (bump, time panel, x-piece).  Time panels are cut
+      where a ray of the regular part crosses the bump's x-support.  At
+      each time node the x-pieces run between xlo, the rays x = c t inside
+      the support and xhi, so each piece lies in one segment.
+    - line: one row per (bump, Dirac carrier, time panel) on which the
+      carrier lies inside the support.
+    - initial data: one row per (bump, side of x = 0) when the support
+      reaches t = 0.
+
+    The bump is separable, phi = B(s_x) B(s_t), so B and B' of s_t are
+    evaluated once per time node and those of s_x once per point.  A
+    constant piece takes its segment's u, v, f and g as scalars and is not
+    sampled; rarefaction pieces are sampled in one call per segment and
+    chunk.  The rows are evaluated in chunks of at most _CHUNK_POINTS
+    points, grouped by bump exponent and segment, so no array of all
+    points is ever built.  Each row gives one partial sum, and each bump's
+    partial sums are added by math.fsum, so a bump's residual depends
+    neither on row order nor on the other bumps of the battery.
     """
+    phis = list(phis)
+    if not phis:
+        return []
     gx, gw = _gl(nodes)
-    rays = sorted({b for seg in sol.segments for b in (seg.xi_lo, seg.xi_hi)
-                   if math.isfinite(b)})
-    fl, gl_flux = sol.flux.f, sol.flux.g
-    left0, right0 = sol.initial.left, sol.initial.right
+    bulk, line, init = _weak_rows(sol, phis)
+    x0, t0, wx, wt = np.array([phi.center + phi.halfwidths for phi in phis]).T
+    bumps = _Bumps(x0, t0, wx, wt, np.array([phi.p for phi in phis]))
+    parts = [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))]
+    parts += _bulk_parts(sol, bumps, bulk, gx, gw)
+    parts += _line_parts(sol, bumps, line, gx, gw, arclength)
+    parts += _initial_parts(bumps, init, gx, gw)
 
-    results = []
-    for phi in phis:
-        x0, t0 = phi.center
-        wx, wt = phi.halfwidths
-        xlo, xhi = x0 - wx, x0 + wx
-        t_lo, t_hi = max(0.0, t0 - wt), t0 + wt
-        parts_u: list[float] = []
-        parts_v: list[float] = []
-
-        if t_hi > t_lo:
-            for tmid, tn, tw in _time_panels(rays, xlo, xhi, t_lo, t_hi, gx, gw):
-                inside = [c for c in rays if xlo < c * tmid < xhi]
-                if inside:
-                    xb = np.clip(np.outer(tn, inside), xlo, xhi)
-                    xbreaks = np.column_stack(
-                        [np.full(nodes, xlo), xb, np.full(nodes, xhi)])
-                else:
-                    xbreaks = np.column_stack(
-                        [np.full(nodes, xlo), np.full(nodes, xhi)])
-                if np.any(np.diff(xbreaks, axis=1) < -1e-12 * (1.0 + abs(xhi))):
-                    raise QuadratureFailure(
-                        "ray positions not monotone inside a panel")
-                half = 0.5 * np.diff(xbreaks, axis=1)
-                mid = 0.5 * (xbreaks[:, :-1] + xbreaks[:, 1:])
-                X = mid[:, :, None] + half[:, :, None] * gx
-                WX = half[:, :, None] * gw
-                TT = np.broadcast_to(tn[:, None, None], X.shape)
-                u, v = sample_brio_many(sol, (X / TT).ravel())
-                u = u.reshape(X.shape)
-                v = v.reshape(X.shape)
-                pt = phi.dt(X, TT)
-                px = phi.dx(X, TT)
-                parts_u.append(float(np.einsum(
-                    "i,ijk->", tw, WX * (u * pt + fl(u, v) * px))))
-                parts_v.append(float(np.einsum(
-                    "i,ijk->", tw, WX * (v * pt + gl_flux(u, v) * px))))
-
-            for s in sol.singular:
-                c = s.speed
-                weight = math.sqrt(1.0 + c * c) if arclength else 1.0
-                acc = []
-                for _, tn, tw in _time_panels((c,), xlo, xhi, t_lo, t_hi, gx, gw):
-                    xr = c * tn
-                    beta = s.rate * tn + s.constant
-                    vals = beta * (phi.dt(xr, tn) + c * phi.dx(xr, tn))
-                    acc.append(float(np.dot(tw, vals)) * weight)
-                (parts_u if s.component == "u" else parts_v).append(
-                    math.fsum(acc))
-
-        if t0 - wt < 0.0:
-            xcuts = [xlo, xhi]
-            if xlo < 0.0 < xhi:
-                xcuts.insert(1, 0.0)
-            for xa, xb in zip(xcuts[:-1], xcuts[1:]):
-                if xb - xa <= 0.0:
-                    continue
-                xn = 0.5 * (xa + xb) + 0.5 * (xb - xa) * gx
-                xw = 0.5 * (xb - xa) * gw
-                state = left0 if 0.5 * (xa + xb) < 0.0 else right0
-                pv = phi.value(xn, 0.0)
-                parts_u.append(float(np.dot(xw, state.u * pv)))
-                parts_v.append(float(np.dot(xw, state.v * pv)))
-
-        results.append((abs(math.fsum(parts_u)), abs(math.fsum(parts_v))))
-    return results
+    b, pu, pv = (np.concatenate(col) for col in zip(*parts))
+    order = np.argsort(b, kind="stable")
+    cuts = np.cumsum(np.bincount(b, minlength=len(phis)))[:-1]
+    return [(abs(math.fsum(ru.tolist())), abs(math.fsum(rv.tolist())))
+            for ru, rv in zip(np.split(pu[order], cuts), np.split(pv[order], cuts))]
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,8 @@ from briodelta.riemann import (
 )
 from briodelta.verify import random_trans_pair
 from briodelta.wave_curves import (
+    Backward2Curve,
+    Forward1Curve,
     backward_curve_2,
     forward_curve_1,
     shock_q_1,
@@ -325,6 +327,59 @@ def test_bracketed_solve_matches_scalar_reference_scan():
         assert isinstance(got, TransState), (left, right, got)
         for a, b in ((got.u, expected.u), (got.q, expected.q)):
             assert abs(a - b) <= 1e-13 * (1.0 + abs(b)), (left, right)
+
+
+def _solve_middle_every_call(left: TransState, right: TransState) -> TransState:
+    """solve_middle's bracket and polish with every curve value recomputed."""
+    if _states_coincide(left, right):
+        return left
+    f1, b2 = forward_curve_1(left), backward_curve_2(right)
+
+    def phi(u: float) -> float:
+        return f1.q(u) - b2.q(u)
+
+    lo0, hi0 = min(left.u, right.u), max(left.u, right.u)
+    lo, hi, k = lo0, hi0, 0
+    while not phi(lo) >= 0.0 >= phi(hi):
+        if phi(lo) < 0.0:
+            lo = lo0 - 2.0 ** k
+        if phi(hi) > 0.0:
+            hi = hi0 + 2.0 ** k
+        k += 1
+    u_m = float(brentq(phi, lo, hi, xtol=1e-14))
+    ustar = f1.u_star
+    if u_m > ustar and abs(phi(ustar)) <= 1e-9 * (1.0 + abs(f1.q(ustar))):
+        u_m = ustar
+    q_m = f1.q(u_m)
+    assert abs(q_m - b2.q(u_m)) <= TOL_ROOT * (1.0 + abs(q_m))
+    return TransState(u_m, max(q_m, 0.5 * u_m * u_m))
+
+
+def test_middle_state_evaluates_each_velocity_once(monkeypatch):
+    # Over every ordered pair of a seeded pool of 24 raw states the middle
+    # state is bit-identical to the one found with every curve value
+    # recomputed, and neither composite curve is evaluated twice at one
+    # velocity within a solve.
+    rng = np.random.default_rng(24)
+    pool = [lift(BrioState(float(u), float(v)))
+            for u, v in zip(rng.uniform(-2.0, 3.0, 24), rng.uniform(-3.0, 3.0, 24))]
+    pairs = [(a, b) for a in pool for b in pool if a is not b]
+    assert len(pairs) == 552
+    expected = [_solve_middle_every_call(a, b) for a, b in pairs]
+
+    calls: dict[str, list[float]] = {"f1": [], "b2": []}
+    for name, cls in (("f1", Forward1Curve), ("b2", Backward2Curve)):
+        def q(self, u, _q=cls.q, _log=calls[name]):
+            _log.append(u)
+            return _q(self, u)
+        monkeypatch.setattr(cls, "q", q)
+    for (a, b), want in zip(pairs, expected):
+        for log in calls.values():
+            log.clear()
+        got = solve_middle(a, b)
+        assert (got.u, got.q) == (want.u, want.q), (a, b)
+        for log in calls.values():
+            assert len(log) == len(set(log)), (a, b)
 
 
 def test_curve_difference_falls_and_changes_sign_at_the_middle():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import math
 
 import jsonschema
 import numpy as np
@@ -23,6 +24,7 @@ from briodelta.delta import (
     cardinality,
     generic_delta_shock,
     nonuniqueness_example,
+    sample_brio_many,
     solve_brio,
 )
 from briodelta.errors import PreconditionError
@@ -30,6 +32,7 @@ from briodelta.riemann import build_fan
 from briodelta.verify import (
     FvGrid,
     TestFunction,
+    _canary_flip_solution,
     compare_fan_fv,
     flip_pair_alternatives,
     fv_solve_trans,
@@ -42,7 +45,7 @@ from briodelta.verify import (
 )
 from briodelta.wave_curves import forward_curve_1, shock_q_1, shock_q_2
 
-from conftest import max_residual
+from conftest import data_scale, max_residual
 
 EXPECTED_CHECKS = {
     "critical_curve_invariance",
@@ -289,3 +292,148 @@ def test_property_suite_arclength_flags_weak_checks():
     assert "nonuniqueness_fixture" in passed
     assert "canary_sw1_sign" in passed
     assert "canary_flip_speed" in passed
+
+
+def _panel_reference(sol, phis, *, nodes=32, arclength=False):
+    """The weak residual as one NumPy round per time panel and bump.
+
+    An independent evaluation of the same quadrature: the same nodes,
+    panels and x-pieces, with every point sampled through sample_brio_many
+    and the bump derivatives taken from TestFunction.
+    """
+    gx, gw = np.polynomial.legendre.leggauss(nodes)
+    rays = sorted({b for seg in sol.segments for b in (seg.xi_lo, seg.xi_hi)
+                   if math.isfinite(b)})
+
+    def panels(speeds, xlo, xhi, t_lo, t_hi):
+        cuts = sorted([t_lo, t_hi] + [e / c for c in speeds if c != 0.0
+                                      for e in (xlo, xhi)
+                                      if t_lo < e / c < t_hi])
+        breaks = []
+        for x in cuts:
+            if not breaks or x - breaks[-1] > 1e-13 * (1.0 + t_hi):
+                breaks.append(x)
+        for ta, tb in zip(breaks[:-1], breaks[1:]):
+            if tb - ta > 1e-13 * (1.0 + tb):
+                tmid = 0.5 * (ta + tb)
+                yield tmid, tmid + 0.5 * (tb - ta) * gx, 0.5 * (tb - ta) * gw
+
+    results = []
+    for phi in phis:
+        x0, t0 = phi.center
+        wx, wt = phi.halfwidths
+        xlo, xhi = x0 - wx, x0 + wx
+        t_lo, t_hi = max(0.0, t0 - wt), t0 + wt
+        parts_u, parts_v = [], []
+        if t_hi > t_lo:
+            for tmid, tn, tw in panels(rays, xlo, xhi, t_lo, t_hi):
+                inside = [c for c in rays if xlo < c * tmid < xhi]
+                xbreaks = np.column_stack(
+                    [np.full(nodes, xlo), np.clip(np.outer(tn, inside), xlo, xhi),
+                     np.full(nodes, xhi)])
+                half = 0.5 * np.diff(xbreaks, axis=1)
+                mid = 0.5 * (xbreaks[:, :-1] + xbreaks[:, 1:])
+                X = mid[:, :, None] + half[:, :, None] * gx
+                WX = half[:, :, None] * gw
+                TT = np.broadcast_to(tn[:, None, None], X.shape)
+                u, v = (a.reshape(X.shape)
+                        for a in sample_brio_many(sol, (X / TT).ravel()))
+                pt, px = phi.dt(X, TT), phi.dx(X, TT)
+                parts_u.append(float(np.einsum(
+                    "i,ijk->", tw, WX * (u * pt + sol.flux.f(u, v) * px))))
+                parts_v.append(float(np.einsum(
+                    "i,ijk->", tw, WX * (v * pt + sol.flux.g(u, v) * px))))
+            for s in sol.singular:
+                c = s.speed
+                weight = math.sqrt(1.0 + c * c) if arclength else 1.0
+                for _, tn, tw in panels((c,), xlo, xhi, t_lo, t_hi):
+                    vals = (s.rate * tn + s.constant) * (
+                        phi.dt(c * tn, tn) + c * phi.dx(c * tn, tn))
+                    (parts_u if s.component == "u" else parts_v).append(
+                        float(np.dot(tw, vals)) * weight)
+        if t0 - wt < 0.0:
+            xcuts = [xlo, 0.0, xhi] if xlo < 0.0 < xhi else [xlo, xhi]
+            for xa, xb in zip(xcuts[:-1], xcuts[1:]):
+                xn = 0.5 * (xa + xb) + 0.5 * (xb - xa) * gx
+                xw = 0.5 * (xb - xa) * gw
+                state = sol.initial.left if 0.5 * (xa + xb) < 0.0 \
+                    else sol.initial.right
+                pv = phi.value(xn, 0.0)
+                parts_u.append(float(np.dot(xw, state.u * pv)))
+                parts_v.append(float(np.dot(xw, state.v * pv)))
+        results.append((abs(math.fsum(parts_u)), abs(math.fsum(parts_v))))
+    return results
+
+
+def _assert_matches_reference(sol, phis, scale, **kw):
+    got = weak_residual(sol, phis, **kw)
+    ref = _panel_reference(sol, phis, **kw)
+    assert len(got) == len(ref)
+    for (ru, rv), (qu, qv) in zip(got, ref):
+        assert abs(ru - qu) <= 1e-13 * scale, (kw, ru, qu)
+        assert abs(rv - qv) <= 1e-13 * scale, (kw, rv, qv)
+
+
+def _raw_v_data(rng, n):
+    """Raw data, u in [-2, 3] and 0.25 <= |v| <= 3 on both sides."""
+    u = rng.uniform(-2.0, 3.0, size=(n, 2))
+    v = rng.uniform(0.25, 3.0, size=(n, 2)) * rng.choice((-1.0, 1.0), size=(n, 2))
+    return [RiemannData(BrioState(float(a), float(b)), BrioState(float(c), float(d)))
+            for (a, c), (b, d) in zip(u, v)]
+
+
+def test_batched_weak_residual_matches_panel_reference(rng, fixture_pair):
+    sols = []
+    for region in ("I", "II", "III", "IV"):
+        for sign_case in ("same", "flip"):
+            data = random_brio_data(rng, region, sign_case)
+            sols.append((solve_brio(data), data_scale(data)))
+    # The finest rules on fewer fans: each region once at 64 nodes, one
+    # two-shock fan with a flip at 128.
+    subsets = {64: sols[::2], 128: sols[-1:]}
+    for nodes in (4, 8, 16, 32, 64, 128):
+        for sol, scale in subsets.get(nodes, sols):
+            _assert_matches_reference(sol, solution_battery(sol), scale,
+                                      nodes=nodes)
+    for sol, scale in sols:
+        _assert_matches_reference(sol, solution_battery(sol), scale,
+                                  arclength=True)
+
+    left, right = fixture_pair
+    data = RiemannData(project(left, 1.0), project(right, 1.0))
+    for alt in flip_pair_alternatives(solve_brio(data), 3, rng):
+        _assert_matches_reference(alt, solution_battery(alt), data_scale(data))
+
+    fix = nonuniqueness_example(1.0, -1.0, 1.0)
+    battery = test_function_battery([-1.0, 1.0], 1.0)
+    for arclength in (False, True):
+        _assert_matches_reference(fix, battery, 1.0, arclength=arclength)
+
+    data, canary = _canary_flip_solution()
+    _assert_matches_reference(canary, solution_battery(canary), data_scale(data))
+
+    # Exponents mixed within one battery.
+    sol, scale = sols[0]
+    mixed = [TestFunction(phi.center, phi.halfwidths, 3 + i % 4)
+             for i, phi in enumerate(solution_battery(sol))]
+    for nodes in (8, 32):
+        _assert_matches_reference(sol, mixed, scale, nodes=nodes)
+
+    # Raw draws at 8 nodes: a fifth of each battery per draw, every bump
+    # position covered once in five draws.
+    for i, data in enumerate(_raw_v_data(np.random.default_rng(808), 200)):
+        sol = solve_brio(data)
+        _assert_matches_reference(sol, solution_battery(sol)[i % 5::5],
+                                  data_scale(data), nodes=8)
+
+
+def test_weak_residual_bumps_are_independent(rng):
+    for region in ("I", "IV"):
+        sol = solve_brio(random_brio_data(rng, region, "flip"))
+        battery = solution_battery(sol)
+        battery[3] = TestFunction(battery[3].center, battery[3].halfwidths, 4)
+        for nodes in (8, 32, 128):
+            full = weak_residual(sol, battery, nodes=nodes)
+            for phi, entry in zip(battery, full):
+                assert weak_residual(sol, [phi], nodes=nodes) == [entry]
+    assert weak_residual(sol, []) == []
