@@ -161,9 +161,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     kwargs = {"flip_speed": args.flip_speed or "rh"}
     if args.tol_root is not None:
         kwargs["tol_root"] = _require_positive("tol_root", args.tol_root)
-    if args.tol_ode is not None:
-        print("warning: tol_ode is ignored: rarefaction curves are evaluated "
-              "in closed form", file=sys.stderr)
     sol = solve_brio(data, **kwargs)
     doc = solution_to_dict(sol)
     path = os.path.join(_out_dir(args), "solution.json")
@@ -299,8 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flip-speed", dest="flip_speed",
                    choices=("rh", "paper"))
     p.add_argument("--tol-root", dest="tol_root", type=float)
-    p.add_argument("--tol-ode", dest="tol_ode", type=float,
-                   help="accepted and ignored (no ODE is integrated)")
     _add_common(p, _cmd_solve)
 
     p = sub.add_parser("curves", help="tabulate wave curves from a base state")

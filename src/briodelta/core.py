@@ -12,6 +12,9 @@ q = (u^2 + v^2)/2 gives the transformed system
     q_t + G(u, q)_x = 0,      G(u, q) = (2u - 1) q + u^2/2 - 2 u^3/3,
 
 strictly hyperbolic and genuinely nonlinear on the half space q > u^2/2.
+Every closed form needs the distance to the edge of that half space, the
+slack sigma = q - u^2/2 = v^2/2.  TransState.slack is its one definition,
+clamped at zero; TransState's own domain check keeps the signed difference.
 This module holds the two state types, the flux functions, the eigenvalue
 and eigenvector formulas of both systems, and the elementary jump speeds.
 Everything here is closed-form; the wave curves live in wave_curves.
@@ -67,6 +70,11 @@ class TransState:
                 f"curve q = u^2/2 by {-slack:.3e}"
             )
 
+    @property
+    def slack(self) -> float:
+        """sigma = q - u^2/2 >= 0; rounding-size negative differences read as zero."""
+        return max(self.q - 0.5 * self.u * self.u, 0.0)
+
 
 @dataclass(frozen=True)
 class RiemannData:
@@ -104,17 +112,14 @@ def lift(state: BrioState) -> TransState:
 
 
 def project(state: TransState, sign: float) -> BrioState:
-    """Map (u, q) back to (u, |v|*sign); sign must be +-1.
+    """Map (u, q) back to (u, sign*sqrt(2 slack)); sign must be +-1.
 
-    The radicand 2q - u^2 is clamped to zero inside the domain tolerance so
-    states numerically on the critical curve project to v = 0 exactly.
+    States numerically on the critical curve have zero slack and project
+    to v = 0 exactly.
     """
     if sign not in (-1, 1, -1.0, 1.0):
         raise ValueError(f"sign must be +-1, got {sign!r}")
-    rad = 2.0 * state.q - state.u * state.u
-    if rad < -2.0 * TOL_DOMAIN * (1.0 + state.u * state.u):
-        raise DomainError(f"cannot project {state}: 2q - u^2 = {rad:.3e} < 0")
-    return BrioState(state.u, sign * math.sqrt(max(rad, 0.0)))
+    return BrioState(state.u, sign * math.sqrt(2.0 * state.slack))
 
 
 def brio_flux(state: BrioState) -> tuple[float, float]:
@@ -181,9 +186,6 @@ def eigen_trans(state: TransState) -> TransEigen:
     each eigenvector equals its eigenvalue, which is what makes rarefaction
     curves integrable as dq/du = lambda(u, q).
     """
-    disc = discriminant(state.u, state.q)
-    if disc < -8.0 * TOL_DOMAIN * (1.0 + state.u * state.u):
-        raise DomainError(f"state {state}: negative discriminant {disc:.3e}")
     lam1, lam2 = trans_lambdas(state.u, state.q)
     lam1, lam2 = float(lam1), float(lam2)
     return TransEigen(lam1, lam2, (1.0, lam1), (1.0, lam2))
@@ -192,14 +194,10 @@ def eigen_trans(state: TransState) -> TransEigen:
 def genuine_nonlinearity(state: TransState) -> tuple[float, float]:
     """Directional derivatives grad(lambda) . r for both families.
 
-    Equal to 2 +- 1/sqrt(disc); on q > u^2/2 both lie in (1, 3], reaching
-    (3, 1) exactly on the critical curve.  Raises DomainError when the
-    discriminant is not positive.
+    Equal to 2 +- 1/sqrt(disc) with disc = 8 slack + 1 >= 1; on q > u^2/2
+    both lie in (1, 3], reaching (3, 1) exactly on the critical curve.
     """
-    disc = discriminant(state.u, state.q)
-    if disc <= 0.0:
-        raise DomainError(f"state {state}: discriminant {disc:.3e} <= 0")
-    root = math.sqrt(disc)
+    root = math.sqrt(8.0 * state.slack + 1.0)
     return 2.0 + 1.0 / root, 2.0 - 1.0 / root
 
 

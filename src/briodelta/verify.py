@@ -516,17 +516,13 @@ def random_trans_pair(rng, region: str):
             if region == "I":
                 um = _rw1_target(left, rng)
                 mid = TransState(um, float(forward_curve_1(left).q(um)))
-                c2 = integrate_rarefaction(2, mid, mid.u + float(
-                    rng.uniform(0.1, 1.2)))
-                ur = c2.u_end
-                right = TransState(ur, float(c2.q_at(ur)))
+                ur = mid.u + float(rng.uniform(0.1, 1.2))
+                right = TransState(ur, integrate_rarefaction(2, mid, ur).q_at(ur))
             elif region == "II":
                 um = left.u - float(rng.uniform(0.1, 1.2))
                 mid = TransState(um, shock_q_1(left, um))
-                c2 = integrate_rarefaction(2, mid, mid.u + float(
-                    rng.uniform(0.1, 1.2)))
-                ur = c2.u_end
-                right = TransState(ur, float(c2.q_at(ur)))
+                ur = mid.u + float(rng.uniform(0.1, 1.2))
+                right = TransState(ur, integrate_rarefaction(2, mid, ur).q_at(ur))
             elif region == "III":
                 um = _rw1_target(left, rng)
                 mid = TransState(um, float(forward_curve_1(left).q(um)))
@@ -541,9 +537,7 @@ def random_trans_pair(rng, region: str):
                 raise ValueError(f"unknown region {region!r}")
         except BrioError:
             continue
-        if right.q - 0.5 * right.u ** 2 < 1e-3:
-            continue
-        if mid.q - 0.5 * mid.u ** 2 < 1e-6:
+        if right.slack < 1e-3 or mid.slack < 1e-6:
             continue
         return left, right, mid
     raise PreconditionError(f"could not generate region-{region} data")

@@ -7,7 +7,10 @@ Each locus is written speed-first: the shock speed c at velocity u is a
 closed form (u - 1/2 -+ sqrt(radicand)), and q = q_base + (u - u_base) c.
 So the energy on a locus, the tabulated speed and the fan's shock speed
 (shock_speed) are one formula, and no speed is taken as [q]/[u], which
-cancels on a weak shock.
+cancels on a weak shock.  Both radicands are written in the base's slack
+sigma = q - u^2/2 (TransState.slack) and its velocity gap, as sums with
+positive lower bounds (1/16 and 1/4 above the slack terms), so no O(u^2)
+terms cancel at large |u| and the square root is always real.
 
 Rarefaction curves solve dq/du = lambda_{-,+}(u, q), the eigenvector of
 each family being (1, lambda).  Along them w = 8q - 4u^2 + 1 obeys
@@ -35,30 +38,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import lambertw, wrightomega
 
-from .core import TOL_DOMAIN, TOL_ZERO, TransState
+from .core import TOL_ZERO, TransState
 from .errors import DomainError, PreconditionError
 
 _LN2 = math.log(2.0)
 
 
 def shock_radicand(base: TransState, u: float) -> float:
-    """Discriminant-quarter of the shock-locus quadratic at downstream velocity u."""
-    a = base.u
-    return 2.0 * base.q + 0.25 + 0.5 * (a - u) - (2.0 * a * a + 2.0 * a * u - u * u) / 3.0
+    """Discriminant-quarter of the shock-locus quadratic at downstream velocity u.
 
-
-def _root_of(rad, u, what: str, base: TransState):
-    """sqrt(rad) of a scalar or an array, with rounding-size negative radicands read as zero."""
-    if isinstance(rad, np.ndarray):
-        bad = rad < -TOL_DOMAIN * (1.0 + u * u)
-        if not bad.any():
-            return np.sqrt(np.maximum(rad, 0.0))
-        i = int(np.argmax(bad))  # report the first offending element below
-        rad, u = float(rad[i]), float(u[i])
-    if rad < -TOL_DOMAIN * (1.0 + u * u):
-        raise DomainError(
-            f"{what} from {base} leaves the real branch at u={u!r} (radicand {rad:.3e})")
-    return math.sqrt(max(rad, 0.0))
+    With d = base.u - u it is 2 slack + 1/4 + d/2 + d^2/3 >= 2 slack + 1/16.
+    """
+    d = base.u - u
+    return 2.0 * base.slack + 0.25 + 0.5 * d + d * d / 3.0
 
 
 def _locus(sign, base: TransState, u):
@@ -71,11 +63,11 @@ def _locus(sign, base: TransState, u):
     c = u - 1/2 + sqrt(inverse_radicand)/2.  At u = base.u, c is the
     family's characteristic speed.
     """
+    sqrt = np.sqrt if isinstance(u, np.ndarray) else math.sqrt  # scalars stay floats
     if sign is None:
-        root = _root_of(inverse_radicand(base, u), u, "inverse family-2 locus", base)
-        c = u - 0.5 + 0.5 * root
+        c = u - 0.5 + 0.5 * sqrt(inverse_radicand(base, u))
     else:
-        c = u - 0.5 - sign * _root_of(shock_radicand(base, u), u, "shock locus", base)
+        c = u - 0.5 - sign * sqrt(shock_radicand(base, u))
     return base.q + (u - base.u) * c, c
 
 
@@ -103,9 +95,12 @@ def shock_q_2(base: TransState, u: float) -> float:
 
 
 def inverse_radicand(base_right: TransState, u: float) -> float:
-    """Radicand of the inverse family-2 locus (left states reaching base_right)."""
-    b, qb = base_right.u, base_right.q
-    return 8.0 * qb + 1.0 + (4.0 * u * u - 8.0 * u * b - 8.0 * b * b) / 3.0 - 2.0 * u + 2.0 * b
+    """Radicand of the inverse family-2 locus (left states reaching base_right).
+
+    With e = u - base_right.u it is 8 slack + 1 - 2e + 4e^2/3 >= 8 slack + 1/4.
+    """
+    e = u - base_right.u
+    return 8.0 * base_right.slack + 1.0 - 2.0 * e + 4.0 * e * e / 3.0
 
 
 def inverse_shock_q_2(base_right: TransState, u: float) -> float:
@@ -135,16 +130,15 @@ def shock_speed(family: int, left: TransState, right: TransState) -> float:
 class IntegralCurve:
     """Rarefaction curve of one family through a base state, in closed form.
 
-    C is the curve constant (+inf for the family-2 curve along q = u^2/2),
-    u_end the velocity the rarefaction runs to, u_star the critical-curve
-    crossing (+inf for family 2).  The evaluators take a scalar or an
-    array; past u_star a family-1 curve continues along q = u^2/2.
+    C is the curve constant (+inf for the family-2 curve along q = u^2/2)
+    and u_star the critical-curve crossing (+inf for family 2).  The
+    evaluators take a scalar or an array; past u_star a family-1 curve
+    continues along q = u^2/2.
     """
 
     family: int
     base: TransState
     C: float
-    u_end: float
     u_star: float
 
     def _offset(self, u):
@@ -211,14 +205,14 @@ def _root_z_minus_ln_z(L, z_min: float):
     return np.maximum(z, z_min)
 
 
-def _rarefaction_curve(family: int, base: TransState, u_end: float) -> IntegralCurve:
-    e = max(8.0 * (base.q - 0.5 * base.u * base.u), 0.0)  # w - 1 at the base
+def _rarefaction_curve(family: int, base: TransState) -> IntegralCurve:
+    e = 8.0 * base.slack  # w - 1 at the base
     y = e / (1.0 + math.sqrt(1.0 + e))  # s - 1, without cancellation
     if family == 2:
         C = math.inf if y == 0.0 else base.u - 0.5 * (1.0 + y + math.log(y))
-        return IntegralCurve(2, base, C, u_end, math.inf)
+        return IntegralCurve(2, base, C, math.inf)
     C = base.u + 0.5 * (1.0 + y - math.log(2.0 + y))
-    return IntegralCurve(1, base, C, u_end, base.u + 0.5 * (y - math.log1p(0.5 * y)))
+    return IntegralCurve(1, base, C, base.u + 0.5 * (y - math.log1p(0.5 * y)))
 
 
 def integrate_rarefaction(family: int, base: TransState, u_target: float) -> IntegralCurve:
@@ -236,7 +230,7 @@ def integrate_rarefaction(family: int, base: TransState, u_target: float) -> Int
     if family == 1 and u_target < base.u - TOL_ZERO:
         raise PreconditionError(f"family-1 rarefactions run forward only "
                                 f"(u_target {u_target!r} < base.u {base.u!r})")
-    curve = _rarefaction_curve(family, base, u_target)
+    curve = _rarefaction_curve(family, base)
     if abs(u_target - base.u) > TOL_ZERO and u_target > curve.u_star:
         raise DomainError(f"family-1 rarefaction from {base} meets the critical curve "
                           f"at u={curve.u_star!r} before reaching u_target={u_target!r}")
@@ -254,7 +248,7 @@ class Forward1Curve:
 
     def __init__(self, left: TransState):
         self.left = left
-        self._rw = _rarefaction_curve(1, left, math.inf)
+        self._rw = _rarefaction_curve(1, left)
         self.u_star = self._rw.u_star
 
     def q(self, u: float) -> float:
@@ -275,7 +269,7 @@ class Backward2Curve:
 
     def __init__(self, right: TransState):
         self.right = right
-        self._rw = _rarefaction_curve(2, right, -math.inf)
+        self._rw = _rarefaction_curve(2, right)
 
     def q(self, u: float) -> float:
         """Energy at velocity u."""
@@ -330,7 +324,7 @@ def tabulate_curve(kind: str, base: TransState, us) -> np.ndarray:
                         else np.minimum(us, base.u))
         return np.column_stack([us, q, lam])
 
-    curve = _rarefaction_curve(1 if kind == "rw1" else 2, base, float(us[-1]))
+    curve = _rarefaction_curve(1 if kind == "rw1" else 2, base)
     # rw1 rows end where the curve meets the critical curve.
     beyond = us > curve.u_star
     if beyond.any():

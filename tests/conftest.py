@@ -61,10 +61,6 @@ def is_sorted(xs) -> bool:
     return all(a <= b for a, b in zip(xs, xs[1:]))
 
 
-def critical_slack(t: TransState) -> float:
-    return t.q - 0.5 * t.u * t.u
-
-
 def finite(x: float) -> bool:
     return math.isfinite(x)
 

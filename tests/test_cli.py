@@ -204,6 +204,11 @@ def test_unknown_flag_exits_1(tmp_path, capsys):
     code, _, _ = _run(capsys, "solve", "--left", "1,1", "--right", "0,0",
                       "--frobnicate", "--out", str(tmp_path))
     assert code == 1
+    # No ODE is integrated, so there is no --tol-ode.
+    code, _, _ = _run(capsys, "solve", "--left", "1,1", "--right", "0,0",
+                      "--tol-ode", "1e-6", "--out", str(tmp_path))
+    assert code == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reruns_are_byte_identical(tmp_path, capsys):
@@ -232,24 +237,6 @@ def test_default_out_is_working_directory(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert (tmp_path / "sw2.csv").exists()
     assert (tmp_path / "rw2.csv").exists()
-
-
-def test_tol_ode_is_an_accepted_no_op(tmp_path, capsys):
-    base = ("solve", "--left", "1,3", "--right", "0.7,-3.3")
-    plain, flagged, configured = (tmp_path / d for d in ("a", "b", "c"))
-    code, _, err = _run(capsys, *base, "--out", str(plain))
-    assert code == 0 and err == ""
-    code, _, err = _run(capsys, *base, "--tol-ode", "1e-6", "--out", str(flagged))
-    assert code == 0
-    assert err.count("warning") == 1 and "tol_ode is ignored" in err
-    cfg = tmp_path / "job.json"
-    cfg.write_text(json.dumps({"tol_ode": 1e-6}))
-    code, _, err = _run(capsys, *base, "--config", str(cfg), "--out", str(configured))
-    assert code == 0
-    assert err.count("warning") == 1 and "tol_ode is ignored" in err
-    first = (plain / "solution.json").read_bytes()
-    assert (flagged / "solution.json").read_bytes() == first
-    assert (configured / "solution.json").read_bytes() == first
 
 
 def test_negative_first_component_in_space_form(tmp_path, capsys):
@@ -343,6 +330,7 @@ def test_config_value_matches_its_flag(tmp_path, capsys, base, flags, cfg):
     (("verify", "--seed", "0"), {"arclength": "false"}),
     (("solve",) + _DATA, {"flip_speed": "sideways"}),
     (("solve",) + _DATA, {"out": {"dir": "x"}}),
+    (("solve",) + _DATA, {"tol_ode": 1e-6}),
 ])
 def test_bad_config_values_exit_1(tmp_path, capsys, argv, cfg):
     job = tmp_path / "job.json"
@@ -358,7 +346,7 @@ def test_bad_config_values_exit_1(tmp_path, capsys, argv, cfg):
 
 
 _CONFIG_KEYS = {
-    "solve": {"left", "right", "flip_speed", "tol_root", "tol_ode", "out"},
+    "solve": {"left", "right", "flip_speed", "tol_root", "out"},
     "curves": {"base", "family", "span", "samples", "out"},
     "sample": {"left", "right", "flip_speed", "time", "x_min", "x_max",
                "nx", "out"},

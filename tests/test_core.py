@@ -64,7 +64,15 @@ def test_trans_state_domain_guard():
     # is tolerated (states produced by the ODE integrator sit there).
     with pytest.raises(DomainError):
         TransState(2.0, 1.9)
-    TransState(2.0, 2.0 - 1e-14)
+    t = TransState(2.0, 2.0 - 1e-14)
+    # Its slack reads as zero: it projects to v = 0 and has the
+    # critical-curve genuine nonlinearity.
+    assert t.slack == 0.0
+    assert project(t, 1.0).v == 0.0 and project(t, -1.0).v == 0.0
+    assert genuine_nonlinearity(t) == (3.0, 1.0)
+    # Above the curve the slack is the difference itself, bit for bit.
+    for u, q in ((2.0, 2.5), (-3.7, 7.3), (1e8, 5e15 + 1.0), (1e-20, 1e-30)):
+        assert TransState(u, q).slack == q - 0.5 * u * u
 
 
 def test_transformed_flux_values():

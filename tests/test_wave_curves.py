@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from briodelta.core import TOL_ZERO, TransState, family_lambda
+from briodelta.core import TOL_ZERO, BrioState, TransState, family_lambda, lift
 from briodelta.errors import DomainError, PreconditionError
 from briodelta.wave_curves import (
     Backward2Curve,
@@ -87,6 +87,29 @@ def test_shock_radicand_positive_leftward(rng):
         assert shock_radicand(base, u) >= at_base - 1e-12
 
 
+def test_radicands_bounded_below_in_slack():
+    # Written in the slack sigma = q - u^2/2 both radicands are sums with
+    # positive lower bounds, 2 sigma + 1/16 and 8 sigma + 1/4, at any |u|;
+    # formed from q instead, their O(u^2) terms cancel.
+    rng = np.random.default_rng(4101)
+    for _ in range(2000):
+        u = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(0.0, 8.0))
+        v = 0.0 if rng.uniform() < 0.3 else float(10.0 ** rng.uniform(-4.0, 2.0))
+        base = lift(BrioState(u, v))
+        d = float(10.0 ** rng.uniform(-6.0, 2.0))
+        assert shock_radicand(base, base.u - d) >= 2.0 * base.slack + 1.0 / 16.0, (base, d)
+        assert inverse_radicand(base, base.u + d) >= 8.0 * base.slack + 0.25, (base, d)
+    # The lifted datum (1e8, 0), where the q-form radicand cancels to 0.0
+    # and the family-1 shock speed at d = 1e-3 comes out half a unit off.
+    left = TransState(1e8, 5e15)
+    u = left.u - 1e-3
+    c = shock_speed(1, left, TransState(u, 0.5 * u * u))
+    with mp.workdps(50):
+        d = mp.mpf(left.u) - mp.mpf(u)
+        ref = mp.mpf(u) - mp.mpf(0.5) - mp.sqrt(mp.mpf(0.25) + d / 2 + d * d / 3)
+        assert abs(c - ref) <= 1e-12 * (1.0 + abs(c)), (c, ref)
+
+
 def test_shock_loci_reject_wrong_side(base_left):
     with pytest.raises(PreconditionError):
         shock_q_1(base_left, base_left.u + 0.1)
@@ -160,7 +183,6 @@ def test_critical_curve_is_family_2_integral_curve():
 
 def test_rarefaction_zero_length(base_left):
     crv = integrate_rarefaction(1, base_left, base_left.u)
-    assert crv.u_end == base_left.u
     assert crv.q_at(base_left.u) == base_left.q
     us = np.full(5, base_left.u)
     assert np.all(crv.q_at(us) == base_left.q)
