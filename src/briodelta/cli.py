@@ -6,6 +6,8 @@ on an x-grid at fixed time, plus a sidecar listing the Dirac carriers),
 verify (property suite report), fv-compare (finite-volume refinement
 table).  Outputs land in --out, the BRIODELTA_OUT directory, or the
 working directory, with fixed file names so reruns are byte-identical.
+solution.json and report.json are checked against their packaged schemas
+before they are written.
 
 --config FILE holds a JSON object keyed by option (x_min for --x-min) whose
 values win over flags, with a warning.  Each value is read by its option's
@@ -13,8 +15,8 @@ type and choices: a string as written, a number as its text, a list joined by
 commas (--left, --right, --base, --ladder), true/false for --arclength only,
 null as not given.
 
-Exit codes: 0 success, 1 bad input or a solver error (machine-readable
-JSON on stderr), 2 verification failure.
+Exit codes: 0 success, 1 bad input, usage errors included, or a solver
+error (one machine-readable JSON line on stderr), 2 verification failure.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .core import BrioState, RiemannData, TransState, lift
 from .delta import sample_brio_many, solution_to_dict, solve_brio
 from .errors import BrioError, PreconditionError
 from .riemann import build_fan
+from .schema_check import compile_schema
 from .verify import FvGrid, compare_fan_fv, property_suite
 from .wave_curves import DESCENDING_KINDS, tabulate_curve
 
@@ -78,6 +81,12 @@ def _validator(name: str):
     cls = validator_for(schema)
     cls.check_schema(schema)
     return cls(schema)
+
+
+@functools.cache
+def _check(name: str):
+    """Compiled accept check of one packaged schema, built once per process."""
+    return compile_schema(_validator(name).schema)
 
 
 def _config_value(action: argparse.Action, value):
@@ -133,11 +142,21 @@ def _out_dir(args: argparse.Namespace) -> str:
     return out
 
 
-def _write_json(path: str, doc: dict, schema_name: str) -> None:
-    _validator(schema_name).validate(doc)
+def _dump_json(path: str, doc: dict) -> None:
+    text = json.dumps(doc, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+        f.write(text)
+
+
+def _write_json(path: str, doc: dict, schema_name: str) -> None:
+    """Write doc after checking it against its packaged schema.
+
+    The compiled check accepts; a document it rejects goes to jsonschema,
+    which raises ValidationError with its own message, and nothing is written.
+    """
+    if not _check(schema_name)(doc):
+        _validator(schema_name).validate(doc)
+    _dump_json(path, doc)
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -228,9 +247,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         ],
     }
     side_path = os.path.join(out, "singular.json")
-    with open(side_path, "w", encoding="utf-8") as f:
-        json.dump(sidecar, f, indent=2)
-        f.write("\n")
+    _dump_json(side_path, sidecar)
     print(csv_path)
     print(side_path)
     return 0
@@ -284,8 +301,15 @@ def _add_data_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--right", help="right state as u,v")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parser whose usage errors raise, so main reports them as JSON on stderr."""
+
+    def error(self, message):
+        raise PreconditionError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="briodelta",
         description="Exact delta-shock Riemann solver for a 2x2 model system",
     )
@@ -369,11 +393,10 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _PARSER.parse_args(_attach_values(argv))
-    except SystemExit as e:
-        return 0 if e.code in (0, None) else 1
-    try:
         _apply_config(args)
         return args.handler(args)
+    except SystemExit as e:  # --help
+        return 0 if e.code in (0, None) else 1
     except (BrioError, ValueError, OSError) as e:
         print(json.dumps({"error": type(e).__name__, "message": str(e)}),
               file=sys.stderr)

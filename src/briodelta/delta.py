@@ -200,17 +200,21 @@ def solve_brio(data: RiemannData, *, flip_speed="rh",
     if wave2 is not None:
         events.append(("wave", wave2))
 
+    # The data are the regular state left of the first event and right of
+    # the last one: projecting their lifts would round v^2 into q first.
     segments: list = []
     singular: list[DeltaSingularity] = []
     cursor = -math.inf
     state_t = fan.left
+    state = data.left
     sign = s_left
 
     def emit_constant(hi: float) -> None:
         if hi > cursor:
-            segments.append(ConstantSegment(cursor, hi, project(state_t, sign)))
+            segments.append(ConstantSegment(cursor, hi, state))
 
-    for ev in events:
+    for i, ev in enumerate(events):
+        last = i == len(events) - 1
         if ev[0] == "wave":
             w = ev[1]
             if w.speed_lo < cursor - TOL_ORDER * (1.0 + abs(w.speed_lo)):
@@ -218,8 +222,8 @@ def solve_brio(data: RiemannData, *, flip_speed="rh",
                     f"wave at speed {w.speed_lo!r} overlaps the structure at {cursor!r}"
                 )
             emit_constant(w.speed_lo)
-            lb = project(w.left, sign)
-            rb = project(w.right, sign)
+            lb = data.left if i == 0 else project(w.left, sign)
+            rb = data.right if last else project(w.right, sign)
             if w.kind == "shock":
                 c = w.speed_lo
                 singular.append(
@@ -233,6 +237,7 @@ def solve_brio(data: RiemannData, *, flip_speed="rh",
                 )
                 cursor = w.speed_hi
             state_t = w.right
+            state = rb
         else:
             xi = ev[1]
             if xi < cursor - TOL_ORDER * (1.0 + abs(xi)):
@@ -242,6 +247,7 @@ def solve_brio(data: RiemannData, *, flip_speed="rh",
             emit_constant(xi)
             cursor = xi
             sign = -sign
+            state = data.right if last else project(state_t, sign)
     emit_constant(math.inf)
 
     return DeltaSolution(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import importlib.resources
 import json
+import re
 from pathlib import Path
 
 import jsonschema
@@ -27,9 +28,17 @@ def _read_csv(path: Path) -> list[dict]:
         return list(csv.DictReader(f))
 
 
+_SCHEMAS = {"solution.json": "solution.schema.json", "report.json": "report.schema.json"}
+
+
 def _run(capsys, *argv: str) -> tuple[int, str, str]:
+    """Run the CLI; on exit 0, check each document it printed against its schema."""
     code = main(list(argv))
     captured = capsys.readouterr()
+    if code == 0:
+        for path in map(Path, re.findall(r"[^\s()]+\.json", captured.out)):
+            if path.name in _SCHEMAS:
+                jsonschema.validate(json.loads(path.read_text()), _schema(_SCHEMAS[path.name]))
     return code, captured.out, captured.err
 
 
@@ -41,7 +50,6 @@ def test_solve_writes_schema_valid_solution(tmp_path, capsys):
     path = tmp_path / "solution.json"
     assert out.strip() == str(path)
     doc = json.loads(path.read_text())
-    jsonschema.validate(doc, _schema("solution.schema.json"))
     assert doc["options"]["flip_speed"] == "rh"
     assert len(doc["singular"]) >= 1
 
@@ -131,7 +139,6 @@ def test_verify_seed_42_passes(tmp_path, capsys):
     assert code == 0
     assert "17/17 checks passed" in out
     report = json.loads((tmp_path / "report.json").read_text())
-    jsonschema.validate(report, _schema("report.schema.json"))
     assert report["seed"] == 42
 
 
@@ -191,24 +198,22 @@ def test_bad_inputs_exit_1(tmp_path, capsys):
         ("sample", "--left", "1,3", "--right", "0.7,3.3", "--x-max", "inf"),
         ("fv-compare", "--left", "1,3", "--right", "0.7,3.3", "--x-max",
          "inf", "--ladder", "64"),
+        # Usage errors: unknown options (no ODE is integrated, so there is
+        # no --tol-ode) and a bad choice.
+        ("solve", "--left", "1,1", "--right", "0,0", "--frobnicate"),
+        ("solve", "--left", "1,1", "--right", "0,0", "--tol-ode", "1e-6"),
+        ("solve", "--left", "1,1", "--right", "0,0", "--flip-speed", "sideways"),
     ]
     for argv in cases:
-        code, _, err = _run(capsys, *argv, "--out", str(tmp_path))
+        code, out, err = _run(capsys, *argv, "--out", str(tmp_path))
         assert code == 1, argv
+        assert out == ""
         msg = json.loads(err)
         assert set(msg) == {"error", "message"}
     assert list(tmp_path.iterdir()) == []
-
-
-def test_unknown_flag_exits_1(tmp_path, capsys):
-    code, _, _ = _run(capsys, "solve", "--left", "1,1", "--right", "0,0",
-                      "--frobnicate", "--out", str(tmp_path))
-    assert code == 1
-    # No ODE is integrated, so there is no --tol-ode.
-    code, _, _ = _run(capsys, "solve", "--left", "1,1", "--right", "0,0",
-                      "--tol-ode", "1e-6", "--out", str(tmp_path))
-    assert code == 1
-    assert list(tmp_path.iterdir()) == []
+    # Help is not a usage error.
+    code, out, err = _run(capsys, "solve", "--help")
+    assert code == 0 and "--flip-speed" in out and err == ""
 
 
 def test_reruns_are_byte_identical(tmp_path, capsys):

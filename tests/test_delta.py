@@ -444,6 +444,19 @@ def test_raw_data_solves_and_rarefactions_reach_their_end_states():
                     assert abs(v - abs(datum.v)) <= 1e-7 * (1.0 + abs(datum.u)), (data, w)
 
 
+def test_outer_states_echo_the_data():
+    # q = (u^2 + v^2)/2 rounds a small v^2 away next to a large u^2, so a
+    # state projected from the lifted datum would not give the datum back.
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        ul, ur = rng.uniform(-100.0, 100.0, size=2)
+        vl, vr = 10.0 ** rng.uniform(-8.0, -2.0, size=2) * rng.choice((-1.0, 1.0), size=2)
+        data = _data(ul, vl, ur, vr)
+        sol = solve_brio(data)
+        assert sol.segments[0].state == data.left, data
+        assert sol.segments[-1].state == data.right, data
+
+
 def test_near_ties_keep_their_tiny_family_1_wave():
     regular = solve_brio(NEAR_TIES[0])
     assert regular.region is Region.I
