@@ -198,10 +198,7 @@ def test_bad_inputs_exit_1(tmp_path, capsys):
         ("sample", "--left", "1,3", "--right", "0.7,3.3", "--x-max", "inf"),
         ("fv-compare", "--left", "1,3", "--right", "0.7,3.3", "--x-max",
          "inf", "--ladder", "64"),
-        # Usage errors: unknown options (no ODE is integrated, so there is
-        # no --tol-ode) and a bad choice.
-        ("solve", "--left", "1,1", "--right", "0,0", "--frobnicate"),
-        ("solve", "--left", "1,1", "--right", "0,0", "--tol-ode", "1e-6"),
+        # A usage error: a bad choice.
         ("solve", "--left", "1,1", "--right", "0,0", "--flip-speed", "sideways"),
     ]
     for argv in cases:
@@ -214,6 +211,18 @@ def test_bad_inputs_exit_1(tmp_path, capsys):
     # Help is not a usage error.
     code, out, err = _run(capsys, "solve", "--help")
     assert code == 0 and "--flip-speed" in out and err == ""
+
+
+def test_unknown_flag_exits_1(tmp_path, capsys):
+    # No ODE is integrated, so there is no --tol-ode.
+    for flags in (("--frobnicate",), ("--tol-ode", "1e-6")):
+        code, out, err = _run(capsys, "solve", "--left", "1,1", "--right",
+                              "0,0", *flags, "--out", str(tmp_path))
+        assert code == 1, flags
+        assert out == ""
+        msg = json.loads(err)
+        assert set(msg) == {"error", "message"}
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reruns_are_byte_identical(tmp_path, capsys):
