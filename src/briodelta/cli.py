@@ -31,7 +31,6 @@ import os
 import sys
 
 import numpy as np
-from jsonschema.validators import validator_for
 
 from .core import BrioState, RiemannData, TransState, lift
 from .delta import sample_brio_many, solution_to_dict, solve_brio
@@ -76,17 +75,21 @@ def _schema(name: str) -> dict:
 
 @functools.cache
 def _validator(name: str):
-    """Validator of one packaged schema, built and schema-checked once per process."""
+    """jsonschema validator of one packaged schema, built once per process.
+
+    Only a document the compiled check rejects needs it, so jsonschema is
+    imported here, not with the module.
+    """
+    from jsonschema.validators import validator_for
+
     schema = _schema(name)
-    cls = validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    return validator_for(schema)(schema)
 
 
 @functools.cache
 def _check(name: str):
     """Compiled accept check of one packaged schema, built once per process."""
-    return compile_schema(_validator(name).schema)
+    return compile_schema(_schema(name))
 
 
 def _config_value(action: argparse.Action, value):

@@ -5,7 +5,8 @@ through the left state with the composite inverse family-2 curve through the
 right state.  Their difference phi(u) = f1(u) - b2(u) falls monotonically, so
 its one root is bracketed from the data: the interval between the two
 velocities, with each end whose sign is wrong pushed outward by 1, 2, 4, ...
-until phi(lo) >= 0 >= phi(hi), then polished by Brent's method.  The four
+until phi(lo) >= 0 >= phi(hi), then polished by Chandrupatla's bracketed
+method (inverse quadratic interpolation safeguarded by bisection).  The four
 sign combinations of (u_M - u_L, u_R - u_M) classify the fan into the four
 shock/rarefaction regions.  A wave exists exactly when u_M differs from the
 data velocity on its side: there is no tie tolerance, since near q = u^2/2 a
@@ -24,10 +25,10 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import (
     TOL_ZERO,
@@ -48,6 +49,14 @@ TOL_ROOT = 1e-12
 TOL_LAX = 1e-10
 # The bracket's ends move at most 2**_REACH past the starting interval.
 _REACH = 40
+# The polish stops once the bracket is narrower than _XTOL + _RTOL |u|:
+# 1e-14 plus four units of roundoff in u.  Where phi is flat to
+# rounding on one side of the root (a middle state on the critical curve)
+# it needs about 120 steps for the widest bracket, 2**41; _POLISH_STEPS
+# bounds it.
+_XTOL = 1e-14
+_RTOL = 4.0 * sys.float_info.epsilon
+_POLISH_STEPS = 200
 
 
 class Region(enum.Enum):
@@ -106,9 +115,8 @@ def solve_middle(left: TransState, right: TransState, *,
         return left
     f1 = forward_curve_1(left)
     b2 = backward_curve_2(right)
-    # brentq starts by re-evaluating both bracket ends, and the residual
-    # check below needs both curves at the root: each velocity is evaluated
-    # once.
+    # The residual check below needs both curves at the root, which the
+    # polish has evaluated: each velocity is evaluated once.
     memo: dict[float, tuple[float, float]] = {}
 
     def curves(u: float) -> tuple[float, float]:
@@ -140,7 +148,7 @@ def solve_middle(left: TransState, right: TransState, *,
             hi = hi0 + 2.0 ** k
             phi_hi = phi(hi)
         k += 1
-    u_m = float(brentq(phi, lo, hi, xtol=1e-14))
+    u_m = _polish_root(phi, lo, hi, phi_lo, phi_hi)
 
     # First-touch refinement: when the family-1 rarefaction has been
     # continued along the critical curve and the root landed on that flat
@@ -158,6 +166,50 @@ def solve_middle(left: TransState, right: TransState, *,
         )
     q_m = max(q_m, 0.5 * u_m * u_m)
     return TransState(u_m, q_m)
+
+
+def _polish_root(f, a: float, b: float, fa: float, fb: float) -> float:
+    """Root of f in the bracket [a, b], with fa = f(a) and fb = f(b) of opposite signs.
+
+    Chandrupatla's method (Adv. Eng. Software 28, 1997): each step tries
+    inverse quadratic interpolation through the bracket ends and the end
+    last dropped, when the three points make it safe, and bisects
+    otherwise; every step lands at least half the tolerance inside the
+    bracket.  It stops once the bracket is narrower than _XTOL + _RTOL |u|
+    and returns the end where |f| is smaller.  Raises BracketFailure after
+    _POLISH_STEPS steps.
+    """
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    t = 0.5
+    for _ in range(_POLISH_STEPS):
+        x = a + t * (b - a)
+        fx = f(x)
+        # Keep [a, b] a bracket with a the newest point; c is the end dropped.
+        if (fx > 0.0) == (fa > 0.0):
+            c, fc = a, fa
+        else:
+            c, fc = b, fb
+            b, fb = a, fa
+        a, fa = x, fx
+        xm, fm = (a, fa) if abs(fa) < abs(fb) else (b, fb)
+        width = abs(b - a)
+        tol = _XTOL + _RTOL * abs(xm)
+        if fm == 0.0 or width < tol:
+            return xm
+        xi = (a - b) / (c - b)
+        ph = (fa - fb) / (fc - fb)
+        if ph * ph < xi and (1.0 - ph) * (1.0 - ph) < 1.0 - xi:
+            t = (fa / (fb - fa) * fc / (fb - fc)
+                 + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
+        else:
+            t = 0.5
+        tlim = 0.5 * tol / width
+        t = min(1.0 - tlim, max(tlim, t))
+    raise BracketFailure(
+        f"middle-state polish did not converge in {_POLISH_STEPS} steps on [{a!r}, {b!r}]")
 
 
 def classify(left: TransState, right: TransState, middle: TransState) -> Region:

@@ -20,7 +20,10 @@ dw/du = 4(-+sqrt(w) - 1), so with s = sqrt(w) >= 1 and C fixed by the base
 
 Solving for s at a given u or at a given speed is a Lambert W evaluation:
 Wright omega for family 2, the W_{-1} branch for family 1 (Corless et al.,
-"On the Lambert W function", Adv. Comput. Math. 5, 1996).  The critical
+"On the Lambert W function", Adv. Comput. Math. 5, 1996).  Both are real
+kernels here, _omega and _root_z_minus_ln_z: a start and a fixed number of
+Halley steps, written once for a float (math, so a float stays a float)
+and for an array (NumPy).  The critical
 curve q = u^2/2 (s = 1) is the family-2 curve with C = +inf, so family-2
 curves never cross it; family-1 curves reach it at u* = C - 1/2 + ln(2)/2
 and stop there.  Composite curves (everything reachable from a left state
@@ -36,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lambertw, wrightomega
 
 from .core import TOL_ZERO, TransState
 from .errors import DomainError, PreconditionError
@@ -142,20 +144,20 @@ class IntegralCurve:
     u_star: float
 
     def _offset(self, u):
-        """s - 1 >= 0 at velocity u."""
-        x = 2.0 * (np.asarray(u, dtype=float) - self.C) - 1.0
+        """s - 1 >= 0 at velocity u (a float stays a float)."""
+        x = 2.0 * (u - self.C) - 1.0
         if self.family == 2:
-            return wrightomega(x)  # y + ln y = x
+            return _omega(x)  # y + ln y = x
         return _root_z_minus_ln_z(-x, 2.0) - 2.0  # z = s + 1
 
     def q_at(self, u):
         """Energy at velocity u; exactly base.q at the base."""
-        scalar = np.ndim(u) == 0
-        if scalar and u == self.base.u:
+        array = isinstance(u, np.ndarray)
+        if not array and u == self.base.u:
             return self.base.q
         t = self._offset(u)
-        q = 0.5 * np.square(u) + 0.125 * t * (t + 2.0)
-        return float(q) if scalar else np.where(u == self.base.u, self.base.q, q)
+        q = 0.5 * u * u + 0.125 * t * (t + 2.0)
+        return np.where(u == self.base.u, self.base.q, q) if array else q
 
     def lam_at(self, u):
         """Characteristic speed of the family at velocity u."""
@@ -174,7 +176,7 @@ class IntegralCurve:
         xi = np.asarray(xi, dtype=float)
         k = 2.0 * (xi - self.C) - 1.0
         if self.family == 2:
-            t = 0.5 * wrightomega(k + _LN2)
+            t = 0.5 * _omega(k + _LN2)
             u = xi - 0.5 * t
         else:
             z = 0.5 * _root_z_minus_ln_z(-k - _LN2, 4.0)
@@ -189,20 +191,71 @@ class IntegralCurve:
 
 
 def _root_z_minus_ln_z(L, z_min: float):
-    """Root z >= z_min of z - ln z = L, that is -W_{-1}(-e^{-L}).
+    """Root z >= z_min > 1 of z - ln z = L, that is -W_{-1}(-e^{-L}), float or array.
 
-    L below the value at z_min is clamped there.  Where e^{-L} would
-    underflow, the root comes from Newton steps on the asymptote L + ln L.
+    L below the value at z_min is clamped there.  Halley steps from the
+    asymptote z = L + ln L; three reach full precision for every L.
     """
-    L = np.maximum(L, z_min - math.log(z_min))
-    z = -lambertw(-np.exp(-L), -1).real
-    far = L > 700.0
-    if far.any():
-        zf = np.where(far, L + np.log(L), z_min)
-        for _ in range(3):
-            zf = zf - (zf - np.log(zf) - L) / (1.0 - 1.0 / zf)
-        z = np.where(far, zf, z)
-    return np.maximum(z, z_min)
+    log, maximum = (np.log, np.maximum) if isinstance(L, np.ndarray) else (math.log, max)
+    L = maximum(L, z_min - math.log(z_min))
+    z = L + log(L)
+    for _ in range(3):
+        f = z - log(z) - L
+        w = 1.0 / z
+        z = z - f / (1.0 - w - 0.5 * f * w / (z - 1.0))
+    return maximum(z, z_min)
+
+
+# Below this x, e^x underflows to 0.0 and so does omega(x).
+_X_UNDERFLOW = -750.0
+
+
+def _omega_tail(t):
+    """omega(x) for x <= -2 from t = e^x: the series of W(t) at t = 0."""
+    return t * (1.0 + t * (-1.0 + t * (1.5 + t * (-8.0 / 3.0 + t * 125.0 / 24.0))))
+
+
+def _omega_near_1(x):
+    """omega(x) for -2 < x <= 1: its Taylor series at x = 1, where omega = 1."""
+    d = x - 1.0
+    return 1.0 + d * (0.5 + d * (1.0 / 16.0 + d * (-1.0 / 192.0
+                                                   + d * (-1.0 / 3072.0 + d * 13.0 / 61440.0))))
+
+
+def _omega_asymptote(x, l):
+    """omega(x) for x > 1 from l = ln x: x - l + its asymptotic series in l / x."""
+    r = 1.0 / x
+    return x - l + l * r * (1.0 + r * (0.5 * l - 1.0 + r * (l * l / 3.0 - 1.5 * l + 1.0)))
+
+
+def _omega(x):
+    """Wright omega: the y >= 0 with y + ln y = x, float or array.
+
+    The start is Lawrence, Corless and Jeffrey's (ACM TOMS 38(3), 2012,
+    Algorithm 917): a series in e^x, the Taylor series at 1 or the
+    asymptote; two Halley steps on y - e^(x - y) then reach full precision.
+    x - y is carried with its rounding error (a two-sum), so a tiny y keeps
+    its relative precision.  omega is exactly 0 at x = -inf and wherever
+    e^x underflows.
+    """
+    if isinstance(x, np.ndarray):
+        x = np.maximum(x, _X_UNDERFLOW)
+        big = np.maximum(x, 1.0)
+        y = np.where(x <= -2.0, _omega_tail(np.exp(np.minimum(x, -2.0))),
+                     np.where(x <= 1.0, _omega_near_1(x), _omega_asymptote(big, np.log(big))))
+        exp = np.exp
+    else:
+        x = max(x, _X_UNDERFLOW)
+        y = (_omega_tail(math.exp(x)) if x <= -2.0 else
+             _omega_near_1(x) if x <= 1.0 else _omega_asymptote(x, math.log(x)))
+        exp = math.exp
+    for _ in range(2):
+        s = x - y
+        b = s - x
+        e = exp(s) * (1.0 + ((x - (s - b)) - (y + b)))  # e^(x - y)
+        h = y - e
+        y = y - 2.0 * h / (2.0 * (1.0 + e) + h * e / (1.0 + e))
+    return y
 
 
 def _rarefaction_curve(family: int, base: TransState) -> IntegralCurve:

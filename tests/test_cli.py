@@ -5,7 +5,10 @@ from __future__ import annotations
 import csv
 import importlib.resources
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -414,3 +417,26 @@ def test_parser_is_built_once(tmp_path, capsys, monkeypatch):
     assert code == 0 and err == ""
     # The shared parser keeps nothing from one call to the next.
     assert cli._PARSER.parse_args(["solve"]).tol_root is None
+
+
+def test_solve_loads_neither_scipy_nor_jsonschema(tmp_path):
+    # In a fresh interpreter, importing the package and solving one problem
+    # through the CLI loads no scipy module and no jsonschema module:
+    # jsonschema is imported only to report a document the compiled check
+    # rejects.
+    script = (
+        "import sys\n"
+        "import briodelta, briodelta.cli\n"
+        "code = briodelta.cli.main(['solve', '--left', '1,3', '--right', '0.7,-3.3',\n"
+        f"                          '--out', {str(tmp_path)!r}])\n"
+        "print(code, sorted(m for m in sys.modules\n"
+        "                   if m.partition('.')[0] in ('scipy', 'jsonschema')))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "solution.json").is_file()

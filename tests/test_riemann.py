@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from briodelta import riemann
 from briodelta.core import (
     BrioState,
     TransState,
@@ -24,6 +25,7 @@ from briodelta.riemann import (
     TOL_ROOT,
     Region,
     Wave,
+    _polish_root,
     _states_coincide,
     build_fan,
     classify,
@@ -329,6 +331,26 @@ def test_bracketed_solve_matches_scalar_reference_scan():
             assert abs(a - b) <= 1e-13 * (1.0 + abs(b)), (left, right)
 
 
+def test_polish_converges_where_phi_is_flat_on_one_side(monkeypatch):
+    # Near the critical curve phi is flat to rounding on one side of the
+    # root: a steep line meets a plateau of -1e-15 just right of the root.
+    # From the widest bracket the polish still narrows to its tolerance,
+    # where brentq stops at 100 iterations with an untyped RuntimeError.
+    root = 3.0e-5
+
+    def phi(u: float) -> float:
+        return (root - u) if u < root else -1e-15
+
+    for width in (1.0, 2.0 ** 20, 2.0 ** 41):
+        lo, hi = root - width, root + 1.0
+        u = _polish_root(phi, lo, hi, phi(lo), phi(hi))
+        assert abs(u - root) <= 1e-14 + 4.0 * np.finfo(float).eps * abs(root), (width, u)
+    # Past its step cap the polish raises the solver's typed error.
+    monkeypatch.setattr(riemann, "_POLISH_STEPS", 5)
+    with pytest.raises(BracketFailure):
+        _polish_root(phi, root - 1.0, root + 1.0, phi(root - 1.0), phi(root + 1.0))
+
+
 def _solve_middle_every_call(left: TransState, right: TransState) -> TransState:
     """solve_middle's bracket and polish with every curve value recomputed."""
     if _states_coincide(left, right):
@@ -346,7 +368,7 @@ def _solve_middle_every_call(left: TransState, right: TransState) -> TransState:
         if phi(hi) > 0.0:
             hi = hi0 + 2.0 ** k
         k += 1
-    u_m = float(brentq(phi, lo, hi, xtol=1e-14))
+    u_m = _polish_root(phi, lo, hi, phi(lo), phi(hi))
     ustar = f1.u_star
     if u_m > ustar and abs(phi(ustar)) <= 1e-9 * (1.0 + abs(f1.q(ustar))):
         u_m = ustar

@@ -147,3 +147,11 @@ def test_type_and_enum_semantics():
     ints, flags = compile_schema({"enum": [1, 2]}), compile_schema({"enum": [True, None]})
     assert [ints(x) for x in (1, 1.0, 2.0, True, "1", [1])] == [True, True, True, False, False, False]
     assert [flags(x) for x in (True, 1, None, 0, False)] == [True, False, True, False, False]
+
+
+@pytest.mark.parametrize("name", ["solution.schema.json", "report.schema.json", "fan.schema.json"])
+def test_packaged_schemas_pass_the_meta_check(name):
+    # The CLI compiles the packaged schemas without jsonschema, so their
+    # draft-07 meta-check is made here.
+    schema = _schema(name)
+    jsonschema.validators.validator_for(schema).check_schema(schema)

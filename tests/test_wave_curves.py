@@ -13,6 +13,8 @@ from briodelta.errors import DomainError, PreconditionError
 from briodelta.wave_curves import (
     Backward2Curve,
     Forward1Curve,
+    _omega,
+    _root_z_minus_ln_z,
     backward_2_curve,
     backward_curve_2,
     forward_1_curve,
@@ -364,6 +366,75 @@ def test_ray_inverse_matches_mpmath(rng, mp50):
             u_ref, q_ref = mp_at_speed(family, mp_constant(family, base), xi)
             assert mp_rel(u, u_ref, xi) <= 1e-13
             assert mp_rel(q, q_ref) <= 1e-13
+
+
+def _check_kernel(kernel, args, reference):
+    """Kernel on floats and on one array against 50-digit references.
+
+    Relative error at most 2e-15; below the smallest normal double, where a
+    result carries fewer digits, at most one subnormal unit.  Float and
+    array results agree to 2 ulp.
+    """
+    args = np.asarray(args, dtype=float)
+    scalars = [kernel(float(a)) for a in args]
+    array = kernel(args)
+    assert isinstance(array, np.ndarray) and array.shape == args.shape
+    for a, s, v in zip(args, scalars, array):
+        assert type(s) is float, (a, s)
+        ref = reference(float(a))
+        for got in (s, float(v)):
+            err = abs(mp.mpf(got) - ref)
+            assert err <= 2e-15 * abs(ref) or err <= 2.0 ** -1074, (a, got, ref)
+        assert abs(s - v) <= 2.0 * math.ulp(max(abs(s), abs(v))), (a, s, v)
+
+
+def test_omega_matches_mpmath(mp50):
+    # omega(x) = W(e^x) over x in [-800, 1e8] and at -inf: e^x underflowing
+    # near -745, subnormal results down to there, the start's region edges
+    # at -2 and 1, x near 0, and large x.
+    rng = np.random.default_rng(917)
+    xs = np.concatenate([
+        [-math.inf, -800.0, -750.0, -745.2, -745.13, -745.1, -708.4, -708.39,
+         -2.0, -1.0, 0.0, 1.0, 1e8],
+        rng.uniform(-800.0, -700.0, 40),
+        -745.133 + rng.uniform(-0.05, 0.05, 20),
+        rng.uniform(-60.0, 10.0, 200),
+        rng.choice((-1.0, 1.0), 30) * 10.0 ** rng.uniform(-17.0, -1.0, 30),
+        -2.0 + rng.uniform(-1e-6, 1e-6, 10),
+        1.0 + rng.uniform(-1e-6, 1e-6, 10),
+        10.0 ** rng.uniform(0.0, 8.0, 100),
+    ])
+
+    def reference(x):
+        return mp.mpf(0) if x == -math.inf else mp.lambertw(mp.exp(mp.mpf(x))).real
+
+    _check_kernel(_omega, xs, reference)
+    # Exactly 0 at -inf and wherever e^x underflows to 0.
+    for x in (-math.inf, -1e300, -800.0, -745.2):
+        assert math.exp(x) == 0.0 and _omega(x) == 0.0
+        assert _omega(np.array([x]))[0] == 0.0
+
+
+@pytest.mark.parametrize("z_min", [2.0, 4.0])
+def test_root_z_minus_ln_z_matches_mpmath(mp50, z_min):
+    # -W_{-1}(-e^{-L}) from the z_min clamp up to L = 1e8, across L = 700
+    # and beyond, where e^{-L} underflows.
+    rng = np.random.default_rng(96)
+    l_min = z_min - math.log(z_min)
+    ls = np.concatenate([
+        [l_min - 1.0, l_min, 700.0, 1e8],
+        l_min + 10.0 ** rng.uniform(-16.0, 0.0, 40),
+        rng.uniform(l_min, 60.0, 150),
+        rng.uniform(690.0, 750.0, 40),
+        10.0 ** rng.uniform(0.5, 8.0, 100),
+    ])
+
+    def reference(L):
+        L = max(mp.mpf(L), mp.mpf(z_min) - mp.log(z_min))
+        return -mp.lambertw(-mp.exp(-L), -1).real
+
+    _check_kernel(lambda L: _root_z_minus_ln_z(L, z_min), ls, reference)
+    assert _root_z_minus_ln_z(l_min - 1.0, z_min) == z_min
 
 
 def test_shock_speed_matches_mpmath_near_the_base(rng, mp50):
