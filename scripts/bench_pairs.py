@@ -2,12 +2,12 @@
 """Paired benchmark runs of two checkouts, summarised into a BENCH_*.json.
 
     python3 scripts/bench_pairs.py --parent ../base --change . \\
-        --workload solve_fresh --pairs 10 --seconds 25 --first-seed 21 \\
-        --out BENCH_12.json
+        --workload solve_fresh --first-seed 21 --out BENCH_12.json
 
-Each pair runs `perfbench/run.py --trace 0` once in each checkout on the
-same seed (first_seed + pair index), one run at a time; the parent goes
-first in even pairs and the change in odd ones.  The summary holds, per
+Each of the PAIRS pairs runs `perfbench/run.py --trace 0` once in each
+checkout on the same seed (first_seed + pair index) for the run_seconds of
+the change's BENCHMARK.json, one run at a time; the parent goes first in
+even pairs and the change in odd ones.  The summary holds, per
 end-to-end metric, the median and quartiles of each side, the relative
 spread (q3 - q1) / median of each side, and in how many pairs the change
 was better.  Runs of further workloads are merged into an existing output
@@ -23,6 +23,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+PAIRS = 10
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -55,29 +57,28 @@ def main(argv=None) -> int:
     p.add_argument("--parent", type=Path, required=True)
     p.add_argument("--change", type=Path, required=True)
     p.add_argument("--workload", required=True)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=25.0)
     p.add_argument("--first-seed", type=int, default=1)
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
     runs = []
-    for i in range(args.pairs):
+    for i in range(PAIRS):
         seed = args.first_seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run_once(getattr(args, side), args.workload, seed, args.seconds)
+            pair[side] = run_once(getattr(args, side), args.workload, seed, seconds)
         runs.append(pair)
-        print(f"{args.workload} pair {i + 1}/{args.pairs} seed {seed}: " + ", ".join(
+        print(f"{args.workload} pair {i + 1}/{PAIRS} seed {seed}: " + ", ".join(
             f"{m} {pair['parent']['metrics'][m]:.4g} -> {pair['change']['metrics'][m]:.4g}"
             for m in better), file=sys.stderr)
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
     doc["workloads"][args.workload] = {
-        "seconds": args.seconds,
+        "seconds": seconds,
         "seeds": [r["seed"] for r in runs],
         "finished": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "all_correct": all(r[s]["correct"] for r in runs for s in ("parent", "change")),

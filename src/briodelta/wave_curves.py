@@ -152,6 +152,7 @@ class IntegralCurve:
 
     def q_at(self, u):
         """Energy at velocity u; exactly base.q at the base."""
+        u = _float_or_array(u)
         array = isinstance(u, np.ndarray)
         if not array and u == self.base.u:
             return self.base.q
@@ -161,6 +162,7 @@ class IntegralCurve:
 
     def lam_at(self, u):
         """Characteristic speed of the family at velocity u."""
+        u = _float_or_array(u)
         t = self._offset(u)
         return u + 0.5 * t if self.family == 2 else u - 1.0 - 0.5 * t
 
@@ -188,6 +190,14 @@ class IntegralCurve:
         """State (u, q) where the family's characteristic speed equals xi (see ray)."""
         u, q, _ = self.ray(xi)
         return u, q
+
+
+def _float_or_array(u):
+    """u as a float when it is a scalar (a 0-d array included), else as a float array."""
+    if type(u) is float:
+        return u
+    u = np.asarray(u, dtype=float)
+    return float(u) if u.ndim == 0 else u
 
 
 def _root_z_minus_ln_z(L, z_min: float):

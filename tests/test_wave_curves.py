@@ -307,6 +307,11 @@ def test_independent_curves_bit_identical_in_any_order():
     crv = integrate_rarefaction(1, left, 2.9)
     assert np.array_equal(crv.q_at(us), crv.q_at(us[::-1])[::-1])
     assert [crv.q_at(float(u)) for u in us] == list(crv.q_at(us))
+    # Sequences evaluate as arrays and 0-d arrays as floats.
+    assert np.array_equal(crv.q_at(list(us)), crv.q_at(us))
+    assert np.array_equal(crv.lam_at(tuple(us)), crv.lam_at(us))
+    assert type(crv.q_at(np.float64(1.3))) is float
+    assert crv.q_at(np.array(1.3)) == crv.q_at(1.3) and type(crv.lam_at(np.array(1.3))) is float
 
 
 def test_crossing_only_when_reached(base_left):
