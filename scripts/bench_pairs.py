@@ -10,14 +10,23 @@ the change's BENCHMARK.json, one run at a time; the parent goes first in
 even pairs and the change in odd ones.  The summary holds, per
 end-to-end metric, the median and quartiles of each side, the relative
 spread (q3 - q1) / median of each side, and in how many pairs the change
-was better.  Runs of further workloads are merged into an existing output
-file, so one file can hold every workload of a comparison.
+was better.  Then one `--trace 1` run per side on first_seed gives the
+per-layer metrics, stored under "traced".  Runs of further workloads are
+merged into an existing output file, so one file can hold every workload
+of a comparison.
+
+The last line of every run's output must be a result: one JSON object
+with a boolean `correct`, integer `attempted` and `failed`, and `metrics`
+mapping each name to an object with a finite numeric `value`.  NaN and
+Infinity are rejected, and any other last line stops the script (exit 1)
+with the checkout, workload, seed and mode named.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -27,14 +36,52 @@ from pathlib import Path
 PAIRS = 10
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def parse_result(stdout: str) -> dict:
+    """The result on a run's last output line, each metric reduced to its value.
+
+    Raises ValueError unless that line is a result (see the module docstring).
+    """
+    lines = stdout.strip().splitlines()
+    line = lines[-1] if lines else ""
+    try:
+        result = json.loads(line, parse_constant=_reject_constant)
+    except ValueError as e:
+        raise ValueError(f"{e}: {line[:200]!r}") from None
+    if not (isinstance(result, dict)
+            and set(result) == {"correct", "attempted", "failed", "metrics"}
+            and isinstance(result["correct"], bool)
+            and _is_count(result["attempted"]) and _is_count(result["failed"])
+            and isinstance(result["metrics"], dict) and result["metrics"]):
+        raise ValueError(f"not a result: {line[:200]!r}")
+    metrics = {}
+    for name, entry in result["metrics"].items():
+        value = entry.get("value") if isinstance(entry, dict) else None
+        if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value)):
+            raise ValueError(f"metric {name!r} has no finite value: {entry!r}")
+        metrics[name] = value
     return {"correct": result["correct"], "attempted": result["attempted"],
-            "failed": result["failed"],
-            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+            "failed": result["failed"], "metrics": metrics}
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    try:
+        return parse_result(proc.stdout)
+    except ValueError as e:
+        sys.exit(f"bench_pairs: {checkout} {workload} seed {seed} --trace {trace}: "
+                 f"last line is not a result: {e}")
 
 
 def summarise(runs: list[dict], better: dict[str, str]) -> dict:
@@ -76,16 +123,26 @@ def main(argv=None) -> int:
             f"{m} {pair['parent']['metrics'][m]:.4g} -> {pair['change']['metrics'][m]:.4g}"
             for m in better), file=sys.stderr)
 
+    traced = {"seed": args.first_seed}
+    for side in ("parent", "change"):
+        traced[side] = run_once(getattr(args, side), args.workload,
+                                args.first_seed, seconds, trace=1)
+    print(f"{args.workload} traced seed {args.first_seed}: " + ", ".join(
+        f"{m} {traced['parent']['metrics'].get(m, math.nan):.4g} -> {v:.4g}"
+        for m, v in traced["change"]["metrics"].items()), file=sys.stderr)
+
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
     doc["workloads"][args.workload] = {
         "seconds": seconds,
         "seeds": [r["seed"] for r in runs],
         "finished": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "all_correct": all(r[s]["correct"] for r in runs for s in ("parent", "change")),
+        "all_correct": all(r[s]["correct"] for r in runs + [traced]
+                           for s in ("parent", "change")),
         "failed_ops": {s: sum(r[s]["failed"] for r in runs) for s in ("parent", "change")},
         "attempted_ops": {s: sum(r[s]["attempted"] for r in runs) for s in ("parent", "change")},
         "summary": summarise(runs, better),
         "runs": runs,
+        "traced": traced,
     }
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0

@@ -63,8 +63,10 @@ from .wave_curves import (
 )
 
 TOL_WEAK = 1e-7
-# Quadrature points per array pass of weak_residual: bounds its temporaries
-# whatever the battery size or node count.
+# Points evaluated per array pass of weak_residual: n per row for the rows
+# of n points (line, initial-data and closed-form constant-wedge rows), n^2
+# for the sampled bulk rows.  Bounds its temporaries whatever the battery
+# size or node count n.
 _CHUNK_POINTS = 8192
 # Draws random_trans_pair makes before giving up on a region.
 _PAIR_TRIES = 64
@@ -91,6 +93,21 @@ def _bump_pair(s, p: int):
         zp *= z
     z *= zp
     return z, -2.0 * p * s * zp
+
+
+def _bump_int(s, p: int):
+    """I_p(s) = integral of B(r) = (1 - r^2)^p from 0 to s, for |s| <= 1.
+
+    By parts, I_k = (s z^k + 2k I_{k-1}) / (2k + 1) with z = 1 - s^2 and
+    I_0 = s.  Every term has the sign of s, so nothing cancels.
+    """
+    z = np.maximum(1.0 - np.square(s), 0.0)
+    zk = s  # s z^k
+    out = s
+    for k in range(1, p + 1):
+        zk = zk * z
+        out = (zk + 2 * k * out) / (2 * k + 1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -201,12 +218,17 @@ def _nodes(a, b, gx, gw):
     return mid[..., None] + half[..., None] * gx, half[..., None] * gw
 
 
-def _chunks(keys, size: int):
-    """Row indices in runs of equal key, at most `size` rows per chunk."""
+def _chunks(keys, size):
+    """Row indices in runs of equal key, at most `size` rows per chunk.
+
+    `size` is one number, or one per row that is equal within each key.
+    """
     order = np.argsort(keys, kind="stable")
+    sizes = np.broadcast_to(size, keys.shape)
     for run in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
-        for i in range(0, len(run), size):
-            yield run[i:i + size]
+        step = max(1, int(sizes[run[0]]))
+        for i in range(0, len(run), step):
+            yield run[i:i + step]
 
 
 @dataclass(frozen=True)
@@ -219,20 +241,26 @@ class _Bumps:
     wt: np.ndarray
     p: np.ndarray
 
-    def factors(self, r, x, t):
-        """(B, B') at s_x = (x - x0)/wx and at s_t = (t - t0)/wt for rows r.
+    def sx(self, r, x):
+        """s_x = (x - x0)/wx for rows r.
 
-        x and t hold one leading entry per row, which all share one bump
-        exponent, and any trailing node axes.
+        x holds one leading entry per row and any trailing node axes.
         """
+        return _scaled(x, self.x0[r], self.wx[r])
+
+    def st(self, r, t):
+        """s_t = (t - t0)/wt for rows r, shaped as in sx."""
+        return _scaled(t, self.t0[r], self.wt[r])
+
+    def factors(self, r, x, t):
+        """(B, B') at s_x and at s_t for rows r, which share one exponent."""
         p = int(self.p[r[0]])
+        return _bump_pair(self.sx(r, x), p), _bump_pair(self.st(r, t), p)
 
-        def scaled(y, c, w):
-            shape = r.shape + (1,) * (np.ndim(y) - 1)
-            return (y - c[r].reshape(shape)) / w[r].reshape(shape)
 
-        return (_bump_pair(scaled(x, self.x0, self.wx), p),
-                _bump_pair(scaled(t, self.t0, self.wt), p))
+def _scaled(y, c, w):
+    shape = c.shape + (1,) * (np.ndim(y) - 1)
+    return (y - c.reshape(shape)) / w.reshape(shape)
 
 
 def _weak_rows(sol: DeltaSolution, phis):
@@ -273,23 +301,33 @@ def _weak_rows(sol: DeltaSolution, phis):
 
 
 def _bulk_parts(sol: DeltaSolution, bumps: _Bumps, rows, gx, gw):
-    """(bump, u part, v part) of the space-time integral, per chunk of rows."""
+    """(bump, u part, v part) of the space-time integral, per chunk of rows.
+
+    Two kinds of chunk: constant-wedge rows with n > p, integrated in x in
+    closed form at their n time nodes, and rows sampled at n x n points
+    (see weak_residual).  Both depend only on the chunk's key.
+    """
     if not rows:
         return
     fl, gl_flux = sol.flux.f, sol.flux.g
+    n = len(gx)
     b, ta, tb, ca, da, cb, db = np.array(rows).T
     b = b.astype(np.intp)
+    p = bumps.p[b]
     tm = 0.5 * (ta + tb)
     edges = np.asarray([seg.xi_hi for seg in sol.segments[:-1]])
     seg = np.searchsorted(edges, 0.5 * ((ca + cb) * tm + da + db) / tm,
                           side="right")
-    rare = np.array([isinstance(g, RarefactionSegment) for g in sol.segments])
+    rare = np.array([isinstance(g, RarefactionSegment)
+                     for g in sol.segments])[seg]
     su, sv = np.array([(math.nan, math.nan) if isinstance(g, RarefactionSegment)
                        else (g.state.u, g.state.v) for g in sol.segments]).T
-    sf, sg = fl(su, sv), gl_flux(su, sv)
-    keys = bumps.p[b] * (len(sol.segments) + 1) + np.where(rare[seg], seg + 1, 0)
-    for idx in _chunks(keys, max(1, _CHUNK_POINTS // len(gx) ** 2)):
-        r = b[idx]
+    closed = ~rare & (p < n)
+    fan = rare & (da == 0.0) & (db == 0.0)
+    keys = (p * (len(sol.segments) + 1) + np.where(rare, seg + 1, 0)) * 2 + fan
+    for idx in _chunks(keys, _CHUNK_POINTS // np.where(closed, n, n * n)):
+        r, k, i = b[idx], seg[idx], idx[0]
+        pr = int(p[i])
         T, TW = _nodes(ta[idx], tb[idx], gx, gw)
         lo = (bumps.x0[r] - bumps.wx[r])[:, None]
         hi = (bumps.x0[r] + bumps.wx[r])[:, None]
@@ -297,18 +335,28 @@ def _bulk_parts(sol: DeltaSolution, bumps: _Bumps, rows, gx, gw):
         xb = np.clip(cb[idx, None] * T + db[idx, None], lo, hi)
         if np.any(xb - xa < -1e-12 * (1.0 + np.abs(hi))):
             raise QuadratureFailure("ray positions not monotone inside a panel")
-        X, WX = _nodes(xa, xb, gx, gw)
-        (bx, dbx), (bt, dbt) = bumps.factors(r, X, T)
-        wb, wd = WX * bx, WX * dbx
-        k = seg[idx[0]]
-        if rare[k]:
-            u, v = _rarefaction_uv(sol.segments[k], X / T[:, :, None])
+        bt, dbt = _bump_pair(bumps.st(r, T), pr)
+        if closed[i]:
+            sa, sb = bumps.sx(r, xa), bumps.sx(r, xb)
+            wx = bumps.wx[r, None]
+            mass = wx * (_bump_int(sb, pr) - _bump_int(sa, pr))
+            slope = wx * (_bump_pair(sb, pr)[0] - _bump_pair(sa, pr)[0])
+            u, v = su[k, None], sv[k, None]
+            iu, iv = u * mass, v * mass
+            jf, jg = fl(u, v) * slope, gl_flux(u, v) * slope
+        else:
+            X, WX = _nodes(xa, xb, gx, gw)
+            bx, dbx = _bump_pair(bumps.sx(r, X), pr)
+            wb, wd = WX * bx, WX * dbx
+            if fan[i]:
+                xi = _nodes(ca[idx], cb[idx], gx, gw)[0][:, None]
+                u, v = _rarefaction_uv(sol.segments[k[0]], xi)
+            elif rare[i]:
+                u, v = _rarefaction_uv(sol.segments[k[0]], X / T[:, :, None])
+            else:
+                u, v = su[k, None, None], sv[k, None, None]
             iu, iv = (wb * u).sum(-1), (wb * v).sum(-1)
             jf, jg = (wd * fl(u, v)).sum(-1), (wd * gl_flux(u, v)).sum(-1)
-        else:
-            k = seg[idx, None]
-            sb, sd = wb.sum(-1), wd.sum(-1)
-            iu, iv, jf, jg = su[k] * sb, sv[k] * sb, sf[k] * sd, sg[k] * sd
         at = TW * dbt / bumps.wt[r, None]
         ax = TW * bt / bumps.wx[r, None]
         yield r, (at * iu + ax * jf).sum(-1), (at * iv + ax * jg).sum(-1)
@@ -325,7 +373,7 @@ def _line_parts(sol: DeltaSolution, bumps: _Bumps, rows, gx, gw,
                                for s in sol.singular])[k].T
     on_u = np.array([s.component == "u" for s in sol.singular])[k]
     weight = np.sqrt(1.0 + c * c) if arclength else np.ones_like(c)
-    for idx in _chunks(bumps.p[b], max(1, _CHUNK_POINTS // len(gx))):
+    for idx in _chunks(bumps.p[b], _CHUNK_POINTS // len(gx)):
         r = b[idx]
         T, TW = _nodes(ta[idx], tb[idx], gx, gw)
         cc = c[idx, None]
@@ -343,7 +391,7 @@ def _initial_parts(bumps: _Bumps, rows, gx, gw):
         return
     b, xa, xb, u, v = np.array(rows).T
     b = b.astype(np.intp)
-    for idx in _chunks(bumps.p[b], max(1, _CHUNK_POINTS // len(gx))):
+    for idx in _chunks(bumps.p[b], _CHUNK_POINTS // len(gx)):
         r = b[idx]
         X, XW = _nodes(xa[idx], xb[idx], gx, gw)
         (bx, _), (bt, _) = bumps.factors(r, X, np.zeros(len(r)))
@@ -368,15 +416,25 @@ def weak_residual(sol: DeltaSolution, phis, *, nodes: int = 32,
       reaches t = 0.
 
     The bump is separable, phi = B(s_x) B(s_t), so B and B' of s_t are
-    evaluated once per time node and those of s_x once per point.  A
-    constant piece takes its segment's u, v, f and g as scalars and is not
-    sampled; rarefaction pieces are sampled in one call per segment and
-    chunk.  The rows are evaluated in chunks of at most _CHUNK_POINTS
-    points, grouped by bump exponent and segment, so no array of all
-    points is ever built.  Each row gives one partial sum, and each bump's
-    partial sums are added by math.fsum, so a bump's residual depends
-    neither on row order nor on the other bumps of the battery.
+    evaluated once per time node.  A bulk row in a constant wedge takes the
+    wedge's u, v, f and g as scalars.  Its x-integrand is then a polynomial
+    of degree at most 2p in s_x, which the rule integrates exactly when
+    nodes > p, so such a row takes its x-integral in closed form, from B
+    and the integral of B at the piece's two ends: n points per row.  The
+    other bulk rows are sampled at n x n points, with B and B' of s_x taken
+    once per point.  A rarefaction row between two rays meets the same n
+    rays at every time node, so its ray inverse runs once per ray; one
+    that ends on a support edge is sampled at every point.  The rows are
+    evaluated in chunks of at most _CHUNK_POINTS evaluated points, grouped
+    by bump exponent and segment, so no array of all points is ever built.
+    Each row gives one partial sum, and each bump's partial sums are added
+    by math.fsum, so a bump's residual depends neither on row order nor on
+    the other bumps of the battery.
+
+    `nodes` must be an integer >= 1, else PreconditionError.
     """
+    if not (isinstance(nodes, int) and nodes >= 1):
+        raise PreconditionError("quadrature node count must be an integer >= 1")
     phis = list(phis)
     if not phis:
         return []

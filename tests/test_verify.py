@@ -7,6 +7,7 @@ import json
 import math
 
 import jsonschema
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -32,6 +33,7 @@ from briodelta.riemann import build_fan
 from briodelta.verify import (
     FvGrid,
     TestFunction,
+    _bump_int,
     _canary_flip_solution,
     compare_fan_fv,
     flip_pair_alternatives,
@@ -105,6 +107,25 @@ def test_bump_validation():
         TestFunction((0.0, 0.5), (1.0, 1.0), p=4.0)
 
 
+def _bump_int_oracle(s, p):
+    """I_p(s) by the binomial expansion of (1 - r^2)^p, in mpmath."""
+    s = mp.mpf(s)
+    return mp.fsum(mp.binomial(p, j) * (-1) ** j * s ** (2 * j + 1) / (2 * j + 1)
+                   for j in range(p + 1))
+
+
+def test_bump_integral_matches_mpmath(mp50):
+    pts = np.concatenate([[-1.0, -1e-300, 0.0, 1e-8, 0.5, 1.0],
+                          np.random.default_rng(15).uniform(-1.0, 1.0, 200)])
+    for p in range(3, 13):
+        array = _bump_int(pts, p)
+        assert array.shape == pts.shape
+        for s, a in zip(pts.tolist(), array.tolist()):
+            ref = _bump_int_oracle(s, p)
+            for got in (float(_bump_int(s, p)), a):
+                assert abs(got - ref) <= 2e-15 * abs(ref), (p, s, got)
+
+
 def test_battery_geometry():
     speeds = [-3.0, 4.0]
     T = 1.0
@@ -126,6 +147,15 @@ def test_weak_residual_constant_state():
     assert len(sol.segments) == 1
     res = weak_residual(sol, solution_battery(sol))
     assert max_residual(res) <= 1e-14
+
+
+def test_weak_residual_node_count_validation():
+    sol = _branch_a_solution()
+    for bad in (0, -3, 2.0, "8", None):
+        with pytest.raises(PreconditionError):
+            weak_residual(sol, solution_battery(sol), nodes=bad)
+        with pytest.raises(PreconditionError):
+            weak_residual(sol, [], nodes=bad)
 
 
 def test_weak_residual_single_carrier_jumps():
@@ -412,9 +442,11 @@ def test_batched_weak_residual_matches_panel_reference(rng, fixture_pair):
     data, canary = _canary_flip_solution()
     _assert_matches_reference(canary, solution_battery(canary), data_scale(data))
 
-    # Exponents mixed within one battery.
+    # Exponents mixed within one battery: at 8 nodes, constant wedges of
+    # bumps with p < 8 are integrated in closed form in x and the others
+    # sampled.
     sol, scale = sols[0]
-    mixed = [TestFunction(phi.center, phi.halfwidths, 3 + i % 4)
+    mixed = [TestFunction(phi.center, phi.halfwidths, 3 + i % 8)
              for i, phi in enumerate(solution_battery(sol))]
     for nodes in (8, 32):
         _assert_matches_reference(sol, mixed, scale, nodes=nodes)
