@@ -7,7 +7,11 @@ verify (property suite report), fv-compare (finite-volume refinement
 table).  Outputs land in --out, the BRIODELTA_OUT directory, or the
 working directory, with fixed file names so reruns are byte-identical.
 solution.json and report.json are checked against their packaged schemas
-before they are written.
+before they are written, and every output's full text is built before its
+file is opened, so a rejected document leaves an existing file alone.  An
+existing output is rewritten in place: opened without truncation, written,
+then cut at the end of the new text.  The write is not atomic: an
+interrupted call can leave a partial file.
 
 --config FILE holds a JSON object keyed by option (x_min for --x-min) whose
 values win over flags, with a warning.  Each value is read by its option's
@@ -25,6 +29,7 @@ import argparse
 import csv
 import functools
 import importlib.resources
+import io
 import json
 import math
 import os
@@ -145,10 +150,25 @@ def _out_dir(args: argparse.Namespace) -> str:
     return out
 
 
+def _open_in_place(path: str, flags: int) -> int:
+    """os.open for open(): create if missing, but never truncate on open."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def _rewrite(path: str, text: str) -> None:
+    """Write text as UTF-8 over the file at path, then cut the file at its end.
+
+    An existing file is overwritten in place, not truncated to zero first:
+    on ext4 a truncate to zero makes the following close flush the file to
+    disk (auto_da_alloc), which costs far more than the write itself.
+    """
+    with open(path, "wb", opener=_open_in_place) as f:
+        f.write(text.encode("utf-8"))
+        f.truncate()
+
+
 def _dump_json(path: str, doc: dict) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
+    _rewrite(path, json.dumps(doc, indent=2) + "\n")
 
 
 def _write_json(path: str, doc: dict, schema_name: str) -> None:
@@ -163,11 +183,11 @@ def _write_json(path: str, doc: dict, schema_name: str) -> None:
 
 
 def _write_csv(path: str, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows([_fmt(x) for x in row] for row in rows)
+    _rewrite(path, text.getvalue())
 
 
 def _riemann_data(args: argparse.Namespace) -> RiemannData:

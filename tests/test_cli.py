@@ -419,6 +419,15 @@ def test_parser_is_built_once(tmp_path, capsys, monkeypatch):
     assert cli._PARSER.parse_args(["solve"]).tol_root is None
 
 
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports briodelta from this source tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_solve_loads_neither_scipy_nor_jsonschema(tmp_path):
     # In a fresh interpreter, importing the package and solving one problem
     # through the CLI loads no scipy module and no jsonschema module:
@@ -432,11 +441,66 @@ def test_solve_loads_neither_scipy_nor_jsonschema(tmp_path):
         "print(code, sorted(m for m in sys.modules\n"
         "                   if m.partition('.')[0] in ('scipy', 'jsonschema')))\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _fresh_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
     assert (tmp_path / "solution.json").is_file()
+
+
+@pytest.mark.parametrize("command, steps, padded", [
+    (("solve",) + _DATA, [()], ("solution.json",)),
+    (("sample",) + _DATA, [("--nx", "1001"), ("--nx", "5")], ("singular.json",)),
+    (("curves", "--base", "1,5"), [("--samples", "257"), ("--samples", "17")], ()),
+])
+def test_rewrite_over_longer_file_leaves_no_trailing_bytes(tmp_path, capsys, command,
+                                                         steps, padded):
+    # Outputs are rewritten in place; each must end where the new text ends.
+    reused = tmp_path / "reused"
+    reused.mkdir()
+    for name in padded:
+        (reused / name).write_bytes(b"\xff" * 5000)
+    before = _outputs(reused)
+    shrunk = set()
+    for i, step in enumerate(steps):
+        fresh = tmp_path / f"fresh{i}"
+        assert _run(capsys, *command, *step, "--out", str(reused))[0] == 0
+        assert _run(capsys, *command, *step, "--out", str(fresh))[0] == 0
+        after = _outputs(reused)
+        assert after == _outputs(fresh)
+        shrunk |= {n for n in after if n in before and len(before[n]) > len(after[n])}
+        before = after
+    assert shrunk == set(before)
+
+
+def test_failed_write_leaves_existing_file_alone(tmp_path, capsys):
+    assert _run(capsys, "solve", *_DATA, "--out", str(tmp_path))[0] == 0
+    path = tmp_path / "solution.json"
+    kept = path.read_bytes()
+    doc = json.loads(kept)
+    doc["options"]["flip_speed"] = "sideways"
+    with pytest.raises(jsonschema.ValidationError):
+        cli._write_json(str(path), doc, "solution.schema.json")
+    assert path.read_bytes() == kept
+    # A document json cannot encode fails before the file is opened.
+    with pytest.raises(TypeError):
+        cli._dump_json(str(path), {"x": object()})
+    assert path.read_bytes() == kept
+
+
+def test_cli_prints_only_paths_and_leaks_no_file(tmp_path):
+    # In a fresh interpreter that turns ResourceWarning into an error, a
+    # write and a rewrite print the output path alone, and a directory at the
+    # output path exits 1 with one JSON error line: no unclosed file is
+    # reported at exit.
+    argv = ("-W", "error::ResourceWarning", "-m", "briodelta.cli", "solve", *_DATA)
+    path = tmp_path / "ok" / "solution.json"
+    for _ in range(2):
+        proc = _fresh_python(*argv, "--out", str(path.parent))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{path}\n", "")
+    blocked = tmp_path / "blocked"
+    (blocked / "solution.json").mkdir(parents=True)
+    proc = _fresh_python(*argv, "--out", str(blocked))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    line, = proc.stderr.splitlines()
+    assert json.loads(line)["error"] == "IsADirectoryError"
+    assert list((blocked / "solution.json").iterdir()) == []
