@@ -6,12 +6,15 @@ on an x-grid at fixed time, plus a sidecar listing the Dirac carriers),
 verify (property suite report), fv-compare (finite-volume refinement
 table).  Outputs land in --out, the BRIODELTA_OUT directory, or the
 working directory, with fixed file names so reruns are byte-identical.
-solution.json and report.json are checked against their packaged schemas
-before they are written, and every output's full text is built before its
-file is opened, so a rejected document leaves an existing file alone.  An
-existing output is rewritten in place: opened without truncation, written,
-then cut at the end of the new text.  The write is not atomic: an
-interrupted call can leave a partial file.
+Every JSON output (solution.json, singular.json, report.json) comes from one
+writer, _json_text, whose text is byte for byte that of json.dumps with an
+indent of 2; CSV values are written as %.17g.  solution.json and report.json
+are checked against their packaged schemas before they are written, and
+every output's full text is built before its file is opened, so a rejected
+document leaves an existing file alone.  An existing output is rewritten in
+place: opened without truncation, written, then cut at the end of the new
+text.  The write is not atomic: an interrupted call can leave a partial
+file.
 
 --config FILE holds a JSON object keyed by option (x_min for --x-min) whose
 values win over flags, with a warning.  Each value is read by its option's
@@ -26,14 +29,13 @@ error (one machine-readable JSON line on stderr), 2 verification failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import importlib.resources
-import io
 import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -56,10 +58,6 @@ _CURVE_KINDS = {
 
 # Options whose value is a comma list.
 _LIST_OPTIONS = ("--left", "--right", "--base", "--ladder")
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
 
 
 def _parse_pair(value: str, what: str) -> tuple[float, float]:
@@ -146,7 +144,9 @@ def _require_positive(name: str, value: float) -> float:
 
 def _out_dir(args: argparse.Namespace) -> str:
     out = args.out or os.environ.get(ENV_OUT) or "."
-    os.makedirs(out, exist_ok=True)
+    # An existing directory costs one stat, not a FileExistsError caught.
+    if not os.path.isdir(out):
+        os.makedirs(out, exist_ok=True)
     return out
 
 
@@ -167,8 +167,47 @@ def _rewrite(path: str, text: str) -> None:
         f.truncate()
 
 
+_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(o, nl: str = "\n") -> str:
+    """o as json.dumps writes it with an indent of 2, byte for byte.
+
+    nl is the line break plus the indent of o's own line.  A value that is
+    not a str, int, float, bool, None, dict, list or tuple raises TypeError,
+    as in json; so does a key that is not a str (encode_basestring_ascii
+    takes only str), where json would convert a number, bool or None.
+    """
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return _FLOAT_NAMES.get(text, text)
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = nl + "  "
+        items = [encode_basestring_ascii(key) + ": " + _json_text(value, inner)
+                 for key, value in o.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in o]) + nl + "]"
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def _dump_json(path: str, doc: dict) -> None:
-    _rewrite(path, json.dumps(doc, indent=2) + "\n")
+    _rewrite(path, _json_text(doc) + "\n")
 
 
 def _write_json(path: str, doc: dict, schema_name: str) -> None:
@@ -183,11 +222,16 @@ def _write_json(path: str, doc: dict, schema_name: str) -> None:
 
 
 def _write_csv(path: str, header, rows) -> None:
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(header)
-    writer.writerows([_fmt(x) for x in row] for row in rows)
-    _rewrite(path, text.getvalue())
+    """Write a CSV table: header names, then rows of floats as %.17g.
+
+    The text is what csv.writer gives for the header and the %.17g string of
+    each value (no field needs quoting), formatted in one call with one
+    "%.17g,...,%.17g" line, CRLF-terminated, per row.
+    """
+    values = np.asarray(rows, dtype=float).reshape(-1, len(header))
+    line = ",".join(["%.17g"] * len(header)) + "\r\n"
+    _rewrite(path, ",".join(header) + "\r\n"
+             + (line * len(values)) % tuple(values.ravel().tolist()))
 
 
 def _riemann_data(args: argparse.Namespace) -> RiemannData:
@@ -259,7 +303,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     u, v = sample_brio_many(sol, x / t)
     out = _out_dir(args)
     csv_path = os.path.join(out, "samples.csv")
-    _write_csv(csv_path, ("x", "u", "v"), zip(x, u, v))
+    _write_csv(csv_path, ("x", "u", "v"), np.column_stack((x, u, v)))
     sidecar = {
         "time": t,
         "carriers": [

@@ -4,20 +4,27 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
+import io
 import json
+import math
 import os
+import random
 import re
 import subprocess
 import sys
+from http import HTTPStatus
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from briodelta import cli
 from briodelta.cli import ENV_OUT, main
-from briodelta.core import TransState
+from briodelta.core import BrioState, RiemannData, TransState
+from briodelta.delta import solution_to_dict, solve_brio
 from briodelta.errors import BrioError
+from briodelta.verify import property_suite
 from briodelta.wave_curves import shock_q_1
 
 
@@ -504,3 +511,168 @@ def test_cli_prints_only_paths_and_leaks_no_file(tmp_path):
     line, = proc.stderr.splitlines()
     assert json.loads(line)["error"] == "IsADirectoryError"
     assert list((blocked / "solution.json").iterdir()) == []
+
+
+# --- One JSON writer: byte-for-byte json.dumps(indent=2) ---------------------
+
+_ODD_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-7,
+               0.1, -2.5, 1.7976931348623157e308)
+_ODD_STRINGS = ("", "plain", 'say "hi"', "back\\slash", "\x00\x01\x1f\t\n\r\x7f",
+                "café üñ", "  ", "astral \U0001f600 \U00010348",
+                "\ud800 lone surrogate")
+
+
+def _random_value(rnd: random.Random, depth: int):
+    pick = rnd.randrange(12 if depth < 5 else 7)
+    if pick == 0:
+        return rnd.choice(_ODD_FLOATS)
+    if pick == 1:
+        return rnd.uniform(-1, 1) * 10.0 ** rnd.randint(-320, 308)
+    if pick == 2:
+        return np.float64(rnd.choice(_ODD_FLOATS + (rnd.gauss(0, 1),)))
+    if pick == 3:
+        return rnd.choice(_ODD_STRINGS) + "".join(
+            chr(rnd.choice((rnd.randrange(0x20), rnd.randrange(0x20, 0x7f),
+                            rnd.randrange(0x80, 0xd800), rnd.randrange(0x10000, 0x110000))))
+            for _ in range(rnd.randrange(4)))
+    if pick == 4:
+        return rnd.choice((True, False, None))
+    if pick == 5:
+        return rnd.choice((0, 1, -1, 2**63, -(2**100), rnd.randrange(-10**6, 10**6)))
+    if pick == 6:
+        return rnd.choice(({}, [], ()))
+    n = rnd.randrange(1, 5)
+    if pick < 9:
+        return {rnd.choice(_ODD_STRINGS) + str(i): _random_value(rnd, depth + 1)
+                for i in range(n)}
+    items = [_random_value(rnd, depth + 1) for _ in range(n)]
+    return tuple(items) if pick == 9 else items
+
+
+def _assert_same_text(doc) -> None:
+    assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_json_writer_matches_json_dumps_on_random_documents(seed):
+    rnd = random.Random(seed)
+    for _ in range(200):
+        _assert_same_text({"doc": _random_value(rnd, 0)})
+    for value in _ODD_FLOATS + _ODD_STRINGS + (True, False, None, 2**70, -3, HTTPStatus.OK):
+        _assert_same_text(value)
+        _assert_same_text([value, {"k": value}, (value,)])
+    _assert_same_text({"": {}, "a": [[], [{}], ()], "b": {"c": {"d": []}}})
+
+
+def _solution_docs():
+    data = [((1.0, 3.0), (0.7, -3.3)), ((1.0, 3.0), (0.7, 3.3)),
+            ((0.4, -1.3), (0.4, -1.3)), ((-2.5, 1e-7), (3.0, 0.5))]
+    docs = [solution_to_dict(solve_brio(RiemannData(BrioState(*l), BrioState(*r))))
+            for l, r in data]
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        ul, vl, ur, vr = rng.uniform((-2, -3, -2, -3), (3, 3, 3, 3)).tolist()
+        try:
+            sol = solve_brio(RiemannData(BrioState(ul, vl), BrioState(ur, vr)))
+        except BrioError:
+            continue
+        docs.append(solution_to_dict(sol))
+    return docs
+
+
+def test_json_writer_matches_json_dumps_on_real_documents(tmp_path, capsys):
+    docs = _solution_docs()
+    assert len(docs) > 30
+    docs += [property_suite(seed) for seed in (0, 1)]
+    assert _run(capsys, "sample", *_DATA, "--nx", "9", "--out", str(tmp_path))[0] == 0
+    docs.append(json.loads((tmp_path / "singular.json").read_text()))
+    assert docs[-1]["carriers"]
+    for doc in docs:
+        _assert_same_text(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"x": object()}, {"x": np.int64(3)}, {"x": [{1, 2}]}, {"x": b"bytes"},
+    {1: "int key"}, {"x": {(1, 2): 0.5}}, np.bool_(True),
+])
+def test_json_writer_refuses_what_no_document_holds(doc):
+    with pytest.raises(TypeError):
+        cli._json_text(doc)
+
+
+def _csv_oracle(text: str) -> str:
+    """The CSV as csv.writer writes its parsed rows, values as %.17g."""
+    header, *rows = csv.reader(io.StringIO(text, newline=""))
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(["%.17g" % float(x) for x in row] for row in rows)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", *_DATA),
+    ("solve", "--left", "1,3", "--right", "0.7,-3.3"),
+    ("curves", "--base", "1,5", "--samples", "33"),
+    ("curves", "--base", "0.7,7", "--family", "inverse", "--samples", "9"),
+    ("sample", "--left", "1,3", "--right", "0.7,-3.3", "--nx", "101"),
+    ("verify", "--seed", "0"),
+    ("fv-compare", *_DATA, "--ladder", "32,64"),
+])
+def test_every_output_matches_the_stdlib_writers(tmp_path, capsys, argv):
+    assert _run(capsys, *argv, "--out", str(tmp_path))[0] == 0
+    outputs = _outputs(tmp_path)
+    assert outputs
+    for name, data in outputs.items():
+        text = data.decode("ascii")
+        if name.endswith(".json"):
+            assert json.dumps(json.loads(text), indent=2) + "\n" == text, name
+        else:
+            assert name.endswith(".csv")
+            assert _csv_oracle(text) == text, name
+
+
+def test_csv_writer_keeps_odd_floats(tmp_path):
+    path = tmp_path / "odd.csv"
+    rows = [(math.nan, math.inf, -math.inf), (-0.0, 5e-324, 1e16), (1e-7, 0.1, -2.5)]
+    cli._write_csv(str(path), ("a", "b", "c"), rows)
+    text = path.read_bytes().decode("ascii")
+    assert text == _csv_oracle(text)
+    assert text.splitlines()[1:3] == ["nan,inf,-inf", "-0,4.9406564584124654e-324,10000000000000000"]
+    cli._write_csv(str(path), ("a", "b", "c"), np.empty((0, 3)))
+    assert path.read_bytes() == b"a,b,c\r\n"
+
+
+# --- Output directory ---------------------------------------------------------
+
+def test_existing_out_dir_is_not_created_again(tmp_path, capsys, monkeypatch):
+    def makedirs(*args, **kwargs):
+        raise AssertionError("makedirs called on an existing directory")
+
+    monkeypatch.setattr(os, "makedirs", makedirs)
+    code, out, err = _run(capsys, "solve", *_DATA, "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert out == f"{tmp_path / 'solution.json'}\n"
+
+
+def test_missing_nested_out_dir_is_created(tmp_path, capsys, monkeypatch):
+    flagged = tmp_path / "a" / "b" / "c"
+    assert _run(capsys, "solve", *_DATA, "--out", str(flagged))[0] == 0
+    assert (flagged / "solution.json").is_file()
+    from_env = tmp_path / "d" / "e"
+    monkeypatch.setenv(ENV_OUT, str(from_env))
+    assert _run(capsys, "curves", "--base", "1,5", "--family", "1",
+                "--samples", "5")[0] == 0
+    assert sorted(p.name for p in from_env.iterdir()) == ["rw1.csv", "sw1.csv"]
+
+
+def test_regular_file_at_out_path_exits_1(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"keep")
+    with pytest.raises(FileExistsError) as expected:
+        os.makedirs(str(blocker), exist_ok=True)
+    code, out, err = _run(capsys, "solve", *_DATA, "--out", str(blocker))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "FileExistsError", "message": str(expected.value)}
+    assert blocker.read_bytes() == b"keep"
+    assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
