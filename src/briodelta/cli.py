@@ -9,12 +9,13 @@ working directory, with fixed file names so reruns are byte-identical.
 Every JSON output (solution.json, singular.json, report.json) comes from one
 writer, _json_text, whose text is byte for byte that of json.dumps with an
 indent of 2; CSV values are written as %.17g.  solution.json and report.json
-are checked against their packaged schemas before they are written, and
-every output's full text is built before its file is opened, so a rejected
-document leaves an existing file alone.  An existing output is rewritten in
-place: opened without truncation, written, then cut at the end of the new
-text.  The write is not atomic: an interrupted call can leave a partial
-file.
+are checked against their packaged schemas, by the compiled checks of
+schema_check alone, before they are written; a rejected document is a
+ValueError that names the failing path and keyword.  Every output's full
+text is built before its file is opened, so a rejected document leaves an
+existing file alone.  An existing output is rewritten in place: opened
+without truncation, written, then cut at the end of the new text.  The
+write is not atomic: an interrupted call can leave a partial file.
 
 --config FILE holds a JSON object keyed by option (x_min for --x-min) whose
 values win over flags, with a warning.  Each value is read by its option's
@@ -70,29 +71,12 @@ def _parse_pair(value: str, what: str) -> tuple[float, float]:
         raise PreconditionError(f"{what} must be numeric, got {value!r}")
 
 
-def _schema(name: str) -> dict:
-    path = importlib.resources.files("briodelta") / "schemas" / name
-    with path.open("r", encoding="utf-8") as f:
-        return json.load(f)
-
-
-@functools.cache
-def _validator(name: str):
-    """jsonschema validator of one packaged schema, built once per process.
-
-    Only a document the compiled check rejects needs it, so jsonschema is
-    imported here, not with the module.
-    """
-    from jsonschema.validators import validator_for
-
-    schema = _schema(name)
-    return validator_for(schema)(schema)
-
-
 @functools.cache
 def _check(name: str):
-    """Compiled accept check of one packaged schema, built once per process."""
-    return compile_schema(_schema(name))
+    """Compiled check of one packaged schema, built once per process."""
+    path = importlib.resources.files("briodelta") / "schemas" / name
+    with path.open("r", encoding="utf-8") as f:
+        return compile_schema(json.load(f))
 
 
 def _config_value(action: argparse.Action, value):
@@ -213,11 +197,15 @@ def _dump_json(path: str, doc: dict) -> None:
 def _write_json(path: str, doc: dict, schema_name: str) -> None:
     """Write doc after checking it against its packaged schema.
 
-    The compiled check accepts; a document it rejects goes to jsonschema,
-    which raises ValidationError with its own message, and nothing is written.
+    A document the compiled check rejects raises ValueError naming the
+    schema, the JSON path of the first failure and the keyword that fails
+    there ("solution.schema.json: /options/flip_speed fails anyOf"), and
+    nothing is written.
     """
-    if not _check(schema_name)(doc):
-        _validator(schema_name).validate(doc)
+    failure = _check(schema_name)(doc)
+    if failure is not None:
+        where, keyword = failure
+        raise ValueError(f"{schema_name}: /{'/'.join(map(str, where))} fails {keyword}")
     _dump_json(path, doc)
 
 

@@ -31,8 +31,6 @@ from .core import (
     BrioState,
     FluxPair,
     RiemannData,
-    TransState,
-    brio_flux,
     brio_flux_pair,
     energy,
     lift,

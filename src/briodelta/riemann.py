@@ -24,7 +24,6 @@ shock's speed is its locus speed (wave_curves.shock_speed), not [q]/[u].
 from __future__ import annotations
 
 import enum
-import math
 import sys
 from dataclasses import dataclass
 

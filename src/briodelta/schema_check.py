@@ -1,14 +1,18 @@
 """Compile a draft-07 JSON schema into a tree of plain Python checks.
 
-compile_schema(schema) returns a predicate that says whether a document is
-valid, with jsonschema's verdict, at a fraction of the cost of its generic
-interpreter.  It supports exactly the keywords the packaged schemas use:
-type (a name or a list of names), required, properties,
-additionalProperties: false, items (one schema), minItems, enum, anyOf and
-$ref to #/definitions/<name> with no other keyword beside it.  $schema,
-title and definitions are skipped.  Any other keyword, or a keyword used
-another way, raises ValueError when the schema is compiled, so an edit to a
-schema can never quietly widen what the check accepts.
+compile_schema(schema) returns a check with jsonschema's verdict, at a
+fraction of the cost of its generic interpreter.  It gives None for a valid
+document, else the (path, keyword) of the first failure it meets: the keys
+and indices down to the failing value, and the keyword that rejects it as
+jsonschema names that error's `validator`.
+
+It supports exactly the keywords the packaged schemas use: type (a name or a
+list of names), required, properties, additionalProperties: false, items
+(one schema), minItems, enum, anyOf and $ref to #/definitions/<name> with no
+other keyword beside it.  $schema, title and definitions are skipped.  Any
+other keyword, or a keyword used another way, raises ValueError when the
+schema is compiled, so an edit to a schema can never quietly widen what the
+check accepts.
 
 The type and equality rules are jsonschema's: number and integer exclude
 bool, integer accepts an integral float, and enum tells True apart from 1
@@ -20,7 +24,8 @@ from __future__ import annotations
 from numbers import Number
 from typing import Callable
 
-Check = Callable[[object], bool]
+Failure = tuple[tuple, str]
+Check = Callable[[object], Failure | None]
 
 _IGNORED = frozenset({"$schema", "title", "definitions"})
 _OBJECT_KEYWORDS = ("required", "properties", "additionalProperties")
@@ -29,29 +34,34 @@ _KEYWORDS = frozenset(("type", "enum", "anyOf") + _OBJECT_KEYWORDS + _ARRAY_KEYW
 _REF_PREFIX = "#/definitions/"
 
 
-def _is_number(x) -> bool:
-    return type(x) is float or (isinstance(x, Number) and not isinstance(x, bool))
+# Leaf checks return their failure themselves: an accepted leaf costs one call.
+def _number(x):
+    if type(x) is float or (isinstance(x, Number) and not isinstance(x, bool)):
+        return None
+    return (), "type"
 
 
-def _is_integer(x) -> bool:
+def _integer(x):
     if isinstance(x, bool):
-        return False
-    return isinstance(x, int) or (isinstance(x, float) and x.is_integer())
+        return (), "type"
+    if isinstance(x, int) or (isinstance(x, float) and x.is_integer()):
+        return None
+    return (), "type"
 
 
 _TYPES: dict[str, Check] = {
-    "object": lambda x: isinstance(x, dict),
-    "array": lambda x: isinstance(x, list),
-    "string": lambda x: isinstance(x, str),
-    "boolean": lambda x: isinstance(x, bool),
-    "null": lambda x: x is None,
-    "number": _is_number,
-    "integer": _is_integer,
+    "object": lambda x: None if isinstance(x, dict) else ((), "type"),
+    "array": lambda x: None if isinstance(x, list) else ((), "type"),
+    "string": lambda x: None if isinstance(x, str) else ((), "type"),
+    "boolean": lambda x: None if isinstance(x, bool) else ((), "type"),
+    "null": lambda x: None if x is None else ((), "type"),
+    "number": _number,
+    "integer": _integer,
 }
 
 
 def compile_schema(schema: dict) -> Check:
-    """Predicate with jsonschema's verdict on documents against `schema`."""
+    """Check of documents against `schema`: None, or the first (path, keyword) failing."""
     definitions = schema.get("definitions", {})
     refs: dict[str, Check | None] = {}
 
@@ -83,7 +93,7 @@ def compile_schema(schema: dict) -> Check:
             checks.append(_enum(node["enum"]))
         if "anyOf" in node:
             subs = [build(sub) for sub in node["anyOf"]]
-            checks.append(lambda x: any(s(x) for s in subs))
+            checks.append(lambda x: None if any(s(x) is None for s in subs) else ((), "anyOf"))
         if any(k in node for k in _OBJECT_KEYWORDS):
             closed = node.get("additionalProperties", True)
             if "additionalProperties" in node and closed is not False:
@@ -103,11 +113,12 @@ def _all(checks: list[Check]) -> Check:
     if len(checks) == 1:
         return checks[0]
 
-    def check(x) -> bool:
+    def check(x):
         for c in checks:
-            if not c(x):
-                return False
-        return True
+            failure = c(x)
+            if failure is not None:
+                return failure
+        return None
     return check
 
 
@@ -119,7 +130,7 @@ def _type(names) -> Check:
     checks = [_TYPES[n] for n in names]
     if len(checks) == 1:
         return checks[0]
-    return lambda x: any(c(x) for c in checks)
+    return lambda x: None if any(c(x) is None for c in checks) else ((), "type")
 
 
 def _enum_key(x):
@@ -133,37 +144,46 @@ def _enum(values) -> Check:
         raise ValueError(f"unsupported enum of containers {values!r}")
     keys = frozenset(_enum_key(v) for v in values)
 
-    def check(x) -> bool:
+    def check(x):
         try:
-            return _enum_key(x) in keys
+            if _enum_key(x) in keys:
+                return None
         except TypeError:  # unhashable: a list or an object equals no scalar
-            return False
+            pass
+        return (), "enum"
     return check
 
 
 def _object(required: tuple, props: dict[str, Check], closed: bool) -> Check:
-    def check(x) -> bool:
+    def check(x):
         if not isinstance(x, dict):
-            return True
+            return None
         for key in required:
             if key not in x:
-                return False
+                return (), "required"
         for key, value in x.items():
             sub = props.get(key)
             if sub is None:
                 if closed:
-                    return False
-            elif not sub(value):
-                return False
-        return True
+                    return (), "additionalProperties"
+            else:
+                failure = sub(value)
+                if failure is not None:
+                    return (key,) + failure[0], failure[1]
+        return None
     return check
 
 
 def _array(items: Check | None, min_items: int) -> Check:
-    def check(x) -> bool:
+    def check(x):
         if not isinstance(x, list):
-            return True
+            return None
         if len(x) < min_items:
-            return False
-        return items is None or all(items(e) for e in x)
+            return (), "minItems"
+        if items is not None:
+            for i, e in enumerate(x):
+                failure = items(e)
+                if failure is not None:
+                    return (i,) + failure[0], failure[1]
+        return None
     return check

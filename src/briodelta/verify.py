@@ -72,6 +72,10 @@ _CHUNK_POINTS = 8192
 _PAIR_TRIES = 64
 # Random bases of the shock-locus jump-condition check.
 _SHOCK_BASES = 64
+# x-margin of a test-function battery beyond its outermost ray at time T.
+_BATTERY_PAD = 0.75
+# Gauss-Legendre nodes per sub-cell in compare_fan_fv's exact cell averages.
+_FV_NODES = 8
 
 _gl_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -154,34 +158,32 @@ class TestFunction:
         return bx * dbt / self.halfwidths[1]
 
 
-def test_function_battery(speeds, T: float, *, pad: float = 0.75,
-                          p: int = 6) -> list[TestFunction]:
+def test_function_battery(speeds, T: float) -> list[TestFunction]:
     """25 bumps on a 5x5 center grid covering the fan up to time T."""
     if T <= 0.0:
         raise PreconditionError("battery horizon must be positive")
     finite = [s for s in speeds if math.isfinite(s)]
-    lo = min(finite + [0.0]) * T - pad
-    hi = max(finite + [0.0]) * T + pad
+    lo = min(finite + [0.0]) * T - _BATTERY_PAD
+    hi = max(finite + [0.0]) * T + _BATTERY_PAD
     xcs = np.linspace(lo, hi, 5)
     tcs = np.linspace(T / 6.0, 5.0 * T / 6.0, 5)
     wx = (hi - lo) / 4.0
     wt = T / 5.0
-    return [TestFunction((float(xc), float(tc)), (wx, wt), p)
+    return [TestFunction((float(xc), float(tc)), (wx, wt))
             for tc in tcs for xc in xcs]
 
 
 test_function_battery.__test__ = False
 
 
-def solution_battery(sol: DeltaSolution, T: float = 1.0,
-                     **kwargs) -> list[TestFunction]:
-    """Battery sized to one solution's rays and carriers."""
+def solution_battery(sol: DeltaSolution) -> list[TestFunction]:
+    """Battery sized to one solution's rays and carriers, up to time 1."""
     speeds = [s.speed for s in sol.singular]
     for seg in sol.segments:
         for xi in (seg.xi_lo, seg.xi_hi):
             if math.isfinite(xi):
                 speeds.append(xi)
-    return test_function_battery(speeds, T, **kwargs)
+    return test_function_battery(speeds, 1.0)
 
 
 def _dedupe(values, tol):
@@ -518,7 +520,7 @@ def fv_solve_trans(left: TransState, right: TransState, grid: FvGrid):
     return x, u, q
 
 
-def compare_fan_fv(fan: WaveFan, grid: FvGrid, *, nodes: int = 8) -> float:
+def compare_fan_fv(fan: WaveFan, grid: FvGrid) -> float:
     """L1 distance of (u, q) cell averages between exact fan and FV fields."""
     x, u_fv, q_fv = fv_solve_trans(fan.left, fan.right, grid)
     n = grid.n_cells
@@ -534,7 +536,7 @@ def compare_fan_fv(fan: WaveFan, grid: FvGrid, *, nodes: int = 8) -> float:
     lo, hi = pts[:-1], pts[1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    gx, gw = _gl(nodes)
+    gx, gw = _gl(_FV_NODES)
     X = mid[:, None] + half[:, None] * gx
     W = half[:, None] * gw
     uu, qq = sample_fan_many(fan, X.ravel() / grid.T)
@@ -566,33 +568,34 @@ def _rw1_target(left: TransState, rng, lo=0.1, hi=1.2) -> float:
     return left.u + d
 
 
+# Region -> (family-1 wave, family-2 wave).
+_REGION_WAVES = {"I": ("rarefaction", "rarefaction"), "II": ("shock", "rarefaction"),
+                 "III": ("rarefaction", "shock"), "IV": ("shock", "shock")}
+
+
 def random_trans_pair(rng, region: str):
-    """(left, right, expected middle) with the middle built on the curves."""
+    """(left, right, expected middle) with the middle built on the curves.
+
+    An unknown region raises ValueError before anything is drawn.
+    """
+    if region not in _REGION_WAVES:
+        raise ValueError(f"unknown region {region!r}")
+    wave_1, wave_2 = _REGION_WAVES[region]
     for _ in range(_PAIR_TRIES):
         left = random_trans_state(rng)
         try:
-            if region == "I":
-                um = _rw1_target(left, rng)
-                mid = TransState(um, float(forward_curve_1(left).q(um)))
-                ur = mid.u + float(rng.uniform(0.1, 1.2))
-                right = TransState(ur, integrate_rarefaction(2, mid, ur).q_at(ur))
-            elif region == "II":
+            if wave_1 == "shock":
                 um = left.u - float(rng.uniform(0.1, 1.2))
                 mid = TransState(um, shock_q_1(left, um))
-                ur = mid.u + float(rng.uniform(0.1, 1.2))
-                right = TransState(ur, integrate_rarefaction(2, mid, ur).q_at(ur))
-            elif region == "III":
+            else:
                 um = _rw1_target(left, rng)
                 mid = TransState(um, float(forward_curve_1(left).q(um)))
-                ur = mid.u - float(rng.uniform(0.1, 1.2))
-                right = TransState(ur, shock_q_2(mid, ur))
-            elif region == "IV":
-                um = left.u - float(rng.uniform(0.1, 1.2))
-                mid = TransState(um, shock_q_1(left, um))
+            if wave_2 == "shock":
                 ur = mid.u - float(rng.uniform(0.1, 1.2))
                 right = TransState(ur, shock_q_2(mid, ur))
             else:
-                raise ValueError(f"unknown region {region!r}")
+                ur = mid.u + float(rng.uniform(0.1, 1.2))
+                right = TransState(ur, integrate_rarefaction(2, mid, ur).q_at(ur))
         except BrioError:
             continue
         if right.slack < 1e-3 or mid.slack < 1e-6:
@@ -602,12 +605,15 @@ def random_trans_pair(rng, region: str):
 
 
 def random_brio_data(rng, region: str, sign_case: str) -> RiemannData:
-    """Original-variable Riemann data with a known region and sign pattern."""
+    """Original-variable Riemann data with a known region and sign pattern.
+
+    An unknown region or sign case raises ValueError before anything is drawn.
+    """
+    if sign_case not in ("same", "flip"):
+        raise ValueError(f"sign_case must be 'same' or 'flip', got {sign_case!r}")
     left, right, _ = random_trans_pair(rng, region)
     s = 1.0 if rng.uniform() < 0.5 else -1.0
     sr = s if sign_case == "same" else -s
-    if sign_case not in ("same", "flip"):
-        raise ValueError(f"sign_case must be 'same' or 'flip', got {sign_case!r}")
     return RiemannData(project(left, s), project(right, sr))
 
 
@@ -664,21 +670,226 @@ def flip_pair_alternatives(sol: DeltaSolution, k: int, rng):
 
 
 # ---------------------------------------------------------------------------
-# Property suite.
+# Property suite: a table of named checks.  Each check takes the suite's
+# _SuiteRun, draws from its one generator in table order, and returns one
+# (passed, measured, tolerance) row per name of its table entry.
 
 
-def _check(checks, name, passed, measured, tolerance):
-    checks.append({
-        "name": name,
-        "passed": bool(passed),
-        "measured": float(measured),
-        "tolerance": float(tolerance),
-    })
+@dataclass(frozen=True)
+class _SuiteRun:
+    rng: np.random.Generator
+    n_pairs: int
+    tol_weak: float
+    arclength: bool
+
+    def weak(self, sol, phis, **kw):
+        return weak_residual(sol, phis, arclength=self.arclength, **kw)
+
+
+def _worst(res) -> float:
+    """Largest of r_u and r_v over the bumps of one weak residual."""
+    return max(max(ru, rv) for ru, rv in res)
+
+
+def _flag(ok: bool):
+    """Row of a yes/no check: measured 0 when it holds, 1 when not."""
+    return ok, 0.0 if ok else 1.0, 0.0
 
 
 def _suite_weak_scale(data: RiemannData) -> float:
     return 1.0 + max(abs(data.left.u), abs(data.left.v),
                      abs(data.right.u), abs(data.right.v))
+
+
+def _region_iv_fixture():
+    """(left, right) of a forward-built two-shock (region IV) fan."""
+    left = TransState(1.0, 5.0)
+    mid = TransState(0.4, shock_q_1(left, 0.4))
+    return left, TransState(0.1, shock_q_2(mid, 0.1))
+
+
+def _rw1_curves(rng):
+    """Eight random family-1 rarefactions as 201 (u, q) samples, drawn lazily."""
+    for _ in range(8):
+        left = random_trans_state(rng)
+        um = _rw1_target(left, rng, 0.4, 1.5)
+        us = np.linspace(left.u, um, 201)
+        yield us, np.asarray(integrate_rarefaction(1, left, um).q_at(us))
+
+
+def _critical_curve_invariance(run: _SuiteRun):
+    """Family-2 integral curves started on q = u^2/2 stay on it."""
+    worst = 0.0
+    for u0 in (-2.0, 0.0, 1.0, 3.0):
+        curve = integrate_rarefaction(2, TransState(u0, 0.5 * u0 * u0), u0 + 5.0)
+        us = np.linspace(u0, u0 + 5.0, 501)
+        dev = np.abs(np.asarray(curve.q_at(us)) - 0.5 * us * us)
+        worst = max(worst, float(dev.max()))
+    return [(worst <= 1e-8, worst, 1e-8)]
+
+
+def _lambda1_monotone_rw1(run: _SuiteRun):
+    """The slow-family speed increases through every family-1 rarefaction."""
+    worst = min(float(np.diff(trans_lambdas(us, qs)[0]).min())
+                for us, qs in _rw1_curves(run.rng))
+    return [(worst > 0.0, worst, 0.0)]
+
+
+def _qtilde_decreasing_rw1(run: _SuiteRun):
+    """The discriminant 8q - 4u^2 + 1 falls along family-1 rarefactions, to 1 at q = u^2/2."""
+    worst = max(float(np.diff(8.0 * qs - 4.0 * us * us + 1.0).max())
+                for us, qs in _rw1_curves(run.rng))
+    return [(worst < 0.0, worst, 0.0)]
+
+
+def _shock_rh_consistency(run: _SuiteRun):
+    """Both shock loci satisfy both jump conditions to rounding."""
+    worst = 0.0
+    for _ in range(_SHOCK_BASES):
+        base = random_trans_state(run.rng)
+        u = base.u - float(run.rng.uniform(0.05, 1.5))
+        for q in (shock_q_1(base, u), shock_q_2(base, u)):
+            c = (q - base.q) / (u - base.u)
+            res = abs(c * (q - base.q)
+                      - (trans_flux_g(u, q) - trans_flux_g(base.u, base.q)))
+            worst = max(worst, res / (1.0 + abs(base.q)))
+    return [(worst <= 1e-10, worst, 1e-10)]
+
+
+def _middle_states(run: _SuiteRun):
+    """Randomized middle states: domain, Lax admissibility, region round trip."""
+    min_slack = math.inf
+    lax_ok = round_ok = True
+    for region in _REGION_WAVES:
+        for _ in range(max(2, run.n_pairs // 4)):
+            left, right, mid = random_trans_pair(run.rng, region)
+            fan = build_fan(left, right)
+            min_slack = min(min_slack, fan.middle.q - 0.5 * fan.middle.u ** 2)
+            lax_ok &= all(lax_check(w) for w in fan.waves if w.kind == "shock")
+            round_ok &= (fan.region.value == region
+                         and abs(fan.middle.u - mid.u) <= 1e-6 * (1.0 + abs(mid.u)))
+    return [(min_slack >= -1e-9, min_slack, -1e-9), _flag(lax_ok), _flag(round_ok)]
+
+
+def _delta_construction(run: _SuiteRun):
+    """Carried rates are the RH deficit, carriers keep the first equation, flips order."""
+    worst_def = worst_u = 0.0
+    order_ok = True
+    for region in ("II", "III", "IV"):
+        for sign_case in ("same", "flip"):
+            sol = solve_brio(random_brio_data(run.rng, region, sign_case))
+            deficit, carrier_u = _recomputed_deficits(sol)
+            worst_def, worst_u = max(worst_def, deficit), max(worst_u, carrier_u)
+            order_ok &= sign_case == "same" or _flip_ordered(sol)
+    return [(worst_def <= 1e-12, worst_def, 1e-12),
+            (worst_u <= 1e-10, worst_u, 1e-10), _flag(order_ok)]
+
+
+def _weak_residual_admissible(run: _SuiteRun):
+    """Weak residuals of admissible constructions over the 25-bump battery."""
+    worst = 0.0
+    for region in _REGION_WAVES:
+        for sign_case in ("same", "flip"):
+            data = random_brio_data(run.rng, region, sign_case)
+            sol = solve_brio(data)
+            res = run.weak(sol, solution_battery(sol))
+            worst = max(worst, _worst(res) / _suite_weak_scale(data))
+    return [(worst <= run.tol_weak, worst, run.tol_weak)]
+
+
+def _minimality(run: _SuiteRun):
+    """Spliced flip pairs stay weak solutions but carry more deltas."""
+    data = random_brio_data(run.rng, "II", "same")
+    sol = solve_brio(data)
+    base_card = cardinality(sol)
+    scale = _suite_weak_scale(data)
+    ok, worst = True, 0.0
+    for alt in flip_pair_alternatives(sol, 3, run.rng):
+        worst = max(worst, _worst(run.weak(alt, solution_battery(alt))) / scale)
+        ok &= cardinality(alt) > base_card
+    return [(ok and worst <= run.tol_weak, worst, run.tol_weak)]
+
+
+def _nonuniqueness_fixture(run: _SuiteRun):
+    """Two weak solutions over zero data; cardinality picks the zero one."""
+    fix = nonuniqueness_example(1.0, -1.0, 1.0)
+    zero = nonuniqueness_example(0.0, -1.0, 1.0)
+    battery = test_function_battery([-1.0, 1.0], 1.0)
+    worst = _worst(run.weak(fix, battery))
+    worst0 = _worst(run.weak(zero, battery))
+    ok = worst <= 1e-8 and worst0 <= 1e-12 and \
+        cardinality(fix) == 2 and cardinality(zero) == 0
+    return [(ok, worst, 1e-8)]
+
+
+def _canary_sw1_sign(run: _SuiteRun):
+    """Canary: a fast-family locus state passed off as a slow shock fails Lax."""
+    left = TransState(1.0, 5.0)
+    wrong = TransState(0.7, shock_q_2(left, 0.7))
+    c = (wrong.q - left.q) / (wrong.u - left.u)
+    return [_flag(not lax_check(Wave("shock", 1, left, wrong, c, c)))]
+
+
+def _canary_flip_speed(run: _SuiteRun):
+    """Canary: a flip speed off both admissible values gives a residual > 1e-4."""
+    _, sol = _canary_flip_solution()
+    worst = _worst(run.weak(sol, solution_battery(sol)))
+    return [(worst > 1e-4, worst, 1e-4)]
+
+
+def _fv_cross_validation(run: _SuiteRun):
+    """FV cross-validation on the shock-dominated region-IV fan."""
+    left, right = _region_iv_fixture()
+    err = compare_fan_fv(build_fan(left, right), FvGrid(-5.0, 5.0, 4096, 0.45, 0.5))
+    bound = 0.05 * (abs(right.u - left.u) + abs(right.q - left.q))
+    return [(err <= bound, err, bound)]
+
+
+def _quadrature_convergence(run: _SuiteRun):
+    """Doubling the nodes gains >= 4x until the floor on the region-IV fan.
+
+    Its regular part is piecewise constant, so only quadrature error remains.
+    """
+    left, right = _region_iv_fixture()
+    data = RiemannData(project(left, 1.0), project(right, 1.0))
+    sol = solve_brio(data)
+    phi = TestFunction((0.0, 0.5), (2.5, 0.45))
+    floor = 1e-12 * _suite_weak_scale(data)
+    levels = [_worst(run.weak(sol, [phi], nodes=n)) for n in (4, 8, 16)]
+    ratio_ok = True
+    worst_ratio = math.inf
+    for a, b in zip(levels[:-1], levels[1:]):
+        if a <= floor:
+            break
+        ratio = a / max(b, floor)
+        worst_ratio = min(worst_ratio, ratio)
+        if ratio < 4.0 and b > floor:
+            ratio_ok = False
+    measured = worst_ratio if math.isfinite(worst_ratio) else levels[-1]
+    return [(ratio_ok, measured, 4.0)]
+
+
+# (check, its (name, measured, tolerance) rows when it raises BrioError), in
+# report order.  A tolerance of None stands for the run's tol_weak.
+_SUITE = (
+    (_critical_curve_invariance, (("critical_curve_invariance", math.inf, 1e-8),)),
+    (_lambda1_monotone_rw1, (("lambda1_monotone_rw1", -math.inf, 0.0),)),
+    (_qtilde_decreasing_rw1, (("qtilde_decreasing_rw1", math.inf, 0.0),)),
+    (_shock_rh_consistency, (("shock_rh_consistency", math.inf, 1e-10),)),
+    (_middle_states, (("middle_state_domain", -math.inf, -1e-9),
+                      ("lax_admissibility", 1.0, 0.0),
+                      ("region_round_trip", 1.0, 0.0))),
+    (_delta_construction, (("deficit_identity", math.inf, 1e-12),
+                           ("carrier_u_exactness", math.inf, 1e-10),
+                           ("flip_ordering", 1.0, 0.0))),
+    (_weak_residual_admissible, (("weak_residual_admissible", math.inf, None),)),
+    (_minimality, (("minimality", math.inf, None),)),
+    (_nonuniqueness_fixture, (("nonuniqueness_fixture", math.inf, 1e-8),)),
+    (_canary_sw1_sign, (("canary_sw1_sign", 1.0, 0.0),)),
+    (_canary_flip_speed, (("canary_flip_speed", 0.0, 1e-4),)),
+    (_fv_cross_validation, (("fv_cross_validation", math.inf, 0.0),)),
+    (_quadrature_convergence, (("quadrature_convergence", 0.0, 4.0),)),
+)
 
 
 def property_suite(seed: int = 0, *, n_pairs: int = 40,
@@ -687,241 +898,23 @@ def property_suite(seed: int = 0, *, n_pairs: int = 40,
     """Run every module-level invariant and report pass/fail per check.
 
     Deterministic for a fixed seed.  Failures never raise; they land in the
-    report (the CLI turns an any-failed report into exit code 2).  The
-    arclength variant reweights the line terms by sqrt(1 + c^2); carried
-    rates are calibrated to the unweighted form, so expect the weak checks
-    to fail under it (that asymmetry is the point of exposing the flag).
+    report (the CLI turns an any-failed report into exit code 2).  A check
+    that raises BrioError reports its table rows, failed.  The arclength
+    variant reweights the line terms by sqrt(1 + c^2); carried rates are
+    calibrated to the unweighted form, so expect the weak checks to fail
+    under it (that asymmetry is the point of exposing the flag).
     """
-    rng = np.random.default_rng(seed)
+    run = _SuiteRun(np.random.default_rng(seed), n_pairs, tol_weak, arclength)
     checks: list[dict] = []
-
-    def wr(sol, phis, **kw):
-        return weak_residual(sol, phis, arclength=arclength, **kw)
-
-    # Critical-curve invariance: family-2 integral curves started on
-    # q = u^2/2 stay on it.
-    try:
-        worst = 0.0
-        for u0 in (-2.0, 0.0, 1.0, 3.0):
-            curve = integrate_rarefaction(2, TransState(u0, 0.5 * u0 * u0),
-                                          u0 + 5.0)
-            us = np.linspace(u0, u0 + 5.0, 501)
-            dev = np.abs(np.asarray(curve.q_at(us)) - 0.5 * us * us)
-            worst = max(worst, float(dev.max()))
-        _check(checks, "critical_curve_invariance", worst <= 1e-8, worst, 1e-8)
-    except BrioError:
-        _check(checks, "critical_curve_invariance", False, math.inf, 1e-8)
-
-    # Slow-family speed increases through every family-1 rarefaction.
-    try:
-        worst = math.inf
-        for _ in range(8):
-            left = random_trans_state(rng)
-            um = _rw1_target(left, rng, 0.4, 1.5)
-            curve = integrate_rarefaction(1, left, um)
-            us = np.linspace(left.u, um, 201)
-            qs = np.asarray(curve.q_at(us))
-            lam = trans_lambdas(us, qs)[0]
-            worst = min(worst, float(np.diff(lam).min()))
-        _check(checks, "lambda1_monotone_rw1", worst > 0.0, worst, 0.0)
-    except BrioError:
-        _check(checks, "lambda1_monotone_rw1", False, -math.inf, 0.0)
-
-    # The discriminant 8q - 4u^2 + 1 strictly decreases along those curves
-    # (this is what drives them into the critical curve in finite length).
-    try:
-        worst = -math.inf
-        for _ in range(8):
-            left = random_trans_state(rng)
-            um = _rw1_target(left, rng, 0.4, 1.5)
-            curve = integrate_rarefaction(1, left, um)
-            us = np.linspace(left.u, um, 201)
-            qs = np.asarray(curve.q_at(us))
-            disc = 8.0 * qs - 4.0 * us * us + 1.0
-            worst = max(worst, float(np.diff(disc).max()))
-        _check(checks, "qtilde_decreasing_rw1", worst < 0.0, worst, 0.0)
-    except BrioError:
-        _check(checks, "qtilde_decreasing_rw1", False, math.inf, 0.0)
-
-    # Shock loci satisfy both jump conditions to rounding.
-    try:
-        worst = 0.0
-        for _ in range(_SHOCK_BASES):
-            base = random_trans_state(rng)
-            u = base.u - float(rng.uniform(0.05, 1.5))
-            for q in (shock_q_1(base, u), shock_q_2(base, u)):
-                c = (q - base.q) / (u - base.u)
-                res = abs(c * (q - base.q)
-                          - (trans_flux_g(u, q) - trans_flux_g(base.u, base.q)))
-                worst = max(worst, res / (1.0 + abs(base.q)))
-        _check(checks, "shock_rh_consistency", worst <= 1e-10, worst, 1e-10)
-    except BrioError:
-        _check(checks, "shock_rh_consistency", False, math.inf, 1e-10)
-
-    # Randomized middle states: bracketing, domain, admissibility, regions.
-    try:
-        min_slack = math.inf
-        lax_ok = True
-        round_ok = True
-        for region in ("I", "II", "III", "IV"):
-            for _ in range(max(2, n_pairs // 4)):
-                left, right, mid = random_trans_pair(rng, region)
-                fan = build_fan(left, right)
-                min_slack = min(min_slack,
-                                fan.middle.q - 0.5 * fan.middle.u ** 2)
-                for w in fan.waves:
-                    if w.kind == "shock" and not lax_check(w):
-                        lax_ok = False
-                if fan.region.value != region:
-                    round_ok = False
-                if abs(fan.middle.u - mid.u) > 1e-6 * (1.0 + abs(mid.u)):
-                    round_ok = False
-        _check(checks, "middle_state_domain", min_slack >= -1e-9,
-               min_slack, -1e-9)
-        _check(checks, "lax_admissibility", lax_ok, 0.0 if lax_ok else 1.0, 0.0)
-        _check(checks, "region_round_trip", round_ok,
-               0.0 if round_ok else 1.0, 0.0)
-    except BrioError:
-        _check(checks, "middle_state_domain", False, -math.inf, -1e-9)
-        _check(checks, "lax_admissibility", False, 1.0, 0.0)
-        _check(checks, "region_round_trip", False, 1.0, 0.0)
-
-    # Delta construction: carried rates equal the RH deficit, first equation
-    # holds exactly across carriers, flip sits between the family waves.
-    try:
-        worst_def = 0.0
-        worst_u = 0.0
-        order_ok = True
-        for region in ("II", "III", "IV"):
-            for sign_case in ("same", "flip"):
-                data = random_brio_data(rng, region, sign_case)
-                sol = solve_brio(data)
-                resampled = _recomputed_deficits(sol)
-                worst_def = max(worst_def, resampled[0])
-                worst_u = max(worst_u, resampled[1])
-                if sign_case == "flip" and not _flip_ordered(sol):
-                    order_ok = False
-        _check(checks, "deficit_identity", worst_def <= 1e-12, worst_def, 1e-12)
-        _check(checks, "carrier_u_exactness", worst_u <= 1e-10, worst_u, 1e-10)
-        _check(checks, "flip_ordering", order_ok, 0.0 if order_ok else 1.0, 0.0)
-    except BrioError:
-        _check(checks, "deficit_identity", False, math.inf, 1e-12)
-        _check(checks, "carrier_u_exactness", False, math.inf, 1e-10)
-        _check(checks, "flip_ordering", False, 1.0, 0.0)
-
-    # Weak residuals of admissible constructions over the 25-bump battery.
-    try:
-        worst = 0.0
-        for region in ("I", "II", "III", "IV"):
-            for sign_case in ("same", "flip"):
-                data = random_brio_data(rng, region, sign_case)
-                sol = solve_brio(data)
-                res = wr(sol, solution_battery(sol))
-                scale = _suite_weak_scale(data)
-                worst = max(worst,
-                            max(max(ru, rv) for ru, rv in res) / scale)
-        _check(checks, "weak_residual_admissible", worst <= tol_weak,
-               worst, tol_weak)
-    except BrioError:
-        _check(checks, "weak_residual_admissible", False, math.inf, tol_weak)
-
-    # Minimality: spliced flip pairs stay weak solutions but carry more deltas.
-    try:
-        data = random_brio_data(rng, "II", "same")
-        sol = solve_brio(data)
-        base_card = cardinality(sol)
-        scale = _suite_weak_scale(data)
-        ok = True
-        worst = 0.0
-        for alt in flip_pair_alternatives(sol, 3, rng):
-            res = wr(alt, solution_battery(alt))
-            worst = max(worst, max(max(ru, rv) for ru, rv in res) / scale)
-            if not (cardinality(alt) > base_card):
-                ok = False
-        ok = ok and worst <= tol_weak
-        _check(checks, "minimality", ok, worst, tol_weak)
-    except BrioError:
-        _check(checks, "minimality", False, math.inf, tol_weak)
-
-    # Non-uniqueness fixture over zero data; cardinality picks zero.
-    try:
-        fix = nonuniqueness_example(1.0, -1.0, 1.0)
-        battery = test_function_battery([-1.0, 1.0], 1.0)
-        res = wr(fix, battery)
-        worst = max(max(ru, rv) for ru, rv in res)
-        zero = nonuniqueness_example(0.0, -1.0, 1.0)
-        res0 = wr(zero, battery)
-        worst0 = max(max(ru, rv) for ru, rv in res0)
-        ok = worst <= 1e-8 and worst0 <= 1e-12 and \
-            cardinality(fix) == 2 and cardinality(zero) == 0
-        _check(checks, "nonuniqueness_fixture", ok, worst, 1e-8)
-    except BrioError:
-        _check(checks, "nonuniqueness_fixture", False, math.inf, 1e-8)
-
-    # Mutation canary: the fast-family locus value passed off as a slow
-    # shock must be rejected by the admissibility check.
-    try:
-        left = TransState(1.0, 5.0)
-        u = 0.7
-        wrong = TransState(u, shock_q_2(left, u))
-        c = (wrong.q - left.q) / (wrong.u - left.u)
-        w = Wave("shock", 1, left, wrong, c, c)
-        caught = not lax_check(w)
-        _check(checks, "canary_sw1_sign", caught, 0.0 if caught else 1.0, 0.0)
-    except BrioError:
-        _check(checks, "canary_sw1_sign", False, 1.0, 0.0)
-
-    # Sensitivity canary: a flip speed off both admissible values must blow
-    # the weak residual past 1e-4.
-    try:
-        _, sol = _canary_flip_solution()
-        res = wr(sol, solution_battery(sol))
-        worst = max(max(ru, rv) for ru, rv in res)
-        _check(checks, "canary_flip_speed", worst > 1e-4, worst, 1e-4)
-    except BrioError:
-        _check(checks, "canary_flip_speed", False, 0.0, 1e-4)
-
-    # FV cross-validation on a shock-dominated (region IV) fan.
-    try:
-        left = TransState(1.0, 5.0)
-        mid = TransState(0.4, shock_q_1(left, 0.4))
-        right = TransState(0.1, shock_q_2(mid, 0.1))
-        fan = build_fan(left, right)
-        err = compare_fan_fv(fan, FvGrid(-5.0, 5.0, 4096, 0.45, 0.5))
-        bound = 0.05 * (abs(right.u - left.u) + abs(right.q - left.q))
-        _check(checks, "fv_cross_validation", err <= bound, err, bound)
-    except BrioError:
-        _check(checks, "fv_cross_validation", False, math.inf, 0.0)
-
-    # Quadrature convergence on a two-shock solution (piecewise-constant
-    # regular part, so only quadrature error remains): doubling nodes gains
-    # >= 4x until the floor.
-    try:
-        left = TransState(1.0, 5.0)
-        mid = TransState(0.4, shock_q_1(left, 0.4))
-        right = TransState(0.1, shock_q_2(mid, 0.1))
-        data = RiemannData(project(left, 1.0), project(right, 1.0))
-        sol = solve_brio(data)
-        phi = TestFunction((0.0, 0.5), (2.5, 0.45))
-        floor = 1e-12 * _suite_weak_scale(data)
-        levels = []
-        for n in (4, 8, 16):
-            ru, rv = wr(sol, [phi], nodes=n)[0]
-            levels.append(max(ru, rv))
-        ratio_ok = True
-        worst_ratio = math.inf
-        for a, b in zip(levels[:-1], levels[1:]):
-            if a <= floor:
-                break
-            ratio = a / max(b, floor)
-            worst_ratio = min(worst_ratio, ratio)
-            if ratio < 4.0 and b > floor:
-                ratio_ok = False
-        measured = worst_ratio if math.isfinite(worst_ratio) else levels[-1]
-        _check(checks, "quadrature_convergence", ratio_ok, measured, 4.0)
-    except BrioError:
-        _check(checks, "quadrature_convergence", False, 0.0, 4.0)
-
+    for check, fallback in _SUITE:
+        try:
+            rows = check(run)
+        except BrioError:
+            rows = [(False, measured, tol_weak if tol is None else tol)
+                    for _, measured, tol in fallback]
+        checks += [{"name": name, "passed": bool(passed), "measured": float(measured),
+                    "tolerance": float(tol)}
+                   for (name, _, _), (passed, measured, tol) in zip(fallback, rows, strict=True)]
     return {"checks": checks, "seed": seed}
 
 

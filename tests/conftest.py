@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from briodelta import BrioState, RiemannData, TransState, project
+from briodelta import RiemannData, TransState, project
 from briodelta.wave_curves import shock_q_1, shock_q_2
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 import importlib.resources
 import io
@@ -302,14 +303,18 @@ def test_negative_first_component_in_space_form(tmp_path, capsys):
     assert code == 1 and "--left: expected one argument" in err
 
 
-def test_cached_validator_rejects_malformed_document(tmp_path, capsys):
+def test_cached_check_rejects_malformed_document(tmp_path, capsys):
     assert _run(capsys, "solve", "--left", "1,3", "--right", "0.7,-3.3",
                 "--out", str(tmp_path))[0] == 0
-    assert cli._validator("solution.schema.json") is cli._validator("solution.schema.json")
+    assert cli._check("solution.schema.json") is cli._check("solution.schema.json")
     doc = json.loads((tmp_path / "solution.json").read_text())
     doc["options"]["flip_speed"] = "sideways"
     bad = tmp_path / "bad.json"
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(ValueError) as rejected:
+        cli._write_json(str(bad), doc, "solution.schema.json")
+    assert str(rejected.value) == "solution.schema.json: /options/flip_speed fails anyOf"
+    del doc["options"]
+    with pytest.raises(ValueError, match=r": / fails required$"):
         cli._write_json(str(bad), doc, "solution.schema.json")
     assert not bad.exists()
 
@@ -435,11 +440,32 @@ def _fresh_python(*args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
+def test_package_imports_neither_scipy_nor_jsonschema():
+    # Both are test-only dependencies: no module of the package imports them,
+    # and the package depends on numpy alone.
+    found = []
+    for path in sorted(Path(cli.__file__).resolve().parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [(path.name, n) for n in names
+                      if n.partition(".")[0] in ("scipy", "jsonschema")]
+    assert found == []
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(cli.__file__).resolve().parents[2] / "pyproject.toml"
+    if pyproject.is_file():
+        project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+        assert [d.partition(">")[0] for d in project["dependencies"]] == ["numpy"]
+        assert "jsonschema" in " ".join(project["optional-dependencies"]["test"])
+
+
 def test_solve_loads_neither_scipy_nor_jsonschema(tmp_path):
     # In a fresh interpreter, importing the package and solving one problem
-    # through the CLI loads no scipy module and no jsonschema module:
-    # jsonschema is imported only to report a document the compiled check
-    # rejects.
+    # through the CLI loads no scipy module and no jsonschema module.
     script = (
         "import sys\n"
         "import briodelta, briodelta.cli\n"
@@ -485,7 +511,7 @@ def test_failed_write_leaves_existing_file_alone(tmp_path, capsys):
     kept = path.read_bytes()
     doc = json.loads(kept)
     doc["options"]["flip_speed"] = "sideways"
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(ValueError, match="fails anyOf"):
         cli._write_json(str(path), doc, "solution.schema.json")
     assert path.read_bytes() == kept
     # A document json cannot encode fails before the file is opened.
@@ -511,6 +537,34 @@ def test_cli_prints_only_paths_and_leaks_no_file(tmp_path):
     line, = proc.stderr.splitlines()
     assert json.loads(line)["error"] == "IsADirectoryError"
     assert list((blocked / "solution.json").iterdir()) == []
+
+
+def test_rejected_solution_exits_1_with_one_json_line(tmp_path):
+    # In a fresh interpreter, a solution.json its schema rejects makes main
+    # exit 1 with one JSON error line naming the failing path and keyword,
+    # not a traceback; the existing file stays, and jsonschema is not loaded.
+    assert main(["solve", *_DATA, "--out", str(tmp_path)]) == 0
+    path = tmp_path / "solution.json"
+    kept = path.read_bytes()
+    script = (
+        "import sys\n"
+        "import briodelta.cli as cli\n"
+        "to_dict = cli.solution_to_dict\n"
+        "def bad(sol):\n"
+        "    doc = to_dict(sol)\n"
+        "    doc['regular'][0]['kind'] = 'kink'\n"
+        "    return doc\n"
+        "cli.solution_to_dict = bad\n"
+        f"code = cli.main(['solve', *{_DATA!r}, '--out', {str(tmp_path)!r}])\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'jsonschema'))\n"
+        "sys.exit(code)\n"
+    )
+    proc = _fresh_python("-c", script)
+    assert (proc.returncode, proc.stdout) == (1, "[]\n")
+    line, = proc.stderr.splitlines()
+    assert json.loads(line) == {"error": "ValueError",
+                                "message": "solution.schema.json: /regular/0/kind fails enum"}
+    assert path.read_bytes() == kept
 
 
 # --- One JSON writer: byte-for-byte json.dumps(indent=2) ---------------------

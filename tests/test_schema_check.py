@@ -1,4 +1,4 @@
-"""Compiled schema checks: same verdict as jsonschema, unsupported schemas refused."""
+"""Compiled schema checks: jsonschema's verdict and error, unsupported schemas refused."""
 
 from __future__ import annotations
 
@@ -98,6 +98,8 @@ def _cli_solutions(tmp_path) -> list:
 
 
 def test_compiled_check_agrees_with_jsonschema(tmp_path, fixture_pair, capsys):
+    # Same verdict on every mutation, and a rejection names one of the
+    # (path, validator) pairs of jsonschema's own errors.
     documents = {
         "solution.schema.json": _cli_solutions(tmp_path),
         "report.schema.json": [property_suite(0)],
@@ -111,11 +113,17 @@ def test_compiled_check_agrees_with_jsonschema(tmp_path, fixture_pair, capsys):
         reference = jsonschema.Draft7Validator(schema)
         count, mismatches = 0, []
         for doc in docs:
-            assert check(doc) and reference.is_valid(doc)
+            assert check(doc) is None and reference.is_valid(doc)
             for _ in _mutations(doc):
                 count += 1
-                if check(doc) != reference.is_valid(doc):
-                    mismatches.append(json.dumps(doc))
+                failure = check(doc)
+                if failure is None:
+                    agrees = reference.is_valid(doc)
+                else:  # one of (path, validator) of its errors, so also invalid
+                    agrees = any((tuple(e.absolute_path), e.validator) == failure
+                                 for e in reference.iter_errors(doc))
+                if not agrees:
+                    mismatches.append((json.dumps(doc), failure))
             assert reference.is_valid(doc)
         assert count > 500 * len(docs), (name, count)
         assert mismatches == [], (name, mismatches[:3])
@@ -141,12 +149,32 @@ def test_unsupported_schemas_are_refused(schema):
 
 
 def test_type_and_enum_semantics():
+    def accepts(check, values):
+        return [check(x) is None for x in values]
+
     number, integer = compile_schema({"type": "number"}), compile_schema({"type": "integer"})
-    assert [number(x) for x in (1, 1.5, True, "1", None)] == [True, True, False, False, False]
-    assert [integer(x) for x in (1, 2.0, 2.5, False)] == [True, True, False, False]
+    assert accepts(number, (1, 1.5, True, "1", None)) == [True, True, False, False, False]
+    assert accepts(integer, (1, 2.0, 2.5, False)) == [True, True, False, False]
+    assert number("1") == integer(2.5) == ((), "type")
     ints, flags = compile_schema({"enum": [1, 2]}), compile_schema({"enum": [True, None]})
-    assert [ints(x) for x in (1, 1.0, 2.0, True, "1", [1])] == [True, True, True, False, False, False]
-    assert [flags(x) for x in (True, 1, None, 0, False)] == [True, False, True, False, False]
+    assert accepts(ints, (1, 1.0, 2.0, True, "1", [1])) == [True, True, True, False, False, False]
+    assert accepts(flags, (True, 1, None, 0, False)) == [True, False, True, False, False]
+    assert ints([1]) == flags(0) == ((), "enum")
+
+
+def test_failure_path_and_keyword():
+    check = compile_schema({
+        "type": "object", "required": ["a"], "additionalProperties": False,
+        "properties": {"a": {"type": "array", "minItems": 1,
+                             "items": {"$ref": "#/definitions/x"}}},
+        "definitions": {"x": {"anyOf": [{"type": "null"}, {"enum": ["y"]}]}},
+    })
+    assert check({"a": [None, "y"]}) is None
+    assert check([]) == ((), "type")
+    assert check({}) == ((), "required")
+    assert check({"a": [None], "b": 1}) == ((), "additionalProperties")
+    assert check({"a": []}) == (("a",), "minItems")
+    assert check({"a": [None, "z"]}) == (("a", 1), "anyOf")
 
 
 @pytest.mark.parametrize("name", ["solution.schema.json", "report.schema.json", "fan.schema.json"])

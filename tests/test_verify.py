@@ -11,6 +11,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from briodelta import verify
 from briodelta.core import (
     BrioState,
     RiemannData,
@@ -28,7 +29,7 @@ from briodelta.delta import (
     sample_brio_many,
     solve_brio,
 )
-from briodelta.errors import PreconditionError
+from briodelta.errors import BlowUp, PreconditionError
 from briodelta.riemann import build_fan
 from briodelta.verify import (
     FvGrid,
@@ -262,8 +263,11 @@ def test_random_pair_constructions(rng):
             assert abs(right.q - shock_q_2(mid, right.u)) <= 1e-12 * (1.0 + abs(right.q))
         else:
             assert right.u > mid.u
+    # Unknown arguments are refused before anything is drawn.
+    state = rng.bit_generator.state
     with pytest.raises(ValueError):
         random_trans_pair(rng, "V")
+    assert rng.bit_generator.state == state
 
 
 def test_random_brio_data_signs(rng):
@@ -272,8 +276,11 @@ def test_random_brio_data_signs(rng):
         assert same.left.v * same.right.v > 0.0
         flip = random_brio_data(rng, "III", "flip")
         assert flip.left.v * flip.right.v < 0.0
-    with pytest.raises(ValueError):
-        random_brio_data(rng, "II", "both")
+    state = rng.bit_generator.state
+    for region, sign_case in (("II", "both"), ("V", "same")):
+        with pytest.raises(ValueError):
+            random_brio_data(rng, region, sign_case)
+    assert rng.bit_generator.state == state
 
 
 def test_flip_pair_alternatives(rng):
@@ -310,6 +317,40 @@ def test_property_suite_default_seed_passes():
 
 def test_property_suite_deterministic():
     assert property_suite(seed=7, n_pairs=8) == property_suite(seed=7, n_pairs=8)
+
+
+def test_property_suite_fv_fallback_draws_nothing(monkeypatch):
+    # compare_fan_fv draws nothing, so its failure changes only its own row.
+    def blow_up(fan, grid):
+        raise BlowUp("scheme state left the bounding box")
+
+    plain = property_suite(seed=3, n_pairs=8)["checks"]
+    monkeypatch.setattr(verify, "compare_fan_fv", blow_up)
+    patched = property_suite(seed=3, n_pairs=8)["checks"]
+    fv = {"name": "fv_cross_validation", "passed": False, "measured": math.inf,
+          "tolerance": 0.0}
+    assert patched == [fv if c["name"] == fv["name"] else c for c in plain]
+
+
+def test_property_suite_reports_table_fallback_rows(monkeypatch):
+    # A check that raises reports every row of its table entry, failed; a
+    # fallback tolerance of None is the run's tol_weak.
+    def fail(*args):
+        raise PreconditionError("forced")
+
+    monkeypatch.setattr(verify, "_recomputed_deficits", fail)
+    monkeypatch.setattr(verify, "flip_pair_alternatives", fail)
+    report = property_suite(seed=0, n_pairs=8, tol_weak=2e-7)
+    rows = {c["name"]: c for c in report["checks"]}
+    table = dict(verify._SUITE)
+    expected = table[verify._delta_construction] + table[verify._minimality]
+    assert len(expected) == 4
+    for name, measured, tol in expected:
+        assert rows[name] == {"name": name, "passed": False, "measured": measured,
+                              "tolerance": 2e-7 if tol is None else tol}
+    assert rows["minimality"]["tolerance"] == 2e-7
+    assert [c["name"] for c in report["checks"]] == \
+        [name for _, fallback in verify._SUITE for name, _, _ in fallback]
 
 
 def test_property_suite_arclength_flags_weak_checks():
