@@ -40,7 +40,7 @@ from .errors import DegenerateJump, OrderingViolation, PreconditionError
 from .riemann import Region, WaveFan, build_fan
 from .wave_curves import IntegralCurve
 
-# Tolerance for the asserted speed ordering around the v-flip jump.
+# Tolerance of the v-flip's placement between the two family waves.
 TOL_ORDER = 1e-10
 
 
@@ -148,17 +148,10 @@ def generic_delta_shock(flux: FluxPair, data: RiemannData, branch: str) -> Delta
     return DeltaSolution(data, flux, segments, (sing,))
 
 
-def _v_signs(data: RiemannData) -> tuple[float, float]:
-    """Signs carried by the two sides; zero v adopts the other side's sign."""
-    sl = math.copysign(1.0, data.left.v) if data.left.v != 0.0 else 0.0
-    sr = math.copysign(1.0, data.right.v) if data.right.v != 0.0 else 0.0
-    if sl == 0.0 and sr == 0.0:
-        return 1.0, 1.0
-    if sl == 0.0:
-        return sr, sr
-    if sr == 0.0:
-        return sl, sl
-    return sl, sr
+def _left_sign(data: RiemannData) -> float:
+    """Sign of v left of any flip: the left datum's, the right one's if v_L is zero, else +1."""
+    v = data.left.v if data.left.v != 0.0 else data.right.v
+    return math.copysign(1.0, v) if v != 0.0 else 1.0
 
 
 def solve_brio(data: RiemannData, *, flip_speed="rh",
@@ -167,28 +160,35 @@ def solve_brio(data: RiemannData, *, flip_speed="rh",
 
     flip_speed chooses the speed of the v-flip jump in the sign-change
     case: "rh" for the jump-condition speed u_M - 1 (default; the flip then
-    carries no deficit), "paper" for u_M, or a float for an explicit speed
-    (verification hook).  A flip speed outside the gap between the two
-    family waves raises OrderingViolation.
+    carries no deficit), "paper" for u_M, or a finite float for an explicit
+    speed (verification hook).  The fan's waves are ordered by construction,
+    so the flip is the one thing placed here: a speed outside the gap
+    between the two family waves raises OrderingViolation.
     """
     fan_kwargs = {} if tol_root is None else {"tol_root": tol_root}
     fan = build_fan(lift(data.left), lift(data.right), **fan_kwargs)
-    s_left, s_right = _v_signs(data)
     sign_change = data.left.v * data.right.v < 0.0
+    wave1 = next((w for w in fan.waves if w.family == 1), None)
+    wave2 = next((w for w in fan.waves if w.family == 2), None)
 
     if sign_change:
         if flip_speed == "rh":
             xi_flip = fan.middle.u - 1.0
         elif flip_speed == "paper":
             xi_flip = fan.middle.u
-        elif isinstance(flip_speed, (int, float)) and not isinstance(flip_speed, bool):
+        elif (isinstance(flip_speed, (int, float)) and not isinstance(flip_speed, bool)
+              and math.isfinite(flip_speed)):
             xi_flip = float(flip_speed)
         else:
-            raise ValueError(f"flip_speed must be 'rh', 'paper' or a number, "
+            raise ValueError(f"flip_speed must be 'rh', 'paper' or a finite number, "
                              f"got {flip_speed!r}")
-
-    wave1 = next((w for w in fan.waves if w.family == 1), None)
-    wave2 = next((w for w in fan.waves if w.family == 2), None)
+        gap_lo = wave1.speed_hi if wave1 is not None else -math.inf
+        gap_hi = wave2.speed_lo if wave2 is not None else math.inf
+        if (xi_flip < gap_lo - TOL_ORDER * (1.0 + abs(xi_flip))
+                or gap_hi < xi_flip - TOL_ORDER * (1.0 + abs(gap_hi))):
+            raise OrderingViolation(
+                f"v-flip speed {xi_flip!r} lies outside the gap [{gap_lo!r}, {gap_hi!r}] "
+                f"between the family waves")
 
     events: list[tuple] = []
     if wave1 is not None:
@@ -205,7 +205,7 @@ def solve_brio(data: RiemannData, *, flip_speed="rh",
     cursor = -math.inf
     state_t = fan.left
     state = data.left
-    sign = s_left
+    sign = _left_sign(data)
 
     def emit_constant(hi: float) -> None:
         if hi > cursor:
@@ -215,10 +215,6 @@ def solve_brio(data: RiemannData, *, flip_speed="rh",
         last = i == len(events) - 1
         if ev[0] == "wave":
             w = ev[1]
-            if w.speed_lo < cursor - TOL_ORDER * (1.0 + abs(w.speed_lo)):
-                raise OrderingViolation(
-                    f"wave at speed {w.speed_lo!r} overlaps the structure at {cursor!r}"
-                )
             emit_constant(w.speed_lo)
             lb = data.left if i == 0 else project(w.left, sign)
             rb = data.right if last else project(w.right, sign)
@@ -227,21 +223,16 @@ def solve_brio(data: RiemannData, *, flip_speed="rh",
                 singular.append(
                     DeltaSingularity(c, rh_deficit_v(lb, rb, c), 0.0, "v")
                 )
-                cursor = c
             else:
                 segments.append(
                     RarefactionSegment(w.speed_lo, w.speed_hi, w.family,
                                        w.curve, sign, lb, rb)
                 )
-                cursor = w.speed_hi
+            cursor = w.speed_hi
             state_t = w.right
             state = rb
         else:
             xi = ev[1]
-            if xi < cursor - TOL_ORDER * (1.0 + abs(xi)):
-                raise OrderingViolation(
-                    f"v-flip speed {xi!r} lies left of the structure at {cursor!r}"
-                )
             emit_constant(xi)
             cursor = xi
             sign = -sign
@@ -285,8 +276,9 @@ def cardinality(sol: DeltaSolution) -> int:
 
 def sample_brio(sol: DeltaSolution, x: float, t: float):
     """Regular state at (x, t) plus (position, strength) of every singularity."""
-    if t <= 0.0:
-        raise PreconditionError("sample time must be positive")
+    if not (math.isfinite(x) and 0.0 < t < math.inf):
+        raise PreconditionError(f"sample point needs a finite x and a finite t > 0, "
+                                f"got x={x!r}, t={t!r}")
     u, v = sample_brio_many(sol, [x / t])
     carriers = [(s.speed * t, s.strength(t)) for s in sol.singular]
     return BrioState(float(u[0]), float(v[0])), carriers

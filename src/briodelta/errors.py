@@ -38,4 +38,4 @@ class BlowUp(BrioError):
 
 
 class OrderingViolation(BrioError):
-    """Wave speeds came out of order while assembling a solution."""
+    """A caller-chosen v-flip speed lies outside the gap between the two family waves."""

@@ -19,6 +19,24 @@ data state (for family 2 the same base and constant C as the backward curve
 that was intersected), and its edge speeds are that curve's speeds at the
 end velocities, so the ray inverse maps them back onto the end states.  A
 shock's speed is its locus speed (wave_curves.shock_speed), not [q]/[u].
+
+The fan is admissible by construction, so no wave is re-checked.  The loci
+come from eliminating c from both jump conditions, so they satisfy both,
+and each Lax gap of a shock is positive once its velocity gap is (sigma is
+the slack q - u^2/2):
+- family-1 shock, d = u_L - u_M > 0, R = shock_radicand, c = u_M - 1/2 - sqrt(R),
+  so sigma_M = sigma_L + d (d/2 + 1/2 + sqrt(R)):
+  lambda_1(L) - c = d + sqrt(R) - sqrt(2 sigma_L + 1/4),
+  c - lambda_1(M) = (2d^2/3 + d/2 + 2d sqrt(R)) / (sqrt(2 sigma_M + 1/4) + sqrt(R)),
+  lambda_2(M) - c = sqrt(2 sigma_M + 1/4) + sqrt(R);
+- family-2 shock, e = u_M - u_R > 0, R' = inverse_radicand >= 8 sigma_R + 1/4,
+  c = u_M - 1/2 + sqrt(R')/2:
+  c - lambda_2(R) >= e/3,
+  lambda_2(M) - c = (8e^2/3 - 2e + 4e sqrt(R')) / (2 (sqrt(8 sigma_M + 1) + sqrt(R'))),
+  c - lambda_1(M) > 0;
+- order: every family-1 speed is <= u_M - 1 and every family-2 speed is
+  >= u_M - 1/4 (sqrt(R) >= 1/2, sqrt(R') >= 1/2, and along a rarefaction
+  lambda_1 = u - 1 - t/2, lambda_2 = u + t/2 with t = s - 1 >= 0).
 """
 
 from __future__ import annotations
@@ -29,13 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    TOL_ZERO,
-    TransState,
-    trans_flux_g,
-    trans_lambdas,
-)
-from .errors import BracketFailure, OrderingViolation, PreconditionError
+from .core import TOL_ZERO, TransState, trans_lambdas
+from .errors import BracketFailure, PreconditionError
 from .wave_curves import (
     IntegralCurve,
     backward_curve_2,
@@ -228,7 +241,11 @@ def classify(left: TransState, right: TransState, middle: TransState) -> Region:
 
 
 def lax_check(w: Wave, tol: float = TOL_LAX) -> bool:
-    """Lax inequalities of a shock, including the transversality count."""
+    """Lax inequalities of a shock, including the transversality count.
+
+    A verifier with an absolute tolerance on the speeds; the solver does not
+    call it, since its shocks are admissible by construction.
+    """
     if w.kind != "shock":
         raise PreconditionError("lax_check applies to shocks only")
     c = w.speed_lo
@@ -241,19 +258,7 @@ def lax_check(w: Wave, tol: float = TOL_LAX) -> bool:
 
 def _shock_wave(family: int, left: TransState, right: TransState) -> Wave:
     c = shock_speed(family, left, right)
-    w = Wave("shock", family, left, right, c, c)
-    if not lax_check(w):
-        raise OrderingViolation(
-            f"family-{family} shock {left} -> {right} fails the Lax check at c={c!r}"
-        )
-    resid = abs(c * (left.q - right.q)
-                - (trans_flux_g(left.u, left.q) - trans_flux_g(right.u, right.q)))
-    scale = 1.0 + abs(trans_flux_g(left.u, left.q)) + abs(trans_flux_g(right.u, right.q))
-    if resid > 1e-8 * scale:
-        raise OrderingViolation(
-            f"family-{family} shock violates the second jump condition by {resid:.3e}"
-        )
-    return w
+    return Wave("shock", family, left, right, c, c)
 
 
 def _rarefaction_wave(family: int, left: TransState, right: TransState) -> Wave:
@@ -281,11 +286,6 @@ def build_fan(left: TransState, right: TransState, *,
     elif right.u > middle.u:
         waves.append(_rarefaction_wave(2, middle, right))
 
-    for a, b in zip(waves, waves[1:]):
-        if a.speed_hi > b.speed_lo + TOL_LAX * (1.0 + abs(a.speed_hi)):
-            raise OrderingViolation(
-                f"wave speeds out of order: {a.speed_hi!r} > {b.speed_lo!r}"
-            )
     return WaveFan(left, middle, right, tuple(waves), region)
 
 

@@ -553,10 +553,10 @@ def compare_fan_fv(fan: WaveFan, grid: FvGrid) -> float:
 # middle state are known exactly and round-trips can be asserted).
 
 
-def random_trans_state(rng, u_range=(-2.0, 3.0),
-                       slack_range=(0.1, 3.0)) -> TransState:
-    u = float(rng.uniform(*u_range))
-    return TransState(u, 0.5 * u * u + float(rng.uniform(*slack_range)))
+def random_trans_state(rng) -> TransState:
+    """State with u uniform on [-2, 3] and slack uniform on [0.1, 3]."""
+    u = float(rng.uniform(-2.0, 3.0))
+    return TransState(u, 0.5 * u * u + float(rng.uniform(0.1, 3.0)))
 
 
 def _rw1_target(left: TransState, rng, lo=0.1, hi=1.2) -> float:

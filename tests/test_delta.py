@@ -212,6 +212,12 @@ def test_solve_brio_explicit_flip_speed(fixture_pair):
         solve_brio(data, flip_speed="bogus")
     with pytest.raises(ValueError):
         solve_brio(data, flip_speed=True)
+    # A non-finite speed has no place between the waves: nan would drop the
+    # middle constant segment and -inf would overlap the segments.
+    data = _data(0.0, 2.0, 0.3, -1.9)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            solve_brio(data, flip_speed=bad)
 
 
 def test_cardinalities_by_region(rng):
@@ -293,10 +299,10 @@ def test_sample_brio_carriers(fixture_pair):
     assert state == data.left
     (sing,) = sol.singular
     assert carriers == [(sing.speed * 2.0, sing.rate * 2.0)]
-    with pytest.raises(PreconditionError):
-        sample_brio(sol, 0.0, 0.0)
-    with pytest.raises(PreconditionError):
-        sample_brio(sol, 0.0, -1.0)
+    for x, t in ((0.0, 0.0), (0.0, -1.0), (0.0, math.nan), (0.0, math.inf),
+                 (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0)):
+        with pytest.raises(PreconditionError):
+            sample_brio(sol, x, t)
 
 
 def test_sample_brio_many_matches_scalar(fixture_pair):
@@ -419,6 +425,17 @@ def _raw_draws():
                 yield True, _data(*x)
 
 
+def _assert_order_margins(fan, data) -> None:
+    """Family-1 speeds <= u_M - 1 and family-2 speeds >= u_M - 1/4, to 4 ulps of 1 + |u_M|."""
+    um = fan.middle.u
+    tol = 4.0 * math.ulp(1.0 + abs(um))
+    for w in fan.waves:
+        if w.family == 1:
+            assert max(w.speed_range) <= um - 1.0 + tol, (data, w)
+        else:
+            assert min(w.speed_range) >= um - 0.25 - tol, (data, w)
+
+
 def test_raw_data_solves_and_rarefactions_reach_their_end_states():
     # Each rarefaction lies on the curve through its data state, so the ray
     # inverse at either edge speed lands on the wave's end state, and at a
@@ -431,6 +448,7 @@ def test_raw_data_solves_and_rarefactions_reach_their_end_states():
         except BrioError:
             assert not must_solve, data
             continue
+        _assert_order_margins(sol.fan, data)
         for w in sol.fan.waves:
             if w.kind != "rarefaction":
                 continue
@@ -442,6 +460,55 @@ def test_raw_data_solves_and_rarefactions_reach_their_end_states():
                 if datum is not None:
                     v = 0.5 * math.sqrt(t * (t + 2.0))
                     assert abs(v - abs(datum.v)) <= 1e-7 * (1.0 + abs(datum.u)), (data, w)
+
+
+def _mp_lax_gaps(w, datum, um) -> list:
+    """The three Lax gaps of shock w at the working precision, all > 0 if admissible.
+
+    From the raw jump conditions c[u] = [q], c[q] = [G] between the datum
+    on the shock's outer side (q = (u^2 + v^2)/2 exactly) and velocity u_M:
+    eliminating q_M leaves c^2 - (2u_M - 1) c - K = 0, whose lower root is
+    the family-1 speed and upper root the family-2 speed.  Then
+    q_M = q_b + c (u_M - u_b), and lambda = (2u - 1 -+ sqrt(8q - 4u^2 + 1))/2.
+    """
+    ub, vb, um = mp.mpf(datum.u), mp.mpf(datum.v), mp.mpf(um)
+    qb = (ub * ub + vb * vb) / 2
+    k = 2 * qb + (um + ub) / 2 - 2 * (um * um + um * ub + ub * ub) / 3
+    root = mp.sqrt((2 * um - 1) ** 2 / 4 + k)
+    c = (2 * um - 1) / 2 + (root if w.family == 2 else -root)
+    qm = qb + c * (um - ub)
+
+    def lam(u, q, sign):
+        return (2 * u - 1 + sign * mp.sqrt(8 * q - 4 * u * u + 1)) / 2
+
+    if w.family == 1:  # base L, downstream M
+        return [lam(ub, qb, -1) - c, c - lam(um, qm, -1), lam(um, qm, 1) - c]
+    return [lam(um, qm, 1) - c, c - lam(ub, qb, 1), c - lam(um, qm, -1)]
+
+
+def test_near_equal_data_at_every_scale_solve_with_admissible_shocks(mp50):
+    # u_L, v_L = +-10^U(0, 8), and each right component is the left one
+    # times (1 + rho U(-1, 1)) with rho = 10^U(-15, -6): wave speeds cannot
+    # be resolved to an absolute 1e-10 there, so any runtime re-check at
+    # that tolerance would reject correct fans.  The first draw is a weak
+    # family-2 shock at u ~ 943 whose Lax gaps are 2.3e-10, about the
+    # rounding error of its speeds.
+    rng = np.random.default_rng(19)
+    draws = [_data(943.093417540442, 627.2392654463952,
+                   943.0934175402118, 627.2392654467423)]
+    for _ in range(400):
+        left = 10.0 ** rng.uniform(0.0, 8.0, size=2) * rng.choice((-1.0, 1.0), size=2)
+        rho = 10.0 ** rng.uniform(-15.0, -6.0)
+        right = left * (1.0 + rho * rng.uniform(-1.0, 1.0, size=2))
+        draws.append(_data(left[0], left[1], right[0], right[1]))
+    for data in draws:
+        fan = solve_brio(data).fan
+        _assert_order_margins(fan, data)
+        for w in fan.waves:
+            if w.kind == "shock":
+                datum = data.left if w.family == 1 else data.right
+                gaps = _mp_lax_gaps(w, datum, fan.middle.u)
+                assert min(gaps) > 0, (data, w, gaps)
 
 
 def test_outer_states_echo_the_data():
