@@ -9,13 +9,14 @@ working directory, with fixed file names so reruns are byte-identical.
 Every JSON output (solution.json, singular.json, report.json) comes from one
 writer, _json_text, whose text is byte for byte that of json.dumps with an
 indent of 2; CSV values are written as %.17g.  solution.json and report.json
-are checked against their packaged schemas, by the compiled checks of
-schema_check alone, before they are written; a rejected document is a
-ValueError that names the failing path and keyword.  Every output's full
-text is built before its file is opened, so a rejected document leaves an
-existing file alone.  An existing output is rewritten in place: opened
-without truncation, written, then cut at the end of the new text.  The
-write is not atomic: an interrupted call can leave a partial file.
+match their packaged schemas by construction (solution_to_dict and
+property_suite fix every type and enum), so nothing is checked at write time;
+the tests validate every such document the CLI writes against its schema.
+Every output's full text is built before its file is opened, so a document
+that cannot be encoded leaves an existing file alone.  An existing output is
+rewritten in place: opened without truncation, written, then cut at the end
+of the new text.  The write is not atomic: an interrupted call can leave a
+partial file.
 
 --config FILE holds a JSON object keyed by option (x_min for --x-min) whose
 values win over flags, with a warning.  Each value is read by its option's
@@ -30,8 +31,6 @@ error (one machine-readable JSON line on stderr), 2 verification failure.
 from __future__ import annotations
 
 import argparse
-import functools
-import importlib.resources
 import json
 import math
 import os
@@ -44,7 +43,6 @@ from .core import BrioState, RiemannData, TransState, lift
 from .delta import sample_brio_many, solution_to_dict, solve_brio
 from .errors import BrioError, PreconditionError
 from .riemann import build_fan
-from .schema_check import compile_schema
 from .verify import FvGrid, compare_fan_fv, property_suite
 from .wave_curves import DESCENDING_KINDS, tabulate_curve
 
@@ -69,14 +67,6 @@ def _parse_pair(value: str, what: str) -> tuple[float, float]:
         return float(parts[0]), float(parts[1])
     except ValueError:
         raise PreconditionError(f"{what} must be numeric, got {value!r}")
-
-
-@functools.cache
-def _check(name: str):
-    """Compiled check of one packaged schema, built once per process."""
-    path = importlib.resources.files("briodelta") / "schemas" / name
-    with path.open("r", encoding="utf-8") as f:
-        return compile_schema(json.load(f))
 
 
 def _config_value(action: argparse.Action, value):
@@ -194,21 +184,6 @@ def _dump_json(path: str, doc: dict) -> None:
     _rewrite(path, _json_text(doc) + "\n")
 
 
-def _write_json(path: str, doc: dict, schema_name: str) -> None:
-    """Write doc after checking it against its packaged schema.
-
-    A document the compiled check rejects raises ValueError naming the
-    schema, the JSON path of the first failure and the keyword that fails
-    there ("solution.schema.json: /options/flip_speed fails anyOf"), and
-    nothing is written.
-    """
-    failure = _check(schema_name)(doc)
-    if failure is not None:
-        where, keyword = failure
-        raise ValueError(f"{schema_name}: /{'/'.join(map(str, where))} fails {keyword}")
-    _dump_json(path, doc)
-
-
 def _write_csv(path: str, header, rows) -> None:
     """Write a CSV table: header names, then rows of floats as %.17g.
 
@@ -232,13 +207,9 @@ def _riemann_data(args: argparse.Namespace) -> RiemannData:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     data = _riemann_data(args)
-    kwargs = {"flip_speed": args.flip_speed or "rh"}
-    if args.tol_root is not None:
-        kwargs["tol_root"] = _require_positive("tol_root", args.tol_root)
-    sol = solve_brio(data, **kwargs)
-    doc = solution_to_dict(sol)
+    doc = solution_to_dict(solve_brio(data, flip_speed=args.flip_speed or "rh"))
     path = os.path.join(_out_dir(args), "solution.json")
-    _write_json(path, doc, "solution.schema.json")
+    _dump_json(path, doc)
     print(path)
     return 0
 
@@ -317,7 +288,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         kwargs["arclength"] = True
     report = property_suite(seed, **kwargs)
     path = os.path.join(_out_dir(args), "report.json")
-    _write_json(path, report, "report.schema.json")
+    _dump_json(path, report)
     n_pass = sum(1 for c in report["checks"] if c["passed"])
     print(f"{n_pass}/{len(report['checks'])} checks passed ({path})")
     return 0 if n_pass == len(report["checks"]) else 2
@@ -374,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_options(p)
     p.add_argument("--flip-speed", dest="flip_speed",
                    choices=("rh", "paper"))
-    p.add_argument("--tol-root", dest="tol_root", type=float)
     _add_common(p, _cmd_solve)
 
     p = sub.add_parser("curves", help="tabulate wave curves from a base state")

@@ -154,19 +154,23 @@ def _left_sign(data: RiemannData) -> float:
     return math.copysign(1.0, v) if v != 0.0 else 1.0
 
 
-def solve_brio(data: RiemannData, *, flip_speed="rh",
-               tol_root: float | None = None) -> DeltaSolution:
+def solve_brio(data: RiemannData, *, flip_speed="rh") -> DeltaSolution:
     """Admissible delta-type solution of the Riemann problem.
 
     flip_speed chooses the speed of the v-flip jump in the sign-change
     case: "rh" for the jump-condition speed u_M - 1 (default; the flip then
     carries no deficit), "paper" for u_M, or a finite float for an explicit
-    speed (verification hook).  The fan's waves are ordered by construction,
+    speed (verification hook).  Any other value raises ValueError, whether
+    or not v changes sign.  The fan's waves are ordered by construction,
     so the flip is the one thing placed here: a speed outside the gap
     between the two family waves raises OrderingViolation.
     """
-    fan_kwargs = {} if tol_root is None else {"tol_root": tol_root}
-    fan = build_fan(lift(data.left), lift(data.right), **fan_kwargs)
+    if flip_speed not in ("rh", "paper") and not (
+            isinstance(flip_speed, (int, float)) and not isinstance(flip_speed, bool)
+            and math.isfinite(flip_speed)):
+        raise ValueError(f"flip_speed must be 'rh', 'paper' or a finite number, "
+                         f"got {flip_speed!r}")
+    fan = build_fan(lift(data.left), lift(data.right))
     sign_change = data.left.v * data.right.v < 0.0
     wave1 = next((w for w in fan.waves if w.family == 1), None)
     wave2 = next((w for w in fan.waves if w.family == 2), None)
@@ -176,12 +180,8 @@ def solve_brio(data: RiemannData, *, flip_speed="rh",
             xi_flip = fan.middle.u - 1.0
         elif flip_speed == "paper":
             xi_flip = fan.middle.u
-        elif (isinstance(flip_speed, (int, float)) and not isinstance(flip_speed, bool)
-              and math.isfinite(flip_speed)):
-            xi_flip = float(flip_speed)
         else:
-            raise ValueError(f"flip_speed must be 'rh', 'paper' or a finite number, "
-                             f"got {flip_speed!r}")
+            xi_flip = float(flip_speed)
         gap_lo = wave1.speed_hi if wave1 is not None else -math.inf
         gap_hi = wave2.speed_lo if wave2 is not None else math.inf
         if (xi_flip < gap_lo - TOL_ORDER * (1.0 + abs(xi_flip))

@@ -112,16 +112,13 @@ def _states_coincide(a: TransState, b: TransState) -> bool:
     return abs(a.u - b.u) <= TOL_ZERO * scale and abs(a.q - b.q) <= TOL_ZERO * scale
 
 
-def solve_middle(left: TransState, right: TransState, *,
-                 tol_root: float = TOL_ROOT,
-                 bracket: tuple[float, float] | None = None) -> TransState:
+def solve_middle(left: TransState, right: TransState) -> TransState:
     """Intersect the two composite curves; returns the middle state.
 
-    The root is bracketed starting from [min(u_L, u_R), max(u_L, u_R)];
-    `bracket` optionally replaces that starting interval (the result must
-    not depend on it; it exists so uniqueness can be probed from perturbed
-    intervals).  An end is widened only while phi has the wrong sign there,
-    by 1, 2, 4, ... up to 2**40 past its start.
+    The root is bracketed starting from [min(u_L, u_R), max(u_L, u_R)].  An
+    end is widened only while phi has the wrong sign there, by 1, 2, 4, ...
+    up to 2**40 past its start.  A polished root whose curve residual
+    exceeds TOL_ROOT (1 + |q|) raises BracketFailure.
     """
     if _states_coincide(left, right):
         return left
@@ -141,9 +138,6 @@ def solve_middle(left: TransState, right: TransState, *,
         return q1 - q2
 
     lo0, hi0 = (min(left.u, right.u), max(left.u, right.u))
-    if bracket is not None:
-        lo0, hi0 = min(bracket), max(bracket)
-
     lo, hi = lo0, hi0
     phi_lo, phi_hi = phi(lo), phi(hi)
     k = 0
@@ -172,7 +166,7 @@ def solve_middle(left: TransState, right: TransState, *,
 
     q_m, q_b = curves(u_m)
     residual = abs(q_m - q_b)
-    if residual > tol_root * (1.0 + abs(q_m)):
+    if residual > TOL_ROOT * (1.0 + abs(q_m)):
         raise BracketFailure(
             f"middle-state polish stalled: residual {residual:.3e} at u={u_m!r}"
         )
@@ -269,10 +263,9 @@ def _rarefaction_wave(family: int, left: TransState, right: TransState) -> Wave:
                 float(curve.lam_at(left.u)), float(curve.lam_at(right.u)), curve)
 
 
-def build_fan(left: TransState, right: TransState, *,
-              tol_root: float = TOL_ROOT) -> WaveFan:
+def build_fan(left: TransState, right: TransState) -> WaveFan:
     """Solve, classify and assemble the ordered wave fan."""
-    middle = solve_middle(left, right, tol_root=tol_root)
+    middle = solve_middle(left, right)
     region = classify(left, right, middle)
     waves: list[Wave] = []
 

@@ -218,6 +218,12 @@ def test_solve_brio_explicit_flip_speed(fixture_pair):
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             solve_brio(data, flip_speed=bad)
+    # The value is checked whether or not v changes sign.
+    same_sign = _data(1.0, 2.0, 0.5, 1.0)
+    assert solve_brio(same_sign, flip_speed=0.0).options == {"flip_speed": None}
+    for bad in ("sideways", math.nan, math.inf, True):
+        with pytest.raises(ValueError, match="flip_speed must be"):
+            solve_brio(same_sign, flip_speed=bad)
 
 
 def test_cardinalities_by_region(rng):
@@ -335,20 +341,51 @@ def test_nonuniqueness_example_structure():
     assert nonuniqueness_example(1.0, 2.0, 2.0).singular == ()
 
 
+def _in_gap_flip(data: RiemannData) -> float:
+    """A v-flip speed strictly inside the gap between the family waves."""
+    fan = solve_brio(data).fan
+    rh = fan.middle.u - 1.0
+    lo = next((w.speed_hi for w in fan.waves if w.family == 1), rh - 1.0)
+    hi = next((w.speed_lo for w in fan.waves if w.family == 2), rh + 1.0)
+    return 0.5 * (lo + hi)
+
+
 def test_solution_to_dict_schema(fixture_pair):
     left, right = fixture_pair
     schema_path = importlib.resources.files("briodelta") / "schemas" / "solution.schema.json"
-    schema = json.loads(schema_path.read_text())
+    validator = jsonschema.Draft7Validator(json.loads(schema_path.read_text()))
     for s_r in (1.0, -1.0):
         data = RiemannData(project(left, 1.0), project(right, s_r))
         doc = solution_to_dict(solve_brio(data))
-        jsonschema.validate(doc, schema)
+        validator.validate(doc)
         assert doc["regular"][0]["xi_lo"] is None
         assert doc["regular"][-1]["xi_hi"] is None
         assert doc["initial"]["left"]["u"] == 1.0
     doc = solution_to_dict(solve_brio(RiemannData(project(left, 1.0),
                                                   project(right, -1.0))))
     assert doc["options"]["flip_speed"] == "rh"
+
+    # Nothing checks solution.json at write time, so raw data at every scale
+    # must give valid documents: |u|, |v| = 10^U(-8, 8) with random signs,
+    # cycling through generic signs, v = 0 on the left, and a v sign change
+    # with the flip at "rh", at "paper" and at a float inside the gap.  Only
+    # a "paper" flip may fall outside the gap.
+    rng = np.random.default_rng(20)
+    for i in range(200):
+        ul, vl, ur, vr = (10.0 ** rng.uniform(-8, 8, 4) * rng.choice((-1.0, 1.0), 4)).tolist()
+        kind = i % 5
+        if kind == 1:
+            vl = 0.0
+        elif kind > 1:
+            vr = -math.copysign(vr, vl)
+        data = _data(ul, vl, ur, vr)
+        flip = ("rh", "rh", "rh", "paper", None)[kind] or _in_gap_flip(data)
+        try:
+            doc = solution_to_dict(solve_brio(data, flip_speed=flip))
+        except OrderingViolation:
+            assert flip == "paper", data
+            continue
+        validator.validate(doc)
 
 
 def test_raw_data_with_zero_v_on_one_side():

@@ -86,16 +86,6 @@ def test_middle_state_is_curve_intersection(fixture_pair):
     assert abs(f1.q(mid.u) - b2.q(mid.u)) <= 1e-10 * (1.0 + abs(mid.q))
 
 
-def test_middle_independent_of_bracket(fixture_pair):
-    left, right = fixture_pair
-    ref = solve_middle(left, right)
-    for bracket in ((ref.u - 2.0, ref.u + 3.0), (ref.u + 0.5, ref.u + 4.0),
-                    (-6.0, -5.0)):
-        got = solve_middle(left, right, bracket=bracket)
-        assert_close(got.u, ref.u, 1e-9)
-        assert_close(got.q, ref.q, 1e-9)
-
-
 def test_right_state_on_forward_curve(base_left):
     # Right state already on the family-1 curve: the middle coincides with
     # it and the fan carries a single wave.

@@ -301,6 +301,11 @@ def test_flip_pair_alternatives(rng):
         flip_pair_alternatives(empty, 1, rng)
 
 
+def _validate_report(report: dict) -> None:
+    path = importlib.resources.files("briodelta") / "schemas" / "report.schema.json"
+    jsonschema.validate(report, json.loads(path.read_text()))
+
+
 def test_property_suite_default_seed_passes():
     report = property_suite(seed=0)
     assert report["seed"] == 0
@@ -311,8 +316,7 @@ def test_property_suite_default_seed_passes():
     for c in report["checks"]:
         assert set(c) == {"name", "passed", "measured", "tolerance"}
 
-    schema_path = importlib.resources.files("briodelta") / "schemas" / "report.schema.json"
-    jsonschema.validate(report, json.loads(schema_path.read_text()))
+    _validate_report(report)
 
 
 def test_property_suite_deterministic():
@@ -341,6 +345,7 @@ def test_property_suite_reports_table_fallback_rows(monkeypatch):
     monkeypatch.setattr(verify, "_recomputed_deficits", fail)
     monkeypatch.setattr(verify, "flip_pair_alternatives", fail)
     report = property_suite(seed=0, n_pairs=8, tol_weak=2e-7)
+    _validate_report(report)
     rows = {c["name"]: c for c in report["checks"]}
     table = dict(verify._SUITE)
     expected = table[verify._delta_construction] + table[verify._minimality]
@@ -355,6 +360,7 @@ def test_property_suite_reports_table_fallback_rows(monkeypatch):
 
 def test_property_suite_arclength_flags_weak_checks():
     report = property_suite(seed=0, n_pairs=8, arclength=True)
+    _validate_report(report)
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert "weak_residual_admissible" in failed
     passed = {c["name"] for c in report["checks"] if c["passed"]}
