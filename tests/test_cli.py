@@ -344,6 +344,8 @@ def test_config_value_matches_its_flag(tmp_path, capsys, base, flags, cfg):
     (("verify",), {"seed": 1.5}),
     (("verify", "--seed", "0"), {"arclength": "false"}),
     (("solve",) + _DATA, {"flip_speed": "sideways"}),
+    (("solve",) + _DATA, {"flip_speed": True}),
+    (("solve",) + _DATA, {"flip_speed": 1.5}),
     (("solve",) + _DATA, {"out": {"dir": "x"}}),
     (("solve",) + _DATA, {"tol_ode": 1e-6}),
 ])
