@@ -81,8 +81,6 @@ from .verify import (
 )
 from .wave_curves import (
     IntegralCurve,
-    backward_2_curve,
-    forward_1_curve,
     integrate_rarefaction,
     inverse_shock_q_2,
     shock_q_1,
@@ -116,7 +114,6 @@ __all__ = [
     "TransState",
     "Wave",
     "WaveFan",
-    "backward_2_curve",
     "brio_flux",
     "brio_flux_pair",
     "brio_lambdas",
@@ -128,7 +125,6 @@ __all__ = [
     "eigen_trans",
     "energy",
     "fan_to_dict",
-    "forward_1_curve",
     "fv_solve_trans",
     "generic_delta_shock",
     "genuine_nonlinearity",

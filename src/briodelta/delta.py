@@ -4,9 +4,12 @@ Two constructors live here.  The generic one takes any 2x2 flux pair and a
 single jump and hangs the Rankine-Hugoniot deficit of one equation on a
 Dirac measure along the jump line, with strength growing linearly in time.
 The model-specific one lifts Riemann data to the transformed plane, solves
-for the admissible wave fan there, maps the fan back through
-v = sign * sqrt(2q - u^2), and attaches one delta per transformed shock,
-carrying that shock's deficit in the second equation.  Inside a rarefaction
+for the admissible wave fan there and maps it back in one pass over its
+pieces (family-1 wave, v-flip, family-2 wave, each where it exists): every
+state between two pieces is the middle state projected through
+v = sign * sqrt(2q - u^2) with the v sign there, the data stand at the two
+ends, and each transformed shock carries one delta with that shock's
+deficit in the second equation.  Inside a rarefaction
 |v| = sqrt(t(t + 2))/2 with t = s - 1 from the ray inverse, which does not
 cancel near q = u^2/2 as 2q - u^2 does.  Data whose v
 components differ in sign additionally get a regular v-flip jump at
@@ -37,7 +40,7 @@ from .core import (
     project,
 )
 from .errors import DegenerateJump, OrderingViolation, PreconditionError
-from .riemann import Region, WaveFan, build_fan
+from .riemann import Region, Wave, WaveFan, build_fan
 from .wave_curves import IntegralCurve
 
 # Tolerance of the v-flip's placement between the two family waves.
@@ -175,6 +178,7 @@ def solve_brio(data: RiemannData, *, flip_speed="rh") -> DeltaSolution:
     wave1 = next((w for w in fan.waves if w.family == 1), None)
     wave2 = next((w for w in fan.waves if w.family == 2), None)
 
+    xi_flip = None
     if sign_change:
         if flip_speed == "rh":
             xi_flip = fan.middle.u - 1.0
@@ -190,54 +194,29 @@ def solve_brio(data: RiemannData, *, flip_speed="rh") -> DeltaSolution:
                 f"v-flip speed {xi_flip!r} lies outside the gap [{gap_lo!r}, {gap_hi!r}] "
                 f"between the family waves")
 
-    events: list[tuple] = []
-    if wave1 is not None:
-        events.append(("wave", wave1))
-    if sign_change:
-        events.append(("flip", xi_flip))
-    if wave2 is not None:
-        events.append(("wave", wave2))
-
-    # The data are the regular state left of the first event and right of
-    # the last one: projecting their lifts would round v^2 into q first.
+    # Between two pieces the regular state is the middle state projected
+    # with the v sign there; the data stand at the two ends (projecting
+    # their lifts would round v^2 into q first).
+    pieces = [p for p in (wave1, xi_flip, wave2) if p is not None]
     segments: list = []
     singular: list[DeltaSingularity] = []
-    cursor = -math.inf
-    state_t = fan.left
-    state = data.left
     sign = _left_sign(data)
-
-    def emit_constant(hi: float) -> None:
-        if hi > cursor:
-            segments.append(ConstantSegment(cursor, hi, state))
-
-    for i, ev in enumerate(events):
-        last = i == len(events) - 1
-        if ev[0] == "wave":
-            w = ev[1]
-            emit_constant(w.speed_lo)
-            lb = data.left if i == 0 else project(w.left, sign)
-            rb = data.right if last else project(w.right, sign)
-            if w.kind == "shock":
-                c = w.speed_lo
-                singular.append(
-                    DeltaSingularity(c, rh_deficit_v(lb, rb, c), 0.0, "v")
-                )
-            else:
-                segments.append(
-                    RarefactionSegment(w.speed_lo, w.speed_hi, w.family,
-                                       w.curve, sign, lb, rb)
-                )
-            cursor = w.speed_hi
-            state_t = w.right
-            state = rb
-        else:
-            xi = ev[1]
-            emit_constant(xi)
-            cursor = xi
+    state, cursor = data.left, -math.inf
+    for k, piece in enumerate(pieces):
+        kind = piece.kind if isinstance(piece, Wave) else "flip"
+        lo, hi = (piece, piece) if kind == "flip" else (piece.speed_lo, piece.speed_hi)
+        if lo > cursor:
+            segments.append(ConstantSegment(cursor, lo, state))
+        if kind == "flip":
             sign = -sign
-            state = data.right if last else project(state_t, sign)
-    emit_constant(math.inf)
+        right = data.right if k == len(pieces) - 1 else project(fan.middle, sign)
+        if kind == "shock":
+            singular.append(DeltaSingularity(lo, rh_deficit_v(state, right, lo), 0.0, "v"))
+        elif kind == "rarefaction":
+            segments.append(RarefactionSegment(lo, hi, piece.family, piece.curve,
+                                               sign, state, right))
+        state, cursor = right, hi
+    segments.append(ConstantSegment(cursor, math.inf, state))
 
     return DeltaSolution(
         data, brio_flux_pair(), tuple(segments), tuple(singular), fan,

@@ -315,7 +315,7 @@ def sample_fan_many(fan: WaveFan, xi) -> tuple[np.ndarray, np.ndarray]:
         if m.any():
             # inside this wave; shocks have zero-width slots, so this is a
             # rarefaction interior
-            u[m], q[m] = w.curve.at_speed(xi[m])
+            u[m], q[m], _ = w.curve.ray(xi[m])
     return u, q
 
 

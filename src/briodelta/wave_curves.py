@@ -186,11 +186,6 @@ class IntegralCurve:
             u = xi + 0.5 * z
         return u, 0.5 * u * u + 0.125 * t * (t + 2.0), t
 
-    def at_speed(self, xi) -> tuple[np.ndarray, np.ndarray]:
-        """State (u, q) where the family's characteristic speed equals xi (see ray)."""
-        u, q, _ = self.ray(xi)
-        return u, q
-
 
 def _float_or_array(u):
     """u as a float when it is a scalar (a 0-d array included), else as a float array."""
@@ -278,6 +273,7 @@ def _rarefaction_curve(family: int, base: TransState) -> IntegralCurve:
     return IntegralCurve(1, base, C, base.u + 0.5 * (y - math.log1p(0.5 * y)))
 
 
+# Kept under its ODE-era name: the benchmark's tracer wraps it in riemann.
 def integrate_rarefaction(family: int, base: TransState, u_target: float) -> IntegralCurve:
     """Rarefaction curve of a family from base to u_target.
 
@@ -341,19 +337,9 @@ class Backward2Curve:
         return self._rw.q_at(u)
 
 
-# Composite curve objects through a left / right state.
+# Composite curve objects, under the names the benchmark's tracer wraps in riemann.
 forward_curve_1 = Forward1Curve
 backward_curve_2 = Backward2Curve
-
-
-def forward_1_curve(left: TransState, u: float) -> float:
-    """Energy on the composite family-1 curve through left, at velocity u."""
-    return forward_curve_1(left).q(u)
-
-
-def backward_2_curve(right: TransState, u: float) -> float:
-    """Energy on the composite inverse family-2 curve through right, at velocity u."""
-    return backward_curve_2(right).q(u)
 
 
 # Shock branches of tabulate_curve: kind -> sign of the locus root (see _locus).

@@ -39,8 +39,8 @@ from briodelta.verify import (
     weak_residual,
 )
 from briodelta.wave_curves import (
-    backward_2_curve,
-    forward_1_curve,
+    backward_curve_2,
+    forward_curve_1,
     integrate_rarefaction,
     tabulate_curve,
 )
@@ -103,8 +103,8 @@ def test_criterion_3_middle_states(capsys):
     def check(left, right):
         nonlocal worst_res, worst_slack, lax_ok, count
         fan = build_fan(left, right)
-        res = abs(forward_1_curve(left, fan.middle.u)
-                  - backward_2_curve(right, fan.middle.u))
+        res = abs(forward_curve_1(left).q(fan.middle.u)
+                  - backward_curve_2(right).q(fan.middle.u))
         worst_res = max(worst_res, res)
         worst_slack = min(worst_slack,
                           fan.middle.q - 0.5 * fan.middle.u ** 2)

@@ -36,7 +36,7 @@ from briodelta.delta import (
 from briodelta.errors import BrioError, DegenerateJump, OrderingViolation, PreconditionError
 from briodelta.riemann import Region, build_fan, sample_fan_many
 from briodelta.verify import TOL_WEAK, random_brio_data, solution_battery, weak_residual
-from briodelta.wave_curves import backward_2_curve, forward_1_curve, shock_q_2
+from briodelta.wave_curves import backward_curve_2, forward_curve_1, shock_q_2
 
 from conftest import assert_close, data_scale, mp_at_speed
 
@@ -403,8 +403,8 @@ def test_raw_data_with_zero_v_on_one_side():
                            BrioState(float(ur), float(vr)))
         sol = solve_brio(data)
         mid = sol.fan.middle
-        gap = (forward_1_curve(sol.fan.left, mid.u)
-               - backward_2_curve(sol.fan.right, mid.u))
+        gap = (forward_curve_1(sol.fan.left).q(mid.u)
+               - backward_curve_2(sol.fan.right).q(mid.u))
         assert abs(gap) <= 1e-12 * (1.0 + abs(mid.q)), (data, gap)
 
 
@@ -497,6 +497,49 @@ def test_raw_data_solves_and_rarefactions_reach_their_end_states():
                 if datum is not None:
                     v = 0.5 * math.sqrt(t * (t + 2.0))
                     assert abs(v - abs(datum.v)) <= 1e-7 * (1.0 + abs(datum.u)), (data, w)
+
+
+# Raw data with a v sign change whose fan has no family-1 wave (u_M == u_L
+# exactly) and a middle state on the critical curve, while the left datum
+# lifts to a slack of one rounding: the state right of the flip is the
+# projected middle state (v = -0.0), next to a family-2 rarefaction and
+# next to a family-2 carrier.
+FLIP_WITHOUT_WAVE_1 = (
+    _data(-1.1590387489748186, 1.2004493547033134e-08,
+          -2.1645694545211993e-08, -1.2004493555207675e-08),
+    _data(1.401798465528602, 1.131559974336592e-08,
+          1.4017984654954327, -1.131559974356244e-08),
+)
+
+
+def _ends(seg):
+    """(left, right) state of a regular segment."""
+    if isinstance(seg, ConstantSegment):
+        return seg.state, seg.state
+    return seg.left, seg.right
+
+
+def test_segments_agree_with_their_neighbours():
+    # A rarefaction's end states are the constant states beside it, and a
+    # carrier's rate is the deficit of the constant states beside it.
+    for data in FLIP_WITHOUT_WAVE_1:
+        fan = solve_brio(data).fan
+        assert fan.region is Region.DEGENERATE and fan.middle.u == fan.left.u, data
+        assert [w.family for w in fan.waves] == [2], data
+    for data in [data for _, data in _raw_draws()] + list(FLIP_WITHOUT_WAVE_1):
+        try:
+            sol = solve_brio(data, flip_speed="rh")
+        except BrioError:
+            continue
+        for a, b in zip(sol.segments, sol.segments[1:]):
+            if isinstance(a, RarefactionSegment) or isinstance(b, RarefactionSegment):
+                assert _ends(a)[1] == _ends(b)[0], (data, a, b)
+        left_of = {seg.xi_hi: seg for seg in sol.segments}
+        right_of = {seg.xi_lo: seg for seg in sol.segments}
+        for s in sol.singular:
+            a, b = left_of[s.speed], right_of[s.speed]
+            if isinstance(a, ConstantSegment) and isinstance(b, ConstantSegment):
+                assert s.rate == rh_deficit_v(a.state, b.state, s.speed), (data, s)
 
 
 def _mp_lax_gaps(w, datum, um) -> list:

@@ -320,7 +320,7 @@ def test_property_suite_default_seed_passes():
 
 
 def test_property_suite_deterministic():
-    assert property_suite(seed=7, n_pairs=8) == property_suite(seed=7, n_pairs=8)
+    assert property_suite(seed=7) == property_suite(seed=7)
 
 
 def test_property_suite_fv_fallback_draws_nothing(monkeypatch):
@@ -328,9 +328,9 @@ def test_property_suite_fv_fallback_draws_nothing(monkeypatch):
     def blow_up(fan, grid):
         raise BlowUp("scheme state left the bounding box")
 
-    plain = property_suite(seed=3, n_pairs=8)["checks"]
+    plain = property_suite(seed=3)["checks"]
     monkeypatch.setattr(verify, "compare_fan_fv", blow_up)
-    patched = property_suite(seed=3, n_pairs=8)["checks"]
+    patched = property_suite(seed=3)["checks"]
     fv = {"name": "fv_cross_validation", "passed": False, "measured": math.inf,
           "tolerance": 0.0}
     assert patched == [fv if c["name"] == fv["name"] else c for c in plain]
@@ -344,7 +344,7 @@ def test_property_suite_reports_table_fallback_rows(monkeypatch):
 
     monkeypatch.setattr(verify, "_recomputed_deficits", fail)
     monkeypatch.setattr(verify, "flip_pair_alternatives", fail)
-    report = property_suite(seed=0, n_pairs=8, tol_weak=2e-7)
+    report = property_suite(seed=0, tol_weak=2e-7)
     _validate_report(report)
     rows = {c["name"]: c for c in report["checks"]}
     table = dict(verify._SUITE)
@@ -359,7 +359,7 @@ def test_property_suite_reports_table_fallback_rows(monkeypatch):
 
 
 def test_property_suite_arclength_flags_weak_checks():
-    report = property_suite(seed=0, n_pairs=8, arclength=True)
+    report = property_suite(seed=0, arclength=True)
     _validate_report(report)
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert "weak_residual_admissible" in failed

@@ -15,9 +15,7 @@ from briodelta.wave_curves import (
     Forward1Curve,
     _omega,
     _root_z_minus_ln_z,
-    backward_2_curve,
     backward_curve_2,
-    forward_1_curve,
     forward_curve_1,
     integrate_rarefaction,
     inverse_radicand,
@@ -215,15 +213,15 @@ def test_forward_curve_crossing(base_left):
     u_in = star - 1e-3
     assert crv.q(u_in) > 0.5 * u_in * u_in
     assert crv.q(3.5) == 0.5 * 3.5 * 3.5
-    assert forward_1_curve(base_left, -1.0) == shock_q_1(base_left, -1.0)
-    assert_close(forward_1_curve(base_left, -1.0), 14.806859285554046, 1e-12)
+    assert crv.q(-1.0) == shock_q_1(base_left, -1.0)
+    assert_close(crv.q(-1.0), 14.806859285554046, 1e-12)
 
 
 def test_backward_curve_composite(base_left):
     right = TransState(0.7, 7.0)
     crv = backward_curve_2(right)
     assert crv.q(right.u) == right.q
-    assert backward_2_curve(right, 1.0) == inverse_shock_q_2(right, 1.0)
+    assert crv.q(1.0) == inverse_shock_q_2(right, 1.0)
     # The backward rarefaction branch approaches the critical curve from
     # above but never touches it.
     gap = crv.q(-10.0) - 0.5 * 100.0
@@ -367,7 +365,7 @@ def test_ray_inverse_matches_mpmath(rng, mp50):
             lo = base.u if family == 1 else base.u - 3.0
             u_ray = lo + float(rng.uniform(0.0, 0.999)) * (hi - lo)
             xi = crv.lam_at(u_ray)
-            u, q = crv.at_speed(xi)
+            u, q, _ = crv.ray(xi)
             u_ref, q_ref = mp_at_speed(family, mp_constant(family, base), xi)
             assert mp_rel(u, u_ref, xi) <= 1e-13
             assert mp_rel(q, q_ref) <= 1e-13
@@ -477,7 +475,7 @@ def test_ray_inverse_round_trip(rng):
                 (integrate_rarefaction(2, base, base.u), base.u - 3.0, base.u + 3.0)):
             hi = crv.u_star if hi is None else hi
             xi = crv.lam_at(np.linspace(lo, hi, 33))
-            u, q = crv.at_speed(xi)
+            u, q, _ = crv.ray(xi)
             assert np.all(np.abs(crv.lam_at(u) - xi) <= 1e-12 * (1.0 + np.abs(xi)))
             assert np.all(np.abs(q - crv.q_at(u)) <= 1e-12 * (1.0 + np.abs(q)))
             assert np.all(q >= 0.5 * u * u)
