@@ -66,7 +66,7 @@ from .wave_curves import (
 TOL_WEAK = 1e-7
 # Points evaluated per array pass of weak_residual: n per row for the rows
 # of n points (line, initial-data and closed-form constant-wedge rows), n^2
-# for the sampled bulk rows.  Bounds its temporaries whatever the battery
+# for the sampled bulk rows, n min(n, 2p + 1) for the fan rows.  Bounds its temporaries whatever the battery
 # size or node count n.
 _CHUNK_POINTS = 8192
 # Draws random_trans_pair makes before giving up on a region.
@@ -189,31 +189,58 @@ def solution_battery(sol: DeltaSolution) -> list[TestFunction]:
     return test_function_battery(speeds, 1.0)
 
 
-def _dedupe(values, tol):
-    out = []
-    for x in sorted(values):
-        if not out or x - out[-1] > tol:
-            out.append(x)
-    return out
+def _panels(lo, hi, cuts, tol):
+    """Panels (row, a, b) of each row's [lo, hi], cut at its cuts inside it.
 
-
-def _time_panels(speeds, xlo: float, xhi: float, t_lo: float, t_hi: float):
-    """Panels (ta, tb) of [t_lo, t_hi], cut where a ray x = c t leaves [xlo, xhi].
-
-    Cuts closer than 1e-13 relative merge and panels that short are skipped.
+    lo, hi and tol hold one entry per row and cuts one row of candidates
+    per row (NaN for none).  The cuts strictly inside (lo, hi) are swept in
+    sorted order with both ends, and one closer than tol to the last kept
+    break merges into it.
     """
-    cuts = [t_lo, t_hi]
-    for c in speeds:
-        if c == 0.0:
-            continue
-        for e in (xlo, xhi):
-            tc = e / c
-            if t_lo < tc < t_hi:
-                cuts.append(tc)
-    breaks = _dedupe(cuts, 1e-13 * (1.0 + t_hi))
-    for ta, tb in zip(breaks[:-1], breaks[1:]):
-        if tb - ta > 1e-13 * (1.0 + tb):
-            yield ta, tb
+    inside = (cuts > lo[:, None]) & (cuts < hi[:, None])
+    breaks = np.sort(np.column_stack([lo, hi, np.where(inside, cuts, np.nan)]),
+                     axis=1)
+    keep = np.zeros(breaks.shape, dtype=bool)
+    keep[:, 0] = True
+    last = breaks[:, 0]
+    for j in range(1, breaks.shape[1]):
+        keep[:, j] = breaks[:, j] - last > tol
+        last = np.where(keep[:, j], breaks[:, j], last)
+    row, col = np.nonzero(keep)
+    pair = np.flatnonzero(row[1:] == row[:-1])
+    return row[pair], breaks[row[pair], col[pair]], breaks[row[pair], col[pair + 1]]
+
+
+def _time_panels(bumps: _Bumps, speeds):
+    """Panels (bump, ta, tb) of each support's [t_lo, t_hi], cut where a ray
+    x = c t of speeds leaves [xlo, xhi].
+
+    Cuts closer than 1e-13 (1 + t_hi) merge.
+    """
+    speeds = np.asarray([c for c in speeds if c != 0.0])
+    live = np.flatnonzero(bumps.t_hi > bumps.t_lo)
+    ends = np.column_stack([bumps.xlo[live], bumps.xhi[live]])
+    cuts = (ends[:, :, None] / speeds).reshape(len(live), -1)
+    t_hi = bumps.t_hi[live]
+    row, ta, tb = _panels(bumps.t_lo[live], t_hi, cuts, 1e-13 * (1.0 + t_hi))
+    return live[row], ta, tb
+
+
+def _ray_times(bumps: _Bumps, r, xi):
+    """[ta, tb] of the rays xi inside the supports of bumps r.
+
+    On the ray x = xi t the support is t_lo <= t <= t_hi and
+    xlo <= xi t <= xhi; xi holds one leading entry per row.  At xi = +-0
+    the x-bounds divide to -inf and +inf, or to NaN for an end at 0, which
+    fmax and fmin drop.
+    """
+    shape = (-1,) + (1,) * (np.ndim(xi) - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = bumps.xlo[r].reshape(shape) / xi
+        b = bumps.xhi[r].reshape(shape) / xi
+    neg = np.signbit(xi)
+    return (np.fmax(bumps.t_lo[r].reshape(shape), np.where(neg, b, a)),
+            np.fmin(bumps.t_hi[r].reshape(shape), np.where(neg, a, b)))
 
 
 def _nodes(a, b, gx, gw):
@@ -238,13 +265,23 @@ def _chunks(keys, size):
 
 @dataclass(frozen=True)
 class _Bumps:
-    """A battery as columns, one entry per bump."""
+    """A battery as columns, one entry per bump, with each support's box."""
 
     x0: np.ndarray
     t0: np.ndarray
     wx: np.ndarray
     wt: np.ndarray
     p: np.ndarray
+    xlo: np.ndarray
+    xhi: np.ndarray
+    t_lo: np.ndarray
+    t_hi: np.ndarray
+
+    @classmethod
+    def of(cls, phis) -> _Bumps:
+        x0, t0, wx, wt = np.array([phi.center + phi.halfwidths for phi in phis]).T
+        return cls(x0, t0, wx, wt, np.array([phi.p for phi in phis]),
+                   x0 - wx, x0 + wx, np.maximum(t0 - wt, 0.0), t0 + wt)
 
     def sx(self, r, x):
         """s_x = (x - x0)/wx for rows r.
@@ -268,74 +305,116 @@ def _scaled(y, c, w):
     return (y - c.reshape(shape)) / w.reshape(shape)
 
 
-def _weak_rows(sol: DeltaSolution, phis):
-    """Tables of the bulk, line and initial-data pieces of the weak form.
+def _bulk_rows(sol: DeltaSolution, bumps: _Bumps):
+    """Columns (bump, ta, tb, ca, da, cb, db, segment) of the bulk rows.
 
-    bulk: (bump, ta, tb, ca, da, cb, db), the x-piece from ca t + da to
-    cb t + db over the time panel [ta, tb]; line: (bump, ta, tb, carrier);
-    initial: (bump, xa, xb, u, v).
+    Each row is the x-piece from ca t + da to cb t + db over the time panel
+    [ta, tb]: at the panel's middle, one of the pieces between xlo, the
+    rays inside the support and xhi that lies in a constant segment.
     """
-    rays = sorted({b for seg in sol.segments for b in (seg.xi_lo, seg.xi_hi)
-                   if math.isfinite(b)})
-    bulk, line, init = [], [], []
-    for b, phi in enumerate(phis):
-        x0, t0 = phi.center
-        wx, wt = phi.halfwidths
-        xlo, xhi = x0 - wx, x0 + wx
-        t_lo, t_hi = max(0.0, t0 - wt), t0 + wt
-        if t_hi > t_lo:
-            for ta, tb in _time_panels(rays, xlo, xhi, t_lo, t_hi):
-                tmid = 0.5 * (ta + tb)
-                ends = [(0.0, xlo)]
-                ends += [(c, 0.0) for c in rays if xlo < c * tmid < xhi]
-                ends.append((0.0, xhi))
-                bulk += [(b, ta, tb, *lo, *hi)
-                         for lo, hi in zip(ends[:-1], ends[1:])]
-            for k, s in enumerate(sol.singular):
-                for ta, tb in _time_panels((s.speed,), xlo, xhi, t_lo, t_hi):
-                    if xlo < s.speed * 0.5 * (ta + tb) < xhi:
-                        line.append((b, ta, tb, k))
-        if t0 - wt < 0.0:
-            xcuts = [xlo, 0.0, xhi] if xlo < 0.0 < xhi else [xlo, xhi]
-            for xa, xb in zip(xcuts[:-1], xcuts[1:]):
-                if xb > xa:
-                    state = (sol.initial.left if 0.5 * (xa + xb) < 0.0
-                             else sol.initial.right)
-                    init.append((b, xa, xb, state.u, state.v))
-    return bulk, line, init
+    rays = np.array(sorted({b for seg in sol.segments for b in (seg.xi_lo, seg.xi_hi)
+                            if math.isfinite(b)}))
+    b, ta, tb = _time_panels(bumps, rays)
+    tm = 0.5 * (ta + tb)
+    inside = ((bumps.xlo[b, None] < rays * tm[:, None])
+              & (rays * tm[:, None] < bumps.xhi[b, None]))
+    ends = np.column_stack([np.ones_like(tm, dtype=bool), inside,
+                            np.ones_like(tm, dtype=bool)])
+    c = np.concatenate([[0.0], rays, [0.0]])
+    d = np.column_stack([bumps.xlo[b], np.zeros(inside.shape), bumps.xhi[b]])
+    panel, end = np.nonzero(ends)
+    pair = np.flatnonzero(panel[1:] == panel[:-1])
+    i, ea, eb = panel[pair], end[pair], end[pair + 1]
+    ca, da, cb, db = c[ea], d[i, ea], c[eb], d[i, eb]
+    edges = np.asarray([seg.xi_hi for seg in sol.segments[:-1]])
+    seg = np.searchsorted(edges, 0.5 * ((ca + cb) * tm[i] + da + db) / tm[i],
+                          side="right")
+    const = np.array([isinstance(g, ConstantSegment) for g in sol.segments])[seg]
+    return tuple(col[const] for col in (b[i], ta[i], tb[i], ca, da, cb, db, seg))
+
+
+def _fan_rows(sol: DeltaSolution, bumps: _Bumps):
+    """Columns (bump, segment, xa, xb) of the fan rows.
+
+    Each row is the part of a rarefaction segment on the rays
+    xa <= x/t <= xb: a panel of its [xi_lo, xi_hi], cut at the slopes x/t
+    of the support's corners (t > 0) and merged as in _time_panels.
+    Panels whose middle ray misses the support are dropped.
+    """
+    live = np.flatnonzero(bumps.t_hi > bumps.t_lo)
+    xlo, xhi = bumps.xlo[live], bumps.xhi[live]
+    t_lo, t_hi = bumps.t_lo[live], bumps.t_hi[live]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        corners = np.column_stack([np.where(t_lo > 0.0, xlo / t_lo, np.nan),
+                                   np.where(t_lo > 0.0, xhi / t_lo, np.nan),
+                                   xlo / t_hi, xhi / t_hi])
+    ones = np.ones(len(live))
+    rows = []
+    for k, g in enumerate(sol.segments):
+        if isinstance(g, RarefactionSegment):
+            tol = 1e-13 * (1.0 + max(abs(g.xi_lo), abs(g.xi_hi)))
+            row, xa, xb = _panels(g.xi_lo * ones, g.xi_hi * ones, corners, tol * ones)
+            ta, tb = _ray_times(bumps, live[row], 0.5 * (xa + xb))
+            hit = ta < tb
+            rows.append((live[row[hit]], np.full(hit.sum(), k), xa[hit], xb[hit]))
+    return _stack(rows, 4)
+
+
+def _line_rows(sol: DeltaSolution, bumps: _Bumps):
+    """Columns (bump, ta, tb, carrier): the time panels of each carrier on
+    which it lies inside the support."""
+    rows = []
+    for k, s in enumerate(sol.singular):
+        b, ta, tb = _time_panels(bumps, (s.speed,))
+        x = s.speed * 0.5 * (ta + tb)
+        hit = (bumps.xlo[b] < x) & (x < bumps.xhi[b])
+        rows.append((b[hit], ta[hit], tb[hit], np.full(hit.sum(), k)))
+    return _stack(rows, 4)
+
+
+def _initial_rows(sol: DeltaSolution, bumps: _Bumps):
+    """Columns (bump, xa, xb, u, v): each support reaching t = 0, split at
+    x = 0, with the data state there."""
+    low = np.flatnonzero(bumps.t0 - bumps.wt < 0.0)
+    xlo, xhi = bumps.xlo[low], bumps.xhi[low]
+    split = (xlo < 0.0) & (0.0 < xhi)
+    xa = np.concatenate([xlo, np.zeros(split.sum())])
+    xb = np.concatenate([np.where(split, 0.0, xhi), xhi[split]])
+    left = 0.5 * (xa + xb) < 0.0
+    data = sol.initial
+    return (np.concatenate([low, low[split]]), xa, xb,
+            np.where(left, data.left.u, data.right.u),
+            np.where(left, data.left.v, data.right.v))
+
+
+def _stack(tables, width):
+    """Columns of several tables concatenated, or `width` empty columns."""
+    if not tables:
+        return tuple(np.zeros(0, dtype=np.intp) for _ in range(width))
+    return tuple(np.concatenate(col) for col in zip(*tables))
 
 
 def _bulk_parts(sol: DeltaSolution, bumps: _Bumps, rows, gx, gw):
-    """(bump, u part, v part) of the space-time integral, per chunk of rows.
+    """(bump, u part, v part) of the constant wedges, per chunk of rows.
 
-    Two kinds of chunk: constant-wedge rows with n > p, integrated in x in
-    closed form at their n time nodes, and rows sampled at n x n points
-    (see weak_residual).  Both depend only on the chunk's key.
+    Rows with n > p are integrated in x in closed form at their n time
+    nodes, the others sampled at n x n points (see weak_residual).  Both
+    kinds depend only on the chunk's exponent.
     """
-    if not rows:
+    b, ta, tb, ca, da, cb, db, seg = rows
+    if not len(b):
         return
     fl, gl_flux = sol.flux.f, sol.flux.g
     n = len(gx)
-    b, ta, tb, ca, da, cb, db = np.array(rows).T
-    b = b.astype(np.intp)
     p = bumps.p[b]
-    tm = 0.5 * (ta + tb)
-    edges = np.asarray([seg.xi_hi for seg in sol.segments[:-1]])
-    seg = np.searchsorted(edges, 0.5 * ((ca + cb) * tm + da + db) / tm,
-                          side="right")
-    rare = np.array([isinstance(g, RarefactionSegment)
-                     for g in sol.segments])[seg]
     su, sv = np.array([(math.nan, math.nan) if isinstance(g, RarefactionSegment)
                        else (g.state.u, g.state.v) for g in sol.segments]).T
-    closed = ~rare & (p < n)
-    fan = rare & (da == 0.0) & (db == 0.0)
-    keys = (p * (len(sol.segments) + 1) + np.where(rare, seg + 1, 0)) * 2 + fan
-    for idx in _chunks(keys, _CHUNK_POINTS // np.where(closed, n, n * n)):
+    closed = p < n
+    for idx in _chunks(p, _CHUNK_POINTS // np.where(closed, n, n * n)):
         r, k, i = b[idx], seg[idx], idx[0]
         pr = int(p[i])
         T, TW = _nodes(ta[idx], tb[idx], gx, gw)
-        lo = (bumps.x0[r] - bumps.wx[r])[:, None]
-        hi = (bumps.x0[r] + bumps.wx[r])[:, None]
+        lo, hi = bumps.xlo[r, None], bumps.xhi[r, None]
         xa = np.clip(ca[idx, None] * T + da[idx, None], lo, hi)
         xb = np.clip(cb[idx, None] * T + db[idx, None], lo, hi)
         if np.any(xb - xa < -1e-12 * (1.0 + np.abs(hi))):
@@ -353,13 +432,7 @@ def _bulk_parts(sol: DeltaSolution, bumps: _Bumps, rows, gx, gw):
             X, WX = _nodes(xa, xb, gx, gw)
             bx, dbx = _bump_pair(bumps.sx(r, X), pr)
             wb, wd = WX * bx, WX * dbx
-            if fan[i]:
-                xi = _nodes(ca[idx], cb[idx], gx, gw)[0][:, None]
-                u, v = _rarefaction_uv(sol.segments[k[0]], xi)
-            elif rare[i]:
-                u, v = _rarefaction_uv(sol.segments[k[0]], X / T[:, :, None])
-            else:
-                u, v = su[k, None, None], sv[k, None, None]
+            u, v = su[k, None, None], sv[k, None, None]
             iu, iv = (wb * u).sum(-1), (wb * v).sum(-1)
             jf, jg = (wd * fl(u, v)).sum(-1), (wd * gl_flux(u, v)).sum(-1)
         at = TW * dbt / bumps.wt[r, None]
@@ -367,13 +440,42 @@ def _bulk_parts(sol: DeltaSolution, bumps: _Bumps, rows, gx, gw):
         yield r, (at * iu + ax * jf).sum(-1), (at * iv + ax * jg).sum(-1)
 
 
+def _fan_parts(sol: DeltaSolution, bumps: _Bumps, rows, gx, gw):
+    """(bump, u part, v part) of the rarefaction wedges, per chunk of rows.
+
+    A row is integrated in ray coordinates, x = xi t with dx dt = t dxi dt:
+    n nodes in xi, and on each of their rays min(n, 2p + 1) nodes in t
+    (see weak_residual).
+    """
+    b, seg, xa, xb = rows
+    if not len(b):
+        return
+    fl, gl_flux = sol.flux.f, sol.flux.g
+    n = len(gx)
+    p = bumps.p[b]
+    m = np.minimum(n, 2 * p + 1)
+    for idx in _chunks(p * len(sol.segments) + seg, _CHUNK_POINTS // (n * m)):
+        r, i = b[idx], idx[0]
+        XI, WXI = _nodes(xa[idx], xb[idx], gx, gw)
+        ta, tb = _ray_times(bumps, r, XI)
+        if np.any(tb - ta < -1e-12 * (1.0 + np.abs(tb))):
+            raise QuadratureFailure("support times inverted on a ray")
+        T, TW = _nodes(ta, tb, *_gl(int(m[i])))
+        (bx, dbx), (bt, dbt) = bumps.factors(r, XI[..., None] * T, T)
+        TW = TW * T
+        at = (TW * bx * dbt).sum(-1) / bumps.wt[r, None]
+        ax = (TW * dbx * bt).sum(-1) / bumps.wx[r, None]
+        u, v = _rarefaction_uv(sol.segments[int(seg[i])], XI)
+        yield (r, (WXI * (u * at + fl(u, v) * ax)).sum(-1),
+               (WXI * (v * at + gl_flux(u, v) * ax)).sum(-1))
+
+
 def _line_parts(sol: DeltaSolution, bumps: _Bumps, rows, gx, gw,
                 arclength: bool):
     """(bump, u part, v part) of the carrier line integrals, per chunk."""
-    if not rows:
+    b, ta, tb, k = rows
+    if not len(b):
         return
-    b, ta, tb, k = np.array(rows).T
-    b, k = b.astype(np.intp), k.astype(np.intp)
     c, rate, const = np.array([(s.speed, s.rate, s.constant)
                                for s in sol.singular])[k].T
     on_u = np.array([s.component == "u" for s in sol.singular])[k]
@@ -392,10 +494,9 @@ def _line_parts(sol: DeltaSolution, bumps: _Bumps, rows, gx, gw,
 
 def _initial_parts(bumps: _Bumps, rows, gx, gw):
     """(bump, u part, v part) of the initial-data integrals, per chunk."""
-    if not rows:
+    b, xa, xb, u, v = rows
+    if not len(b):
         return
-    b, xa, xb, u, v = np.array(rows).T
-    b = b.astype(np.intp)
     for idx in _chunks(bumps.p[b], _CHUNK_POINTS // len(gx)):
         r = b[idx]
         X, XW = _nodes(xa[idx], xb[idx], gx, gw)
@@ -408,33 +509,44 @@ def weak_residual(sol: DeltaSolution, phis, *, nodes: int = 32,
                   arclength: bool = False) -> list[tuple[float, float]]:
     """Absolute residuals (r_u, r_v) of both integral identities, per bump.
 
-    Every term is integrated by Gauss-Legendre with `nodes` points per axis
-    on pieces where its integrand is smooth, listed first in three tables:
+    Every term is integrated by Gauss-Legendre with `nodes` = n points per
+    axis on pieces where its integrand is smooth, listed first in four
+    tables built with array operations across bumps:
 
-    - bulk: one row per (bump, time panel, x-piece).  Time panels are cut
-      where a ray of the regular part crosses the bump's x-support.  At
-      each time node the x-pieces run between xlo, the rays x = c t inside
-      the support and xhi, so each piece lies in one segment.
+    - bulk: one row per (bump, time panel, x-piece) in a constant segment.
+      Time panels are cut where a ray of the regular part crosses the
+      bump's x-support.  At each time node the x-pieces run between xlo,
+      the rays x = c t inside the support and xhi, so each piece lies in
+      one segment.
+    - fan: one row per (bump, rarefaction segment, xi-panel).  The
+      segment's [xi_lo, xi_hi] is cut at the slopes x/t of the support's
+      corners, so on each panel the support's times on a ray are smooth
+      in xi.
     - line: one row per (bump, Dirac carrier, time panel) on which the
       carrier lies inside the support.
     - initial data: one row per (bump, side of x = 0) when the support
       reaches t = 0.
 
-    The bump is separable, phi = B(s_x) B(s_t), so B and B' of s_t are
-    evaluated once per time node.  A bulk row in a constant wedge takes the
-    wedge's u, v, f and g as scalars.  Its x-integrand is then a polynomial
-    of degree at most 2p in s_x, which the rule integrates exactly when
+    The bump is separable, phi = B(s_x) B(s_t), so on a bulk row B and B'
+    of s_t are evaluated once per time node.  A bulk row takes the wedge's
+    u, v, f and g as scalars.  Its x-integrand is then a polynomial of
+    degree at most 2p in s_x, which the rule integrates exactly when
     nodes > p, so such a row takes its x-integral in closed form, from B
     and the integral of B at the piece's two ends: n points per row.  The
-    other bulk rows are sampled at n x n points, with B and B' of s_x taken
-    once per point.  A rarefaction row between two rays meets the same n
-    rays at every time node, so its ray inverse runs once per ray; one
-    that ends on a support edge is sampled at every point.  The rows are
-    evaluated in chunks of at most _CHUNK_POINTS evaluated points, grouped
-    by bump exponent and segment, so no array of all points is ever built.
-    Each row gives one partial sum, and each bump's partial sums are added
-    by math.fsum, so a bump's residual depends neither on row order nor on
-    the other bumps of the battery.
+    other bulk rows are sampled at n x n points.
+
+    A fan row is integrated in ray coordinates, x = xi t, dx dt = t dxi dt,
+    where the state depends on xi alone: its n xi-nodes take one ray
+    inverse each.  On the ray through a node the t-integrand
+    t [U phi_t + F phi_x](xi t, t) is U and F times polynomials of degree
+    4p in t, integrated exactly by min(n, 2p + 1) nodes when n >= 2p + 1,
+    between the times where the ray enters and leaves the support.
+
+    The rows are evaluated in chunks of at most _CHUNK_POINTS evaluated
+    points, grouped by bump exponent and segment, so no array of all
+    points is ever built.  Each row gives one partial sum, and each bump's
+    partial sums are added by math.fsum, so a bump's residual depends
+    neither on row order nor on the other bumps of the battery.
 
     `nodes` must be an integer >= 1, else PreconditionError.
     """
@@ -444,13 +556,12 @@ def weak_residual(sol: DeltaSolution, phis, *, nodes: int = 32,
     if not phis:
         return []
     gx, gw = _gl(nodes)
-    bulk, line, init = _weak_rows(sol, phis)
-    x0, t0, wx, wt = np.array([phi.center + phi.halfwidths for phi in phis]).T
-    bumps = _Bumps(x0, t0, wx, wt, np.array([phi.p for phi in phis]))
+    bumps = _Bumps.of(phis)
     parts = [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))]
-    parts += _bulk_parts(sol, bumps, bulk, gx, gw)
-    parts += _line_parts(sol, bumps, line, gx, gw, arclength)
-    parts += _initial_parts(bumps, init, gx, gw)
+    parts += _bulk_parts(sol, bumps, _bulk_rows(sol, bumps), gx, gw)
+    parts += _fan_parts(sol, bumps, _fan_rows(sol, bumps), gx, gw)
+    parts += _line_parts(sol, bumps, _line_rows(sol, bumps), gx, gw, arclength)
+    parts += _initial_parts(bumps, _initial_rows(sol, bumps), gx, gw)
 
     b, pu, pv = (np.concatenate(col) for col in zip(*parts))
     order = np.argsort(b, kind="stable")
@@ -766,7 +877,9 @@ def _middle_states(run: _SuiteRun):
         for _ in range(_PAIRS_PER_REGION):
             left, right, mid = random_trans_pair(run.rng, region)
             fan = build_fan(left, right)
-            min_slack = min(min_slack, fan.middle.q - 0.5 * fan.middle.u ** 2)
+            m = fan.middle
+            # Signed, unlike the clamped TransState.slack, so the check can fail.
+            min_slack = min(min_slack, m.q - 0.5 * m.u * m.u)
             lax_ok &= all(lax_check(w) for w in fan.waves if w.kind == "shock")
             round_ok &= (fan.region.value == region
                          and abs(fan.middle.u - mid.u) <= 1e-6 * (1.0 + abs(mid.u)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import json
 import math
@@ -23,6 +24,7 @@ from briodelta.core import (
 from briodelta.delta import (
     DeltaSingularity,
     DeltaSolution,
+    RarefactionSegment,
     cardinality,
     generic_delta_shock,
     nonuniqueness_example,
@@ -46,7 +48,7 @@ from briodelta.verify import (
     test_function_battery,
     weak_residual,
 )
-from briodelta.wave_curves import forward_curve_1, shock_q_1, shock_q_2
+from briodelta.wave_curves import IntegralCurve, forward_curve_1, shock_q_1, shock_q_2
 
 from conftest import data_scale, max_residual
 
@@ -371,16 +373,23 @@ def test_property_suite_arclength_flags_weak_checks():
     assert "canary_flip_speed" in passed
 
 
-def _panel_reference(sol, phis, *, nodes=32, arclength=False):
+_leggauss = functools.lru_cache(np.polynomial.legendre.leggauss)
+
+
+def _panel_reference(sol, phis, *, nodes=32, arclength=False, fans_in_rays=False):
     """The weak residual as one NumPy round per time panel and bump.
 
     An independent evaluation of the same quadrature: the same nodes,
     panels and x-pieces, with every point sampled through sample_brio_many
-    and the bump derivatives taken from TestFunction.
+    and the bump derivatives taken from TestFunction.  With fans_in_rays,
+    the x-pieces in rarefaction segments are left out and those segments
+    are integrated by _fan_reference instead.
     """
-    gx, gw = np.polynomial.legendre.leggauss(nodes)
+    gx, gw = _leggauss(nodes)
     rays = sorted({b for seg in sol.segments for b in (seg.xi_lo, seg.xi_hi)
                    if math.isfinite(b)})
+    edges = [seg.xi_hi for seg in sol.segments[:-1]]
+    rare = np.array([isinstance(seg, RarefactionSegment) for seg in sol.segments])
 
     def panels(speeds, xlo, xhi, t_lo, t_hi):
         cuts = sorted([t_lo, t_hi] + [e / c for c in speeds if c != 0.0
@@ -410,6 +419,12 @@ def _panel_reference(sol, phis, *, nodes=32, arclength=False):
                      np.full(nodes, xhi)])
                 half = 0.5 * np.diff(xbreaks, axis=1)
                 mid = 0.5 * (xbreaks[:, :-1] + xbreaks[:, 1:])
+                if fans_in_rays:
+                    ends = np.array([xlo] + [c * tmid for c in inside] + [xhi])
+                    piece = np.searchsorted(edges, 0.5 * (ends[:-1] + ends[1:]) / tmid,
+                                            side="right")
+                    keep = ~rare[piece]
+                    mid, half = mid[:, keep], half[:, keep]
                 X = mid[:, :, None] + half[:, :, None] * gx
                 WX = half[:, :, None] * gw
                 TT = np.broadcast_to(tn[:, None, None], X.shape)
@@ -420,6 +435,12 @@ def _panel_reference(sol, phis, *, nodes=32, arclength=False):
                     "i,ijk->", tw, WX * (u * pt + sol.flux.f(u, v) * px))))
                 parts_v.append(float(np.einsum(
                     "i,ijk->", tw, WX * (v * pt + sol.flux.g(u, v) * px))))
+            if fans_in_rays:
+                for seg in sol.segments:
+                    if isinstance(seg, RarefactionSegment):
+                        pu, pv = _fan_reference(sol, seg, phi, gx, gw)
+                        parts_u += pu
+                        parts_v += pv
             for s in sol.singular:
                 c = s.speed
                 weight = math.sqrt(1.0 + c * c) if arclength else 1.0
@@ -442,13 +463,64 @@ def _panel_reference(sol, phis, *, nodes=32, arclength=False):
     return results
 
 
-def _assert_matches_reference(sol, phis, scale, **kw):
+def _fan_reference(sol, seg, phi, gx, gw):
+    """u and v parts of one rarefaction segment, one NumPy round per xi-panel.
+
+    The segment's [xi_lo, xi_hi] is cut at the support's corner slopes x/t
+    (t > 0), and on each ray through a xi-node t runs where x = xi t and t
+    lie in the support, with min(n, 2p + 1) nodes and the Jacobian t.
+    """
+    x0, t0 = phi.center
+    wx, wt = phi.halfwidths
+    xlo, xhi = x0 - wx, x0 + wx
+    t_lo, t_hi = max(0.0, t0 - wt), t0 + wt
+    hx, hw = _leggauss(min(len(gx), 2 * phi.p + 1))
+
+    def times(xi):
+        with np.errstate(divide="ignore"):
+            a, b = xlo / xi, xhi / xi
+        lower = np.where(xi > 0.0, a, np.where(xi < 0.0, b, -np.inf))
+        upper = np.where(xi > 0.0, b, np.where(xi < 0.0, a, np.inf))
+        return np.maximum(t_lo, lower), np.minimum(t_hi, upper)
+
+    corners = [e / t for e in (xlo, xhi) for t in (t_lo, t_hi) if t > 0.0]
+    tol = 1e-13 * (1.0 + max(abs(seg.xi_lo), abs(seg.xi_hi)))
+    breaks = []
+    for x in sorted([seg.xi_lo, seg.xi_hi]
+                    + [c for c in corners if seg.xi_lo < c < seg.xi_hi]):
+        if not breaks or x - breaks[-1] > tol:
+            breaks.append(x)
+    parts_u, parts_v = [], []
+    for xa, xb in zip(breaks[:-1], breaks[1:]):
+        ta, tb = times(np.array(0.5 * (xa + xb)))
+        if not ta < tb:
+            continue
+        xn = 0.5 * (xa + xb) + 0.5 * (xb - xa) * gx
+        xw = 0.5 * (xb - xa) * gw
+        ta, tb = times(xn)
+        tn = 0.5 * (ta + tb)[:, None] + 0.5 * (tb - ta)[:, None] * hx
+        tw = 0.5 * (tb - ta)[:, None] * hw * tn
+        pt, px = phi.dt(xn[:, None] * tn, tn), phi.dx(xn[:, None] * tn, tn)
+        u, v = sample_brio_many(sol, xn)
+        ft, fx = (tw * pt).sum(1), (tw * px).sum(1)
+        parts_u.append(float(np.dot(xw, u * ft + sol.flux.f(u, v) * fx)))
+        parts_v.append(float(np.dot(xw, v * ft + sol.flux.g(u, v) * fx)))
+    return parts_u, parts_v
+
+
+def _ray_panel_reference(sol, phis, **kw):
+    """The weak residual's own quadrature, rarefaction segments in (xi, t)."""
+    return _panel_reference(sol, phis, fans_in_rays=True, **kw)
+
+
+def _assert_matches_reference(sol, phis, scale, *, reference=_ray_panel_reference,
+                              tol=1e-13, **kw):
     got = weak_residual(sol, phis, **kw)
-    ref = _panel_reference(sol, phis, **kw)
+    ref = reference(sol, phis, **kw)
     assert len(got) == len(ref)
     for (ru, rv), (qu, qv) in zip(got, ref):
-        assert abs(ru - qu) <= 1e-13 * scale, (kw, ru, qu)
-        assert abs(rv - qv) <= 1e-13 * scale, (kw, rv, qv)
+        assert abs(ru - qu) <= tol * scale, (kw, ru, qu)
+        assert abs(rv - qv) <= tol * scale, (kw, rv, qv)
 
 
 def _raw_v_data(rng, n):
@@ -504,6 +576,37 @@ def test_batched_weak_residual_matches_panel_reference(rng, fixture_pair):
         sol = solve_brio(data)
         _assert_matches_reference(sol, solution_battery(sol)[i % 5::5],
                                   data_scale(data), nodes=8)
+
+
+def test_weak_residual_agrees_with_x_piece_quadrature(rng):
+    # The fan rows integrate rarefactions in (xi, t); the x-piece reference
+    # reaches the same integral in (x, t).  At 128 nodes both are converged.
+    cases = []
+    for region in ("I", "II", "III", "IV"):
+        data = random_brio_data(rng, region, "same")
+        cases.append((solve_brio(data), data_scale(data)))
+    data, canary = _canary_flip_solution()
+    cases.append((canary, data_scale(data)))
+    for sol, scale in cases:
+        _assert_matches_reference(sol, solution_battery(sol), scale, nodes=128,
+                                  reference=_panel_reference, tol=1e-12)
+
+
+def test_fan_rows_invert_each_xi_node_once(rng, monkeypatch):
+    sol = solve_brio(random_brio_data(rng, "I", "same"))
+    battery = solution_battery(sol)
+    fan = verify._fan_rows(sol, verify._Bumps.of(battery))
+    assert len(fan[0]) > 0
+    inverted = []
+    ray = IntegralCurve.ray
+
+    def counting_ray(self, xi):
+        inverted.append(np.size(xi))
+        return ray(self, xi)
+
+    monkeypatch.setattr(IntegralCurve, "ray", counting_ray)
+    weak_residual(sol, battery, nodes=32)
+    assert 0 < sum(inverted) <= 32 * len(fan[0])
 
 
 def test_weak_residual_bumps_are_independent(rng):
