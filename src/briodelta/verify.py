@@ -1,11 +1,16 @@
 """Numerical verification: weak-form residuals, an FV reference, property suite.
 
 The weak test evaluates the two integral identities that define singular
-solutions against smooth bump test functions: a space-time quadrature of the
-regular part, one line integral per Dirac carrier, and an initial-data term.
-All three are computed with Gauss-Legendre panels split so that every
-integrand piece is smooth, which keeps the quadrature spectrally accurate;
-an admissible solution drives both residuals to the quadrature floor.
+solutions against smooth bump test functions.  A constant wedge's
+space-time integral reduces, by the divergence theorem, to line integrals
+of phi along its two edge rays, so the regular part becomes one line
+integral per (bump, ray) that also takes the Dirac carrier on that ray, a
+space-time quadrature in ray coordinates over each rarefaction wedge, and
+the mismatch between the data and the outer wedges at t = 0.  All are
+computed with Gauss-Legendre rules on pieces where the integrand is smooth,
+exactly on every ray once the rule has 2p + 1 nodes; an admissible
+solution drives both residuals to the rounding floor where it is piecewise
+constant and to the quadrature floor in its rarefactions.
 
 The finite-volume solver is a deliberately independent route to the
 transformed fans (first-order Rusanov, nothing shared with the wave-curve
@@ -64,10 +69,9 @@ from .wave_curves import (
 )
 
 TOL_WEAK = 1e-7
-# Points evaluated per array pass of weak_residual: n per row for the rows
-# of n points (line, initial-data and closed-form constant-wedge rows), n^2
-# for the sampled bulk rows, n min(n, 2p + 1) for the fan rows.  Bounds its temporaries whatever the battery
-# size or node count n.
+# Points evaluated per array pass of weak_residual: n per initial-data row,
+# min(n, 2p + 1) per ray row and n min(n, 2p + 1) per fan row.  Bounds its
+# temporaries whatever the battery size or node count n.
 _CHUNK_POINTS = 8192
 # Draws random_trans_pair makes before giving up on a region.
 _PAIR_TRIES = 64
@@ -100,21 +104,6 @@ def _bump_pair(s, p: int):
         zp *= z
     z *= zp
     return z, -2.0 * p * s * zp
-
-
-def _bump_int(s, p: int):
-    """I_p(s) = integral of B(r) = (1 - r^2)^p from 0 to s, for |s| <= 1.
-
-    By parts, I_k = (s z^k + 2k I_{k-1}) / (2k + 1) with z = 1 - s^2 and
-    I_0 = s.  Every term has the sign of s, so nothing cancels.
-    """
-    z = np.maximum(1.0 - np.square(s), 0.0)
-    zk = s  # s z^k
-    out = s
-    for k in range(1, p + 1):
-        zk = zk * z
-        out = (zk + 2 * k * out) / (2 * k + 1)
-    return out
 
 
 @dataclass(frozen=True)
@@ -211,21 +200,6 @@ def _panels(lo, hi, cuts, tol):
     return row[pair], breaks[row[pair], col[pair]], breaks[row[pair], col[pair + 1]]
 
 
-def _time_panels(bumps: _Bumps, speeds):
-    """Panels (bump, ta, tb) of each support's [t_lo, t_hi], cut where a ray
-    x = c t of speeds leaves [xlo, xhi].
-
-    Cuts closer than 1e-13 (1 + t_hi) merge.
-    """
-    speeds = np.asarray([c for c in speeds if c != 0.0])
-    live = np.flatnonzero(bumps.t_hi > bumps.t_lo)
-    ends = np.column_stack([bumps.xlo[live], bumps.xhi[live]])
-    cuts = (ends[:, :, None] / speeds).reshape(len(live), -1)
-    t_hi = bumps.t_hi[live]
-    row, ta, tb = _panels(bumps.t_lo[live], t_hi, cuts, 1e-13 * (1.0 + t_hi))
-    return live[row], ta, tb
-
-
 def _ray_times(bumps: _Bumps, r, xi):
     """[ta, tb] of the rays xi inside the supports of bumps r.
 
@@ -283,21 +257,15 @@ class _Bumps:
         return cls(x0, t0, wx, wt, np.array([phi.p for phi in phis]),
                    x0 - wx, x0 + wx, np.maximum(t0 - wt, 0.0), t0 + wt)
 
-    def sx(self, r, x):
-        """s_x = (x - x0)/wx for rows r.
-
-        x holds one leading entry per row and any trailing node axes.
-        """
-        return _scaled(x, self.x0[r], self.wx[r])
-
-    def st(self, r, t):
-        """s_t = (t - t0)/wt for rows r, shaped as in sx."""
-        return _scaled(t, self.t0[r], self.wt[r])
-
     def factors(self, r, x, t):
-        """(B, B') at s_x and at s_t for rows r, which share one exponent."""
+        """(B, B') at s_x = (x - x0)/wx and at s_t = (t - t0)/wt for rows r,
+        which share one exponent.
+
+        x and t hold one leading entry per row and any trailing node axes.
+        """
         p = int(self.p[r[0]])
-        return _bump_pair(self.sx(r, x), p), _bump_pair(self.st(r, t), p)
+        return (_bump_pair(_scaled(x, self.x0[r], self.wx[r]), p),
+                _bump_pair(_scaled(t, self.t0[r], self.wt[r]), p))
 
 
 def _scaled(y, c, w):
@@ -305,41 +273,14 @@ def _scaled(y, c, w):
     return (y - c.reshape(shape)) / w.reshape(shape)
 
 
-def _bulk_rows(sol: DeltaSolution, bumps: _Bumps):
-    """Columns (bump, ta, tb, ca, da, cb, db, segment) of the bulk rows.
-
-    Each row is the x-piece from ca t + da to cb t + db over the time panel
-    [ta, tb]: at the panel's middle, one of the pieces between xlo, the
-    rays inside the support and xhi that lies in a constant segment.
-    """
-    rays = np.array(sorted({b for seg in sol.segments for b in (seg.xi_lo, seg.xi_hi)
-                            if math.isfinite(b)}))
-    b, ta, tb = _time_panels(bumps, rays)
-    tm = 0.5 * (ta + tb)
-    inside = ((bumps.xlo[b, None] < rays * tm[:, None])
-              & (rays * tm[:, None] < bumps.xhi[b, None]))
-    ends = np.column_stack([np.ones_like(tm, dtype=bool), inside,
-                            np.ones_like(tm, dtype=bool)])
-    c = np.concatenate([[0.0], rays, [0.0]])
-    d = np.column_stack([bumps.xlo[b], np.zeros(inside.shape), bumps.xhi[b]])
-    panel, end = np.nonzero(ends)
-    pair = np.flatnonzero(panel[1:] == panel[:-1])
-    i, ea, eb = panel[pair], end[pair], end[pair + 1]
-    ca, da, cb, db = c[ea], d[i, ea], c[eb], d[i, eb]
-    edges = np.asarray([seg.xi_hi for seg in sol.segments[:-1]])
-    seg = np.searchsorted(edges, 0.5 * ((ca + cb) * tm[i] + da + db) / tm[i],
-                          side="right")
-    const = np.array([isinstance(g, ConstantSegment) for g in sol.segments])[seg]
-    return tuple(col[const] for col in (b[i], ta[i], tb[i], ca, da, cb, db, seg))
-
-
 def _fan_rows(sol: DeltaSolution, bumps: _Bumps):
     """Columns (bump, segment, xa, xb) of the fan rows.
 
     Each row is the part of a rarefaction segment on the rays
     xa <= x/t <= xb: a panel of its [xi_lo, xi_hi], cut at the slopes x/t
-    of the support's corners (t > 0) and merged as in _time_panels.
-    Panels whose middle ray misses the support are dropped.
+    of the support's corners (t > 0) and merged where closer than
+    1e-13 (1 + max |xi|).  Panels whose middle ray misses the support are
+    dropped.
     """
     live = np.flatnonzero(bumps.t_hi > bumps.t_lo)
     xlo, xhi = bumps.xlo[live], bumps.xhi[live]
@@ -360,31 +301,62 @@ def _fan_rows(sol: DeltaSolution, bumps: _Bumps):
     return _stack(rows, 4)
 
 
-def _line_rows(sol: DeltaSolution, bumps: _Bumps):
-    """Columns (bump, ta, tb, carrier): the time panels of each carrier on
-    which it lies inside the support."""
-    rows = []
-    for k, s in enumerate(sol.singular):
-        b, ta, tb = _time_panels(bumps, (s.speed,))
-        x = s.speed * 0.5 * (ta + tb)
-        hit = (bumps.xlo[b] < x) & (x < bumps.xhi[b])
-        rows.append((b[hit], ta[hit], tb[hit], np.full(hit.sum(), k)))
-    return _stack(rows, 4)
+def _ray_table(sol: DeltaSolution, arclength: bool):
+    """Rows (c, ku, kv, au, bu, av, bv), one per distinct finite ray x = c t.
+
+    A ray is an edge between two segments or a carrier.  On it, (ku, kv)
+    is (F - c U) of the constant segment on its left minus that of the one
+    on its right, a rarefaction side giving 0.  A carrier of strength
+    rate t + constant adds rate to a and constant to b of its component,
+    both times sqrt(1 + c^2) under arclength.
+    """
+    sides = []
+    for seg in sol.segments:
+        if isinstance(seg, ConstantSegment):
+            u, v = seg.state.u, seg.state.v
+            sides.append((u, v, sol.flux.f(u, v), sol.flux.g(u, v)))
+        else:
+            sides.append((0.0, 0.0, 0.0, 0.0))
+    edges = [seg.xi_hi for seg in sol.segments[:-1]]
+    rays = sorted({*edges, *(s.speed for s in sol.singular)})
+    table = np.zeros((len(rays), 7))
+    table[:, 0] = rays
+    for c, (ul, vl, fl, gl), (ur, vr, fr, gr) in zip(edges, sides, sides[1:]):
+        table[rays.index(c), 1:3] += ((fl - fr) - c * (ul - ur), (gl - gr) - c * (vl - vr))
+    for s in sol.singular:
+        weight = math.sqrt(1.0 + s.speed * s.speed) if arclength else 1.0
+        col = 3 if s.component == "u" else 5
+        table[rays.index(s.speed), col:col + 2] += (s.rate * weight, s.constant * weight)
+    return table
+
+
+def _ray_rows(bumps: _Bumps, table):
+    """Columns (bump, ray, ta, tb): each ray of the table on [ta, tb], the
+    times where it lies inside the bump's support, when ta < tb."""
+    r = np.arange(len(bumps.p))
+    ta, tb = _ray_times(bumps, r, np.broadcast_to(table[:, 0], (len(r), len(table))))
+    b, j = np.nonzero(ta < tb)
+    return b, j, ta[b, j], tb[b, j]
 
 
 def _initial_rows(sol: DeltaSolution, bumps: _Bumps):
-    """Columns (bump, xa, xb, u, v): each support reaching t = 0, split at
-    x = 0, with the data state there."""
+    """Columns (bump, xa, xb, du, dv): each support reaching t = 0, split at
+    x = 0, with the data state there minus the outer segment's state.
+
+    Rows where both differences are exactly zero are dropped.
+    """
     low = np.flatnonzero(bumps.t0 - bumps.wt < 0.0)
     xlo, xhi = bumps.xlo[low], bumps.xhi[low]
     split = (xlo < 0.0) & (0.0 < xhi)
+    b = np.concatenate([low, low[split]])
     xa = np.concatenate([xlo, np.zeros(split.sum())])
     xb = np.concatenate([np.where(split, 0.0, xhi), xhi[split]])
     left = 0.5 * (xa + xb) < 0.0
-    data = sol.initial
-    return (np.concatenate([low, low[split]]), xa, xb,
-            np.where(left, data.left.u, data.right.u),
-            np.where(left, data.left.v, data.right.v))
+    data, lo, hi = sol.initial, sol.segments[0].state, sol.segments[-1].state
+    du = np.where(left, data.left.u - lo.u, data.right.u - hi.u)
+    dv = np.where(left, data.left.v - lo.v, data.right.v - hi.v)
+    keep = (du != 0.0) | (dv != 0.0)
+    return b[keep], xa[keep], xb[keep], du[keep], dv[keep]
 
 
 def _stack(tables, width):
@@ -392,52 +364,6 @@ def _stack(tables, width):
     if not tables:
         return tuple(np.zeros(0, dtype=np.intp) for _ in range(width))
     return tuple(np.concatenate(col) for col in zip(*tables))
-
-
-def _bulk_parts(sol: DeltaSolution, bumps: _Bumps, rows, gx, gw):
-    """(bump, u part, v part) of the constant wedges, per chunk of rows.
-
-    Rows with n > p are integrated in x in closed form at their n time
-    nodes, the others sampled at n x n points (see weak_residual).  Both
-    kinds depend only on the chunk's exponent.
-    """
-    b, ta, tb, ca, da, cb, db, seg = rows
-    if not len(b):
-        return
-    fl, gl_flux = sol.flux.f, sol.flux.g
-    n = len(gx)
-    p = bumps.p[b]
-    su, sv = np.array([(math.nan, math.nan) if isinstance(g, RarefactionSegment)
-                       else (g.state.u, g.state.v) for g in sol.segments]).T
-    closed = p < n
-    for idx in _chunks(p, _CHUNK_POINTS // np.where(closed, n, n * n)):
-        r, k, i = b[idx], seg[idx], idx[0]
-        pr = int(p[i])
-        T, TW = _nodes(ta[idx], tb[idx], gx, gw)
-        lo, hi = bumps.xlo[r, None], bumps.xhi[r, None]
-        xa = np.clip(ca[idx, None] * T + da[idx, None], lo, hi)
-        xb = np.clip(cb[idx, None] * T + db[idx, None], lo, hi)
-        if np.any(xb - xa < -1e-12 * (1.0 + np.abs(hi))):
-            raise QuadratureFailure("ray positions not monotone inside a panel")
-        bt, dbt = _bump_pair(bumps.st(r, T), pr)
-        if closed[i]:
-            sa, sb = bumps.sx(r, xa), bumps.sx(r, xb)
-            wx = bumps.wx[r, None]
-            mass = wx * (_bump_int(sb, pr) - _bump_int(sa, pr))
-            slope = wx * (_bump_pair(sb, pr)[0] - _bump_pair(sa, pr)[0])
-            u, v = su[k, None], sv[k, None]
-            iu, iv = u * mass, v * mass
-            jf, jg = fl(u, v) * slope, gl_flux(u, v) * slope
-        else:
-            X, WX = _nodes(xa, xb, gx, gw)
-            bx, dbx = _bump_pair(bumps.sx(r, X), pr)
-            wb, wd = WX * bx, WX * dbx
-            u, v = su[k, None, None], sv[k, None, None]
-            iu, iv = (wb * u).sum(-1), (wb * v).sum(-1)
-            jf, jg = (wd * fl(u, v)).sum(-1), (wd * gl_flux(u, v)).sum(-1)
-        at = TW * dbt / bumps.wt[r, None]
-        ax = TW * bt / bumps.wx[r, None]
-        yield r, (at * iu + ax * jf).sum(-1), (at * iv + ax * jg).sum(-1)
 
 
 def _fan_parts(sol: DeltaSolution, bumps: _Bumps, rows, gx, gw):
@@ -470,31 +396,30 @@ def _fan_parts(sol: DeltaSolution, bumps: _Bumps, rows, gx, gw):
                (WXI * (v * at + gl_flux(u, v) * ax)).sum(-1))
 
 
-def _line_parts(sol: DeltaSolution, bumps: _Bumps, rows, gx, gw,
-                arclength: bool):
-    """(bump, u part, v part) of the carrier line integrals, per chunk."""
-    b, ta, tb, k = rows
+def _ray_parts(bumps: _Bumps, rows, table, n: int):
+    """(bump, u part, v part) of the ray rows, per chunk of rows.
+
+    Each row takes min(n, 2p + 1) nodes in t and three moments on its ray:
+    the integrals of phi, of d = phi_t + c phi_x and of t d.
+    """
+    b, j, ta, tb = rows
     if not len(b):
         return
-    c, rate, const = np.array([(s.speed, s.rate, s.constant)
-                               for s in sol.singular])[k].T
-    on_u = np.array([s.component == "u" for s in sol.singular])[k]
-    weight = np.sqrt(1.0 + c * c) if arclength else np.ones_like(c)
-    for idx in _chunks(bumps.p[b], _CHUNK_POINTS // len(gx)):
+    p = bumps.p[b]
+    m = np.minimum(n, 2 * p + 1)
+    for idx in _chunks(p, _CHUNK_POINTS // m):
         r = b[idx]
-        T, TW = _nodes(ta[idx], tb[idx], gx, gw)
-        cc = c[idx, None]
-        (bx, dbx), (bt, dbt) = bumps.factors(r, cc * T, T)
-        beta = rate[idx, None] * T + const[idx, None]
-        vals = beta * (bx * dbt / bumps.wt[r, None]
-                       + cc * dbx / bumps.wx[r, None] * bt)
-        val = (TW * vals).sum(-1) * weight[idx]
-        yield r, np.where(on_u[idx], val, 0.0), np.where(on_u[idx], 0.0, val)
+        c, ku, kv, au, bu, av, bv = table[j[idx]].T
+        T, TW = _nodes(ta[idx], tb[idx], *_gl(int(m[idx[0]])))
+        (bx, dbx), (bt, dbt) = bumps.factors(r, c[:, None] * T, T)
+        d = TW * (bx * dbt / bumps.wt[r, None] + c[:, None] * bt * dbx / bumps.wx[r, None])
+        phi, d0, d1 = (TW * bx * bt).sum(-1), d.sum(-1), (T * d).sum(-1)
+        yield r, ku * phi + au * d1 + bu * d0, kv * phi + av * d1 + bv * d0
 
 
 def _initial_parts(bumps: _Bumps, rows, gx, gw):
     """(bump, u part, v part) of the initial-data integrals, per chunk."""
-    b, xa, xb, u, v = rows
+    b, xa, xb, du, dv = rows
     if not len(b):
         return
     for idx in _chunks(bumps.p[b], _CHUNK_POINTS // len(gx)):
@@ -502,51 +427,52 @@ def _initial_parts(bumps: _Bumps, rows, gx, gw):
         X, XW = _nodes(xa[idx], xb[idx], gx, gw)
         (bx, _), (bt, _) = bumps.factors(r, X, np.zeros(len(r)))
         mass = (XW * bx).sum(-1) * bt
-        yield r, u[idx] * mass, v[idx] * mass
+        yield r, du[idx] * mass, dv[idx] * mass
 
 
 def weak_residual(sol: DeltaSolution, phis, *, nodes: int = 32,
                   arclength: bool = False) -> list[tuple[float, float]]:
     """Absolute residuals (r_u, r_v) of both integral identities, per bump.
 
-    Every term is integrated by Gauss-Legendre with `nodes` = n points per
-    axis on pieces where its integrand is smooth, listed first in four
-    tables built with array operations across bumps:
+    For each bump phi the residual of the u equation is
 
-    - bulk: one row per (bump, time panel, x-piece) in a constant segment.
-      Time panels are cut where a ray of the regular part crosses the
-      bump's x-support.  At each time node the x-pieces run between xlo,
-      the rays x = c t inside the support and xhi, so each piece lies in
-      one segment.
-    - fan: one row per (bump, rarefaction segment, xi-panel).  The
-      segment's [xi_lo, xi_hi] is cut at the slopes x/t of the support's
-      corners, so on each panel the support's times on a ray are smooth
-      in xi.
-    - line: one row per (bump, Dirac carrier, time panel) on which the
-      carrier lies inside the support.
+        int int_{t > 0} (u phi_t + f phi_x) dx dt
+            + sum over u-carriers of int beta(t) (phi_t + c phi_x)(c t, t) dt
+            + int u_0(x) phi(x, 0) dx,
+
+    and that of the v equation likewise with (v, g).  In a constant wedge
+    c1 t < x < c2 t, U and F are constants, so by the divergence theorem
+    its integral is int phi(c2 t, t)(F - c2 U) dt - int phi(c1 t, t)(F - c1 U) dt,
+    and for the two outer wedges also -U int phi(x, 0) dx over their side
+    of x = 0.  So the terms are integrated in three tables, built with
+    array operations across bumps:
+
+    - fan: one row per (bump, rarefaction segment, xi-panel), integrated
+      in ray coordinates x = xi t, dx dt = t dxi dt.  The segment's
+      [xi_lo, xi_hi] is cut at the slopes x/t of the support's corners, so
+      on each panel the support's times on a ray are smooth in xi.  The
+      state depends on xi alone: its n xi-nodes take one ray inverse each.
+    - ray: one row per (bump, ray x = c t) over the times where the ray
+      lies inside the support.  A ray is an edge between segments or a
+      Dirac carrier; its row integrates k phi with k = (F - c U) of the
+      constant wedge on its left minus that of the one on its right, plus
+      each carrier's beta(t) (phi_t + c phi_x), times sqrt(1 + c^2) under
+      arclength.  So each ray's phi, phi_t and phi_x are evaluated once.
     - initial data: one row per (bump, side of x = 0) when the support
-      reaches t = 0.
+      reaches t = 0, integrating (u_0 - U) phi(x, 0) with U the state of
+      the outer wedge on that side; a row whose difference is exactly zero
+      is dropped.
 
-    The bump is separable, phi = B(s_x) B(s_t), so on a bulk row B and B'
-    of s_t are evaluated once per time node.  A bulk row takes the wedge's
-    u, v, f and g as scalars.  Its x-integrand is then a polynomial of
-    degree at most 2p in s_x, which the rule integrates exactly when
-    nodes > p, so such a row takes its x-integral in closed form, from B
-    and the integral of B at the piece's two ends: n points per row.  The
-    other bulk rows are sampled at n x n points.
-
-    A fan row is integrated in ray coordinates, x = xi t, dx dt = t dxi dt,
-    where the state depends on xi alone: its n xi-nodes take one ray
-    inverse each.  On the ray through a node the t-integrand
-    t [U phi_t + F phi_x](xi t, t) is U and F times polynomials of degree
-    4p in t, integrated exactly by min(n, 2p + 1) nodes when n >= 2p + 1,
-    between the times where the ray enters and leaves the support.
+    `nodes` = n is the Gauss-Legendre count in xi on each fan panel and in
+    x on each initial-data row.  Along a ray, fan or edge, the integrand
+    is a polynomial of degree at most 4p in t for the bump exponent p, so
+    min(n, 2p + 1) nodes in t integrate it exactly once n >= 2p + 1.
 
     The rows are evaluated in chunks of at most _CHUNK_POINTS evaluated
-    points, grouped by bump exponent and segment, so no array of all
-    points is ever built.  Each row gives one partial sum, and each bump's
-    partial sums are added by math.fsum, so a bump's residual depends
-    neither on row order nor on the other bumps of the battery.
+    points, grouped by bump exponent (and segment, for fan rows), so no
+    array of all points is ever built.  Each row gives one partial sum, and
+    each bump's partial sums are added by math.fsum, so a bump's residual
+    depends neither on row order nor on the other bumps of the battery.
 
     `nodes` must be an integer >= 1, else PreconditionError.
     """
@@ -557,10 +483,10 @@ def weak_residual(sol: DeltaSolution, phis, *, nodes: int = 32,
         return []
     gx, gw = _gl(nodes)
     bumps = _Bumps.of(phis)
+    table = _ray_table(sol, arclength)
     parts = [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))]
-    parts += _bulk_parts(sol, bumps, _bulk_rows(sol, bumps), gx, gw)
     parts += _fan_parts(sol, bumps, _fan_rows(sol, bumps), gx, gw)
-    parts += _line_parts(sol, bumps, _line_rows(sol, bumps), gx, gw, arclength)
+    parts += _ray_parts(bumps, _ray_rows(bumps, table), table, nodes)
     parts += _initial_parts(bumps, _initial_rows(sol, bumps), gx, gw)
 
     b, pu, pv = (np.concatenate(col) for col in zip(*parts))
@@ -963,7 +889,9 @@ def _fv_cross_validation(run: _SuiteRun):
 def _quadrature_convergence(run: _SuiteRun):
     """Doubling the nodes gains >= 4x until the floor on the region-IV fan.
 
-    Its regular part is piecewise constant, so only quadrature error remains.
+    Its regular part is piecewise constant, so the residual is the error
+    of the ray rule alone: inexact at 4 and 8 nodes, below 2p + 1 = 13,
+    and exact from 16 on.
     """
     left, right = _region_iv_fixture()
     data = RiemannData(project(left, 1.0), project(right, 1.0))
