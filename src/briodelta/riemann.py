@@ -234,11 +234,11 @@ def classify(left: TransState, right: TransState, middle: TransState) -> Region:
     return Region.II if du2 > 0.0 else Region.IV
 
 
-def lax_check(w: Wave, tol: float = TOL_LAX) -> bool:
+def lax_check(w: Wave) -> bool:
     """Lax inequalities of a shock, including the transversality count.
 
-    A verifier with an absolute tolerance on the speeds; the solver does not
-    call it, since its shocks are admissible by construction.
+    A verifier with the absolute tolerance TOL_LAX on the speeds; the solver
+    does not call it, since its shocks are admissible by construction.
     """
     if w.kind != "shock":
         raise PreconditionError("lax_check applies to shocks only")
@@ -246,8 +246,8 @@ def lax_check(w: Wave, tol: float = TOL_LAX) -> bool:
     l1l, l2l = (float(v) for v in trans_lambdas(w.left.u, w.left.q))
     l1r, l2r = (float(v) for v in trans_lambdas(w.right.u, w.right.q))
     if w.family == 1:
-        return l1l >= c - tol and c >= l1r - tol and l2r >= c - tol
-    return l2l >= c - tol and c >= l2r - tol and c >= l1l - tol
+        return l1l >= c - TOL_LAX and c >= l1r - TOL_LAX and l2r >= c - TOL_LAX
+    return l2l >= c - TOL_LAX and c >= l2r - TOL_LAX and c >= l1l - TOL_LAX
 
 
 def _shock_wave(family: int, left: TransState, right: TransState) -> Wave:

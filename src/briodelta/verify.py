@@ -19,6 +19,7 @@ construction) and is used only for convergence trends, never for equality.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,6 +70,12 @@ from .wave_curves import (
 )
 
 TOL_WEAK = 1e-7
+# Exponent p of every bump B(s) = (1 - s^2)^p: C^{p-1} regularity is
+# comfortably enough for the weak form.
+BUMP_EXPONENT = 6
+# Gauss-Legendre nodes in t needed on a ray: there the weak integrand is a
+# polynomial of degree at most 4p in t.
+_RAY_EXACT = 2 * BUMP_EXPONENT + 1
 # Points evaluated per array pass of weak_residual: n per initial-data row,
 # min(n, 2p + 1) per ray row and n min(n, 2p + 1) per fan row.  Bounds its
 # temporaries whatever the battery size or node count n.
@@ -93,25 +100,25 @@ def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _gl_cache[n]
 
 
-def _bump_pair(s, p: int):
-    """B(s) = (1 - s^2)^p on |s| <= 1 (zero outside) and B'(s).
+def _bump_pair(s):
+    """B(s) = (1 - s^2)^p on |s| <= 1 (zero outside) and B'(s), p = BUMP_EXPONENT.
 
-    The integer powers are repeated products; p >= 2.
+    The integer powers are repeated products.
     """
     z = np.maximum(1.0 - np.square(s), 0.0)
     zp = z.copy()  # z^(p - 1)
-    for _ in range(p - 2):
+    for _ in range(BUMP_EXPONENT - 2):
         zp *= z
     z *= zp
-    return z, -2.0 * p * s * zp
+    return z, -2.0 * BUMP_EXPONENT * s * zp
 
 
 @dataclass(frozen=True)
 class TestFunction:
     """Tensor bump phi(x,t) = B(s_x) B(s_t), B(s) = (1 - s^2)^p on |s| <= 1.
 
-    p >= 3 gives C^{p-1} regularity, comfortably enough for the weak form;
-    value and both partial derivatives are closed-form polynomials.
+    p = BUMP_EXPONENT; value and both partial derivatives are closed-form
+    polynomials.
     """
 
     # the name is calculus-of-variations vocabulary, not a pytest case
@@ -119,7 +126,6 @@ class TestFunction:
 
     center: tuple[float, float]
     halfwidths: tuple[float, float]
-    p: int = 6
 
     def __post_init__(self):
         x0, t0 = self.center
@@ -128,14 +134,12 @@ class TestFunction:
             raise PreconditionError("test function center must be finite")
         if not (wx > 0.0 and wt > 0.0):
             raise PreconditionError("test function halfwidths must be positive")
-        if not (isinstance(self.p, int) and self.p >= 3):
-            raise PreconditionError("test function exponent must be an integer >= 3")
 
     def _factors(self, x, t):
         """(B, B') of the x factor and of the t factor at (x, t)."""
         sx = (np.asarray(x) - self.center[0]) / self.halfwidths[0]
         st = (np.asarray(t) - self.center[1]) / self.halfwidths[1]
-        return _bump_pair(sx, self.p), _bump_pair(st, self.p)
+        return _bump_pair(sx), _bump_pair(st)
 
     def value(self, x, t):
         (bx, _), (bt, _) = self._factors(x, t)
@@ -224,17 +228,11 @@ def _nodes(a, b, gx, gw):
     return mid[..., None] + half[..., None] * gx, half[..., None] * gw
 
 
-def _chunks(keys, size):
-    """Row indices in runs of equal key, at most `size` rows per chunk.
-
-    `size` is one number, or one per row that is equal within each key.
-    """
-    order = np.argsort(keys, kind="stable")
-    sizes = np.broadcast_to(size, keys.shape)
-    for run in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
-        step = max(1, int(sizes[run[0]]))
-        for i in range(0, len(run), step):
-            yield run[i:i + step]
+def _slices(rows: int, points: int):
+    """Consecutive slices of `rows` rows with `points` evaluated points each,
+    at most _CHUNK_POINTS points (and at least one row) per slice."""
+    step = max(1, _CHUNK_POINTS // points)
+    return (slice(i, i + step) for i in range(0, rows, step))
 
 
 @dataclass(frozen=True)
@@ -245,7 +243,6 @@ class _Bumps:
     t0: np.ndarray
     wx: np.ndarray
     wt: np.ndarray
-    p: np.ndarray
     xlo: np.ndarray
     xhi: np.ndarray
     t_lo: np.ndarray
@@ -254,51 +251,20 @@ class _Bumps:
     @classmethod
     def of(cls, phis) -> _Bumps:
         x0, t0, wx, wt = np.array([phi.center + phi.halfwidths for phi in phis]).T
-        return cls(x0, t0, wx, wt, np.array([phi.p for phi in phis]),
-                   x0 - wx, x0 + wx, np.maximum(t0 - wt, 0.0), t0 + wt)
+        return cls(x0, t0, wx, wt, x0 - wx, x0 + wx, np.maximum(t0 - wt, 0.0), t0 + wt)
 
     def factors(self, r, x, t):
-        """(B, B') at s_x = (x - x0)/wx and at s_t = (t - t0)/wt for rows r,
-        which share one exponent.
+        """(B, B') at s_x = (x - x0)/wx and at s_t = (t - t0)/wt for rows r.
 
         x and t hold one leading entry per row and any trailing node axes.
         """
-        p = int(self.p[r[0]])
-        return (_bump_pair(_scaled(x, self.x0[r], self.wx[r]), p),
-                _bump_pair(_scaled(t, self.t0[r], self.wt[r]), p))
+        return (_bump_pair(_scaled(x, self.x0[r], self.wx[r])),
+                _bump_pair(_scaled(t, self.t0[r], self.wt[r])))
 
 
 def _scaled(y, c, w):
     shape = c.shape + (1,) * (np.ndim(y) - 1)
     return (y - c.reshape(shape)) / w.reshape(shape)
-
-
-def _fan_rows(sol: DeltaSolution, bumps: _Bumps):
-    """Columns (bump, segment, xa, xb) of the fan rows.
-
-    Each row is the part of a rarefaction segment on the rays
-    xa <= x/t <= xb: a panel of its [xi_lo, xi_hi], cut at the slopes x/t
-    of the support's corners (t > 0) and merged where closer than
-    1e-13 (1 + max |xi|).  Panels whose middle ray misses the support are
-    dropped.
-    """
-    live = np.flatnonzero(bumps.t_hi > bumps.t_lo)
-    xlo, xhi = bumps.xlo[live], bumps.xhi[live]
-    t_lo, t_hi = bumps.t_lo[live], bumps.t_hi[live]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        corners = np.column_stack([np.where(t_lo > 0.0, xlo / t_lo, np.nan),
-                                   np.where(t_lo > 0.0, xhi / t_lo, np.nan),
-                                   xlo / t_hi, xhi / t_hi])
-    ones = np.ones(len(live))
-    rows = []
-    for k, g in enumerate(sol.segments):
-        if isinstance(g, RarefactionSegment):
-            tol = 1e-13 * (1.0 + max(abs(g.xi_lo), abs(g.xi_hi)))
-            row, xa, xb = _panels(g.xi_lo * ones, g.xi_hi * ones, corners, tol * ones)
-            ta, tb = _ray_times(bumps, live[row], 0.5 * (xa + xb))
-            hit = ta < tb
-            rows.append((live[row[hit]], np.full(hit.sum(), k), xa[hit], xb[hit]))
-    return _stack(rows, 4)
 
 
 def _ray_table(sol: DeltaSolution, arclength: bool):
@@ -330,20 +296,81 @@ def _ray_table(sol: DeltaSolution, arclength: bool):
     return table
 
 
-def _ray_rows(bumps: _Bumps, table):
-    """Columns (bump, ray, ta, tb): each ray of the table on [ta, tb], the
-    times where it lies inside the bump's support, when ta < tb."""
-    r = np.arange(len(bumps.p))
-    ta, tb = _ray_times(bumps, r, np.broadcast_to(table[:, 0], (len(r), len(table))))
+def _fan_parts(sol: DeltaSolution, bumps: _Bumps, gx, gw):
+    """(bump, u part, v part) of the rarefaction wedges, per chunk of rows.
+
+    Each row is the part of one rarefaction segment on the rays
+    xa <= x/t <= xb inside one bump's support: a panel of its
+    [xi_lo, xi_hi], cut at the slopes x/t of the support's corners (t > 0)
+    and merged where closer than 1e-13 (1 + max |xi|).  Panels whose middle
+    ray misses the support are dropped.  A row is integrated in ray
+    coordinates, x = xi t with dx dt = t dxi dt: n nodes in xi, and on
+    each of their rays min(n, 2p + 1) nodes in t (see weak_residual).
+    """
+    live = np.flatnonzero(bumps.t_hi > bumps.t_lo)
+    xlo, xhi = bumps.xlo[live], bumps.xhi[live]
+    t_lo, t_hi = bumps.t_lo[live], bumps.t_hi[live]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        corners = np.column_stack([np.where(t_lo > 0.0, xlo / t_lo, np.nan),
+                                   np.where(t_lo > 0.0, xhi / t_lo, np.nan),
+                                   xlo / t_hi, xhi / t_hi])
+    ones = np.ones(len(live))
+    fl, gl_flux = sol.flux.f, sol.flux.g
+    n = len(gx)
+    m = min(n, _RAY_EXACT)
+    for seg in sol.segments:
+        if not isinstance(seg, RarefactionSegment):
+            continue
+        tol = 1e-13 * (1.0 + max(abs(seg.xi_lo), abs(seg.xi_hi)))
+        row, xa, xb = _panels(seg.xi_lo * ones, seg.xi_hi * ones, corners, tol * ones)
+        ta, tb = _ray_times(bumps, live[row], 0.5 * (xa + xb))
+        hit = ta < tb
+        b, xa, xb = live[row[hit]], xa[hit], xb[hit]
+        for k in _slices(len(b), n * m):
+            r = b[k]
+            XI, WXI = _nodes(xa[k], xb[k], gx, gw)
+            ta, tb = _ray_times(bumps, r, XI)
+            if np.any(tb - ta < -1e-12 * (1.0 + np.abs(tb))):
+                raise QuadratureFailure("support times inverted on a ray")
+            T, TW = _nodes(ta, tb, *_gl(m))
+            (bx, dbx), (bt, dbt) = bumps.factors(r, XI[..., None] * T, T)
+            TW = TW * T
+            at = (TW * bx * dbt).sum(-1) / bumps.wt[r, None]
+            ax = (TW * dbx * bt).sum(-1) / bumps.wx[r, None]
+            u, v = _rarefaction_uv(seg, XI)
+            yield (r, (WXI * (u * at + fl(u, v) * ax)).sum(-1),
+                   (WXI * (v * at + gl_flux(u, v) * ax)).sum(-1))
+
+
+def _ray_parts(bumps: _Bumps, table, n: int):
+    """(bump, u part, v part) of the ray rows, per chunk of rows.
+
+    A row is one ray of the table on [ta, tb], the times where it lies
+    inside one bump's support, when ta < tb.  It takes min(n, 2p + 1)
+    nodes in t and three moments on its ray: the integrals of phi, of
+    d = phi_t + c phi_x and of t d.
+    """
+    count = len(bumps.x0)
+    ta, tb = _ray_times(bumps, np.arange(count), np.broadcast_to(table[:, 0], (count, len(table))))
     b, j = np.nonzero(ta < tb)
-    return b, j, ta[b, j], tb[b, j]
+    ta, tb = ta[b, j], tb[b, j]
+    m = min(n, _RAY_EXACT)
+    for k in _slices(len(b), m):
+        r = b[k]
+        c, ku, kv, au, bu, av, bv = table[j[k]].T
+        T, TW = _nodes(ta[k], tb[k], *_gl(m))
+        (bx, dbx), (bt, dbt) = bumps.factors(r, c[:, None] * T, T)
+        d = TW * (bx * dbt / bumps.wt[r, None] + c[:, None] * bt * dbx / bumps.wx[r, None])
+        phi, d0, d1 = (TW * bx * bt).sum(-1), d.sum(-1), (T * d).sum(-1)
+        yield r, ku * phi + au * d1 + bu * d0, kv * phi + av * d1 + bv * d0
 
 
-def _initial_rows(sol: DeltaSolution, bumps: _Bumps):
-    """Columns (bump, xa, xb, du, dv): each support reaching t = 0, split at
-    x = 0, with the data state there minus the outer segment's state.
+def _initial_parts(sol: DeltaSolution, bumps: _Bumps, gx, gw):
+    """(bump, u part, v part) of the initial-data rows, per chunk of rows.
 
-    Rows where both differences are exactly zero are dropped.
+    A row is a support reaching t = 0, split at x = 0, with the data state
+    there minus the outer segment's state.  Rows where both differences are
+    exactly zero are dropped.
     """
     low = np.flatnonzero(bumps.t0 - bumps.wt < 0.0)
     xlo, xhi = bumps.xlo[low], bumps.xhi[low]
@@ -356,78 +383,13 @@ def _initial_rows(sol: DeltaSolution, bumps: _Bumps):
     du = np.where(left, data.left.u - lo.u, data.right.u - hi.u)
     dv = np.where(left, data.left.v - lo.v, data.right.v - hi.v)
     keep = (du != 0.0) | (dv != 0.0)
-    return b[keep], xa[keep], xb[keep], du[keep], dv[keep]
-
-
-def _stack(tables, width):
-    """Columns of several tables concatenated, or `width` empty columns."""
-    if not tables:
-        return tuple(np.zeros(0, dtype=np.intp) for _ in range(width))
-    return tuple(np.concatenate(col) for col in zip(*tables))
-
-
-def _fan_parts(sol: DeltaSolution, bumps: _Bumps, rows, gx, gw):
-    """(bump, u part, v part) of the rarefaction wedges, per chunk of rows.
-
-    A row is integrated in ray coordinates, x = xi t with dx dt = t dxi dt:
-    n nodes in xi, and on each of their rays min(n, 2p + 1) nodes in t
-    (see weak_residual).
-    """
-    b, seg, xa, xb = rows
-    if not len(b):
-        return
-    fl, gl_flux = sol.flux.f, sol.flux.g
-    n = len(gx)
-    p = bumps.p[b]
-    m = np.minimum(n, 2 * p + 1)
-    for idx in _chunks(p * len(sol.segments) + seg, _CHUNK_POINTS // (n * m)):
-        r, i = b[idx], idx[0]
-        XI, WXI = _nodes(xa[idx], xb[idx], gx, gw)
-        ta, tb = _ray_times(bumps, r, XI)
-        if np.any(tb - ta < -1e-12 * (1.0 + np.abs(tb))):
-            raise QuadratureFailure("support times inverted on a ray")
-        T, TW = _nodes(ta, tb, *_gl(int(m[i])))
-        (bx, dbx), (bt, dbt) = bumps.factors(r, XI[..., None] * T, T)
-        TW = TW * T
-        at = (TW * bx * dbt).sum(-1) / bumps.wt[r, None]
-        ax = (TW * dbx * bt).sum(-1) / bumps.wx[r, None]
-        u, v = _rarefaction_uv(sol.segments[int(seg[i])], XI)
-        yield (r, (WXI * (u * at + fl(u, v) * ax)).sum(-1),
-               (WXI * (v * at + gl_flux(u, v) * ax)).sum(-1))
-
-
-def _ray_parts(bumps: _Bumps, rows, table, n: int):
-    """(bump, u part, v part) of the ray rows, per chunk of rows.
-
-    Each row takes min(n, 2p + 1) nodes in t and three moments on its ray:
-    the integrals of phi, of d = phi_t + c phi_x and of t d.
-    """
-    b, j, ta, tb = rows
-    if not len(b):
-        return
-    p = bumps.p[b]
-    m = np.minimum(n, 2 * p + 1)
-    for idx in _chunks(p, _CHUNK_POINTS // m):
-        r = b[idx]
-        c, ku, kv, au, bu, av, bv = table[j[idx]].T
-        T, TW = _nodes(ta[idx], tb[idx], *_gl(int(m[idx[0]])))
-        (bx, dbx), (bt, dbt) = bumps.factors(r, c[:, None] * T, T)
-        d = TW * (bx * dbt / bumps.wt[r, None] + c[:, None] * bt * dbx / bumps.wx[r, None])
-        phi, d0, d1 = (TW * bx * bt).sum(-1), d.sum(-1), (T * d).sum(-1)
-        yield r, ku * phi + au * d1 + bu * d0, kv * phi + av * d1 + bv * d0
-
-
-def _initial_parts(bumps: _Bumps, rows, gx, gw):
-    """(bump, u part, v part) of the initial-data integrals, per chunk."""
-    b, xa, xb, du, dv = rows
-    if not len(b):
-        return
-    for idx in _chunks(bumps.p[b], _CHUNK_POINTS // len(gx)):
-        r = b[idx]
-        X, XW = _nodes(xa[idx], xb[idx], gx, gw)
+    b, xa, xb, du, dv = b[keep], xa[keep], xb[keep], du[keep], dv[keep]
+    for k in _slices(len(b), len(gx)):
+        r = b[k]
+        X, XW = _nodes(xa[k], xb[k], gx, gw)
         (bx, _), (bt, _) = bumps.factors(r, X, np.zeros(len(r)))
         mass = (XW * bx).sum(-1) * bt
-        yield r, du[idx] * mass, dv[idx] * mass
+        yield r, du[k] * mass, dv[k] * mass
 
 
 def weak_residual(sol: DeltaSolution, phis, *, nodes: int = 32,
@@ -465,29 +427,30 @@ def weak_residual(sol: DeltaSolution, phis, *, nodes: int = 32,
 
     `nodes` = n is the Gauss-Legendre count in xi on each fan panel and in
     x on each initial-data row.  Along a ray, fan or edge, the integrand
-    is a polynomial of degree at most 4p in t for the bump exponent p, so
-    min(n, 2p + 1) nodes in t integrate it exactly once n >= 2p + 1.
+    is a polynomial of degree at most 4p in t for the bump exponent
+    p = BUMP_EXPONENT, so min(n, 2p + 1) nodes in t integrate it exactly
+    once n >= 2p + 1.
 
-    The rows are evaluated in chunks of at most _CHUNK_POINTS evaluated
-    points, grouped by bump exponent (and segment, for fan rows), so no
-    array of all points is ever built.  Each row gives one partial sum, and
-    each bump's partial sums are added by math.fsum, so a bump's residual
-    depends neither on row order nor on the other bumps of the battery.
+    Each table's rows are evaluated in consecutive slices of at most
+    _CHUNK_POINTS evaluated points, the fan rows one rarefaction segment at
+    a time, so no array of all points is ever built.  Each row gives one
+    partial sum, and each bump's partial sums are added by math.fsum, so a
+    bump's residual depends neither on row order nor on the other bumps of
+    the battery.
 
-    `nodes` must be an integer >= 1, else PreconditionError.
+    `nodes` must be an integer >= 1 and not a bool, else PreconditionError.
     """
-    if not (isinstance(nodes, int) and nodes >= 1):
+    if not (isinstance(nodes, int) and not isinstance(nodes, bool) and nodes >= 1):
         raise PreconditionError("quadrature node count must be an integer >= 1")
     phis = list(phis)
     if not phis:
         return []
     gx, gw = _gl(nodes)
     bumps = _Bumps.of(phis)
-    table = _ray_table(sol, arclength)
     parts = [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))]
-    parts += _fan_parts(sol, bumps, _fan_rows(sol, bumps), gx, gw)
-    parts += _ray_parts(bumps, _ray_rows(bumps, table), table, nodes)
-    parts += _initial_parts(bumps, _initial_rows(sol, bumps), gx, gw)
+    parts += _fan_parts(sol, bumps, gx, gw)
+    parts += _ray_parts(bumps, _ray_table(sol, arclength), nodes)
+    parts += _initial_parts(sol, bumps, gx, gw)
 
     b, pu, pv = (np.concatenate(col) for col in zip(*parts))
     order = np.argsort(b, kind="stable")
@@ -740,13 +703,6 @@ def _suite_weak_scale(data: RiemannData) -> float:
                      abs(data.right.u), abs(data.right.v))
 
 
-def _region_iv_fixture():
-    """(left, right) of a forward-built two-shock (region IV) fan."""
-    left = TransState(1.0, 5.0)
-    mid = TransState(0.4, shock_q_1(left, 0.4))
-    return left, TransState(0.1, shock_q_2(mid, 0.1))
-
-
 def _rw1_curves(rng):
     """Eight random family-1 rarefactions as 201 (u, q) samples, drawn lazily."""
     for _ in range(8):
@@ -878,22 +834,33 @@ def _canary_flip_speed(run: _SuiteRun):
     return [(worst > 1e-4, worst, 1e-4)]
 
 
-def _fv_cross_validation(run: _SuiteRun):
-    """FV cross-validation on the shock-dominated region-IV fan."""
-    left, right = _region_iv_fixture()
+@functools.cache
+def _fv_cross_validation_row():
+    """Row of the FV cross-validation.  It draws nothing and takes no
+    argument, so one process computes it once."""
+    left = TransState(1.0, 5.0)
+    mid = TransState(0.4, shock_q_1(left, 0.4))
+    right = TransState(0.1, shock_q_2(mid, 0.1))
     err = compare_fan_fv(build_fan(left, right), FvGrid(-5.0, 5.0, 4096, 0.45, 0.5))
     bound = 0.05 * (abs(right.u - left.u) + abs(right.q - left.q))
-    return [(err <= bound, err, bound)]
+    return err <= bound, err, bound
+
+
+def _fv_cross_validation(run: _SuiteRun):
+    """FV cross-validation on a forward-built two-shock (region IV) fan."""
+    return [_fv_cross_validation_row()]
 
 
 def _quadrature_convergence(run: _SuiteRun):
-    """Doubling the nodes gains >= 4x until the floor on the region-IV fan.
+    """Doubling the nodes gains >= 4x until the floor on a region-I fan.
 
-    Its regular part is piecewise constant, so the residual is the error
-    of the ray rule alone: inexact at 4 and 8 nodes, below 2p + 1 = 13,
-    and exact from 16 on.
+    Its two rarefactions are integrated in ray coordinates, so the residual
+    at 4, 8 and 16 nodes is the error of the fan rows' xi rule, with that
+    of the t rule below 2p + 1 nodes.
     """
-    left, right = _region_iv_fixture()
+    left = TransState(1.0, 5.0)
+    mid = TransState(1.5, float(forward_curve_1(left).q(1.5)))
+    right = TransState(2.2, integrate_rarefaction(2, mid, 2.2).q_at(2.2))
     data = RiemannData(project(left, 1.0), project(right, 1.0))
     sol = solve_brio(data)
     phi = TestFunction((0.0, 0.5), (2.5, 0.45))
