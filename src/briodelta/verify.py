@@ -182,17 +182,17 @@ def solution_battery(sol: DeltaSolution) -> list[TestFunction]:
     return test_function_battery(speeds, 1.0)
 
 
-def _panels(lo, hi, cuts, tol):
-    """Panels (row, a, b) of each row's [lo, hi], cut at its cuts inside it.
+def _panels(lo: float, hi: float, cuts, tol: float):
+    """Panels (row, a, b) of [lo, hi], cut at each row's cuts inside it.
 
-    lo, hi and tol hold one entry per row and cuts one row of candidates
-    per row (NaN for none).  The cuts strictly inside (lo, hi) are swept in
-    sorted order with both ends, and one closer than tol to the last kept
-    break merges into it.
+    cuts holds one row of candidates per row (NaN for none).  The cuts
+    strictly inside (lo, hi) are swept in sorted order with both ends, and
+    one closer than tol to the last kept break merges into it.
     """
-    inside = (cuts > lo[:, None]) & (cuts < hi[:, None])
-    breaks = np.sort(np.column_stack([lo, hi, np.where(inside, cuts, np.nan)]),
-                     axis=1)
+    ends = np.ones(len(cuts))
+    inside = (cuts > lo) & (cuts < hi)
+    breaks = np.sort(np.column_stack([lo * ends, hi * ends,
+                                      np.where(inside, cuts, np.nan)]), axis=1)
     keep = np.zeros(breaks.shape, dtype=bool)
     keep[:, 0] = True
     last = breaks[:, 0]
@@ -314,7 +314,6 @@ def _fan_parts(sol: DeltaSolution, bumps: _Bumps, gx, gw):
         corners = np.column_stack([np.where(t_lo > 0.0, xlo / t_lo, np.nan),
                                    np.where(t_lo > 0.0, xhi / t_lo, np.nan),
                                    xlo / t_hi, xhi / t_hi])
-    ones = np.ones(len(live))
     fl, gl_flux = sol.flux.f, sol.flux.g
     n = len(gx)
     m = min(n, _RAY_EXACT)
@@ -322,7 +321,7 @@ def _fan_parts(sol: DeltaSolution, bumps: _Bumps, gx, gw):
         if not isinstance(seg, RarefactionSegment):
             continue
         tol = 1e-13 * (1.0 + max(abs(seg.xi_lo), abs(seg.xi_hi)))
-        row, xa, xb = _panels(seg.xi_lo * ones, seg.xi_hi * ones, corners, tol * ones)
+        row, xa, xb = _panels(seg.xi_lo, seg.xi_hi, corners, tol)
         ta, tb = _ray_times(bumps, live[row], 0.5 * (xa + xb))
         hit = ta < tb
         b, xa, xb = live[row[hit]], xa[hit], xb[hit]
