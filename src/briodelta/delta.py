@@ -278,17 +278,17 @@ def sample_brio_many(sol: DeltaSolution, xi) -> tuple[np.ndarray, np.ndarray]:
             u[m] = seg.state.u
             v[m] = seg.state.v
         else:
-            u[m], v[m] = _rarefaction_uv(seg, xi[m])
+            u[m], v[m], _ = _rarefaction_uv(seg, xi[m])
     return u, v
 
 
-def _rarefaction_uv(seg: RarefactionSegment, xi) -> tuple[np.ndarray, np.ndarray]:
-    """Regular state (u, v) on rays xi of a rarefaction wedge.
+def _rarefaction_uv(seg: RarefactionSegment, xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Regular state (u, v) on rays xi of a rarefaction wedge, and t = s - 1.
 
-    |v| = sqrt(t(t + 2))/2 with t = s - 1 from the ray inverse.
+    |v| = sqrt(t(t + 2))/2 with t from the ray inverse.
     """
     u, _, t = seg.curve.ray(xi)
-    return u, seg.v_sign * 0.5 * np.sqrt(t * (t + 2.0))
+    return u, seg.v_sign * 0.5 * np.sqrt(t * (t + 2.0)), t
 
 
 def _brio_state_dict(s: BrioState) -> dict:

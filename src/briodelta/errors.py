@@ -26,7 +26,7 @@ class BracketFailure(BrioError):
 
 
 class QuadratureFailure(BrioError):
-    """Weak-form quadrature could not be assembled (bad panels or supports)."""
+    """Weak-form quadrature could not be assembled (support times inverted on a ray)."""
 
 
 class CflViolation(BrioError):

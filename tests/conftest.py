@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from briodelta import RiemannData, TransState, project
+from briodelta import RiemannData, TransState, project, verify
 from briodelta.wave_curves import shock_q_1, shock_q_2
 
 
@@ -45,7 +45,8 @@ def random_above_critical(rng, u_range=(-2.0, 3.0),
 
 
 def max_residual(results) -> float:
-    return max(max(ru, rv) for ru, rv in results)
+    """Largest residual of a weak_residual result, inf if any is not finite."""
+    return verify._worst(results)
 
 
 def data_scale(data: RiemannData) -> float:

@@ -38,7 +38,7 @@ from briodelta.riemann import Region, build_fan, sample_fan_many
 from briodelta.verify import TOL_WEAK, random_brio_data, solution_battery, weak_residual
 from briodelta.wave_curves import backward_curve_2, forward_curve_1, shock_q_2
 
-from conftest import assert_close, data_scale, mp_at_speed
+from conftest import assert_close, data_scale, max_residual, mp_at_speed
 
 EXPECTED_CARDINALITY = {"I": 0, "II": 1, "III": 1, "IV": 2}
 
@@ -614,23 +614,22 @@ def test_near_ties_keep_their_tiny_family_1_wave():
 
 
 def test_weak_residual_on_raw_box_data():
-    # Judged at the finest of 32/64/128/256 nodes, as wide fans need more
-    # nodes before the quadrature error drops under TOL_WEAK.
-    # The v = 0 near tie and near-equal pairs join the box draws: their
-    # tiny waves must carry the jumps the data make.
+    # Judged at the default 32 nodes.  The v = 0 near tie and near-equal
+    # pairs join the box draws: their tiny waves must carry the jumps the
+    # data make.  The log-magnitude draws take each component as
+    # +-10^U(-8, 8), with v = 0 on one side in 2 of 7 draws.
     rng = np.random.default_rng(7)
     draws = [_data(*x) for x in rng.uniform(-10.0, 10.0, size=(30, 4))]
     draws.append(NEAR_TIES[1])
     draws.extend(_near_equal(rng, rho) for rho in NEAR_RHOS for _ in range(4))
+    x = 10.0 ** rng.uniform(-8.0, 8.0, size=(28, 4)) * rng.choice((-1.0, 1.0), size=(28, 4))
+    x[5::7, 1] = 0.0
+    x[6::7, 3] = 0.0
+    draws.extend(_data(*row) for row in x)
     for data in draws:
         sol = solve_brio(data)
-        scale = data_scale(data)
-        for nodes in (32, 64, 128, 256):
-            res = weak_residual(sol, solution_battery(sol), nodes=nodes)
-            worst = max(max(r) for r in res) / scale
-            if worst <= TOL_WEAK:
-                break
-        assert worst <= TOL_WEAK, (data, nodes, worst)
+        worst = max_residual(weak_residual(sol, solution_battery(sol)))
+        assert worst / data_scale(data) <= TOL_WEAK, (data, worst)
 
 
 def test_rarefaction_v_matches_mpmath_near_the_critical_curve(mp50):

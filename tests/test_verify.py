@@ -25,6 +25,7 @@ from briodelta.delta import (
     DeltaSingularity,
     DeltaSolution,
     RarefactionSegment,
+    _rarefaction_uv,
     cardinality,
     generic_delta_shock,
     nonuniqueness_example,
@@ -34,6 +35,7 @@ from briodelta.delta import (
 from briodelta.errors import BlowUp, BrioError, PreconditionError
 from briodelta.riemann import build_fan
 from briodelta.verify import (
+    TOL_WEAK,
     FvGrid,
     TestFunction,
     _canary_flip_solution,
@@ -338,6 +340,44 @@ def test_property_suite_reports_table_fallback_rows(monkeypatch):
         [name for _, fallback in verify._SUITE for name, _, _ in fallback]
 
 
+def test_suite_weak_rows_fail_on_a_nan_residual(monkeypatch):
+    # A NaN that is not the first entry must not vanish in the suite's max.
+    weak = verify.weak_residual
+
+    def nan_in_second_bump(sol, phis, **kw):
+        res = weak(sol, phis, **kw)
+        return res[:1] + [(math.nan, 0.0)] + res[2:]
+
+    monkeypatch.setattr(verify, "weak_residual", nan_in_second_bump)
+    run = verify._SuiteRun(np.random.default_rng(0), TOL_WEAK, False)
+    for check, tol in ((verify._weak_residual_admissible, TOL_WEAK),
+                       (verify._minimality, TOL_WEAK), (verify._canary_flip_speed, 1e-4)):
+        assert check(run) == [(False, math.inf, tol)], check
+    # The convergence row has one bump: a NaN r_v in its reference or in
+    # one of its levels must fail it too.
+    for bad in (256, 16):
+        def nan_r_v(sol, phis, nodes=32, bad=bad, **kw):
+            res = weak(sol, phis, nodes=nodes, **kw)
+            return [(ru, math.nan) for ru, _ in res] if nodes == bad else res
+
+        monkeypatch.setattr(verify, "weak_residual", nan_r_v)
+        assert verify._quadrature_convergence(run)[0][0] is False, bad
+    assert verify._worst([(0.0, 1.0), (math.nan, 0.0)]) == math.inf
+    assert verify._worst([(0.0, 1.0), (2.0, 0.5)]) == 2.0
+
+
+def test_quadrature_convergence_fixture_is_above_the_floor():
+    # The suite's convergence row needs a residual to converge: its
+    # fixture's rarefactions lag by 1e-3 in xi, and the weak test flags it
+    # while the same fan without the lag reads the rounding floor.
+    data, sol, phi = verify._defective_fan()
+    scale = data_scale(data)
+    good = solve_brio(data)
+    assert max_residual(weak_residual(good, [phi], nodes=256)) <= 1e-14 * scale
+    for nodes in (16, 256):
+        assert max_residual(weak_residual(sol, [phi], nodes=nodes)) > 10.0 * TOL_WEAK * scale
+
+
 def test_property_suite_arclength_flags_weak_checks():
     report = property_suite(seed=0, arclength=True)
     _validate_report(report)
@@ -429,65 +469,87 @@ def _panel_reference(sol, phis, *, nodes=32, arclength=False):
     return results
 
 
-def _fan_reference(sol, seg, phi, gx, gw):
-    """u and v parts of one rarefaction segment, one NumPy round per xi-panel.
-
-    The segment's [xi_lo, xi_hi] is cut at the support's corner slopes x/t
-    (t > 0), and on each ray through a xi-node t runs where x = xi t and t
-    lie in the support, with min(n, 2p + 1) nodes and the Jacobian t.
-    """
+def _support(phi):
+    """(xlo, xhi, t_lo, t_hi) of a bump's support in t >= 0."""
     x0, t0 = phi.center
     wx, wt = phi.halfwidths
-    xlo, xhi = x0 - wx, x0 + wx
-    t_lo, t_hi = max(0.0, t0 - wt), t0 + wt
+    return x0 - wx, x0 + wx, max(0.0, t0 - wt), t0 + wt
+
+
+def _fan_range(seg, phi):
+    """[xa, xb] of the segment's rays that meet the support, or None.
+
+    The support's rays run from the smallest to the largest slope x/t of its
+    corners, a corner at t = 0 having slope +-inf by the sign of its x.
+    """
+    xlo, xhi, t_lo, t_hi = _support(phi)
+    if not t_hi > t_lo:
+        return None
+
+    def slopes(x):
+        return [x / t if t > 0.0 else math.copysign(math.inf, x)
+                for t in (t_lo, t_hi) if t > 0.0 or x != 0.0]
+
+    xa, xb = max(seg.xi_lo, min(slopes(xlo))), min(seg.xi_hi, max(slopes(xhi)))
+    return (xa, xb) if xa < xb else None
+
+
+def _fan_reference(sol, seg, phi, gx, gw):
+    """u and v parts of one rarefaction segment's interior in Green form.
+
+    Over the rays of the segment that meet the support, with its own
+    Gauss-Legendre nodes in xi: m0 = int phi dt on each ray, with
+    min(n, 2p + 1) nodes in t, times D = (A(U) - xi) U', the state sampled
+    through sample_brio_many and U' evaluated node by node from t, which is
+    recovered from |v| = sqrt(t (t + 2))/2.
+    """
+    span = _fan_range(seg, phi)
+    if span is None:
+        return [], []
+    xlo, xhi, t_lo, t_hi = _support(phi)
     hx, hw = _leggauss(min(len(gx), 2 * verify.BUMP_EXPONENT + 1))
-
-    def times(xi):
-        with np.errstate(divide="ignore"):
-            a, b = xlo / xi, xhi / xi
-        lower = np.where(xi > 0.0, a, np.where(xi < 0.0, b, -np.inf))
-        upper = np.where(xi > 0.0, b, np.where(xi < 0.0, a, np.inf))
-        return np.maximum(t_lo, lower), np.minimum(t_hi, upper)
-
-    corners = [e / t for e in (xlo, xhi) for t in (t_lo, t_hi) if t > 0.0]
-    tol = 1e-13 * (1.0 + max(abs(seg.xi_lo), abs(seg.xi_hi)))
-    breaks = []
-    for x in sorted([seg.xi_lo, seg.xi_hi]
-                    + [c for c in corners if seg.xi_lo < c < seg.xi_hi]):
-        if not breaks or x - breaks[-1] > tol:
-            breaks.append(x)
+    xa, xb = span
+    xn = 0.5 * (xa + xb) + 0.5 * (xb - xa) * gx
+    xw = 0.5 * (xb - xa) * gw
+    with np.errstate(divide="ignore"):
+        a, b = xlo / xn, xhi / xn
+    ta = np.maximum(t_lo, np.where(xn > 0.0, a, np.where(xn < 0.0, b, -np.inf)))
+    tb = np.minimum(t_hi, np.where(xn > 0.0, b, np.where(xn < 0.0, a, np.inf)))
+    tn = 0.5 * (ta + tb)[:, None] + 0.5 * (tb - ta)[:, None] * hx
+    m0 = (0.5 * (tb - ta)[:, None] * hw * phi.value(xn[:, None] * tn, tn)).sum(1)
+    us, vs = sample_brio_many(sol, xn)
     parts_u, parts_v = [], []
-    for xa, xb in zip(breaks[:-1], breaks[1:]):
-        ta, tb = times(np.array(0.5 * (xa + xb)))
-        if not ta < tb:
-            continue
-        xn = 0.5 * (xa + xb) + 0.5 * (xb - xa) * gx
-        xw = 0.5 * (xb - xa) * gw
-        ta, tb = times(xn)
-        tn = 0.5 * (ta + tb)[:, None] + 0.5 * (tb - ta)[:, None] * hx
-        tw = 0.5 * (tb - ta)[:, None] * hw * tn
-        pt, px = phi.dt(xn[:, None] * tn, tn), phi.dx(xn[:, None] * tn, tn)
-        u, v = sample_brio_many(sol, xn)
-        ft, fx = (tw * pt).sum(1), (tw * px).sum(1)
-        parts_u.append(float(np.dot(xw, u * ft + sol.flux.f(u, v) * fx)))
-        parts_v.append(float(np.dot(xw, v * ft + sol.flux.g(u, v) * fx)))
+    for xi, w, u, v in zip(xn.tolist(), (xw * m0).tolist(), us.tolist(), vs.tolist()):
+        t = 4.0 * v * v / (1.0 + math.sqrt(1.0 + 4.0 * v * v))
+        if seg.family == 2:
+            du = (t + 1.0) / (2.0 * t + 1.0)
+            vdv = t * (t + 1.0) / (2.0 * (2.0 * t + 1.0))
+        else:
+            du = (t + 1.0) / (2.0 * t + 3.0)
+            vdv = -(t + 1.0) * (t + 2.0) / (2.0 * (2.0 * t + 3.0))
+        parts_u.append(-w * ((u - xi) * du + vdv))
+        parts_v.append(-w * (v * du + ((u - 1.0 - xi) * vdv / v if v != 0.0 else 0.0)))
     return parts_u, parts_v
 
 
 def _ray_reference(sol, phi, nodes, arclength):
     """u and v parts of the ray rows of one bump, one NumPy round per ray.
 
-    Each constant segment adds (F - c U) at its upper edge and subtracts it
-    at its lower one; each carrier adds beta(t) (phi_t + c phi_x), weighted
-    by sqrt(1 + c^2) under arclength.  Each ray is integrated where it lies
-    inside the support, with min(n, 2p + 1) nodes.
+    Each segment adds (F - c U) of its upper edge state at its upper edge
+    and subtracts that of its lower edge state at its lower one, a
+    rarefaction's edge states sampled on its edge rays; each carrier adds
+    beta(t) (phi_t + c phi_x), weighted by sqrt(1 + c^2) under arclength.
+    Each ray is integrated where it lies inside the support, with
+    min(n, 2p + 1) nodes.
     """
     coef = {}
     for seg in sol.segments:
         if isinstance(seg, RarefactionSegment):
-            continue
-        u, v = seg.state.u, seg.state.v
-        for c, sign in ((seg.xi_lo, -1.0), (seg.xi_hi, 1.0)):
+            us, vs, _ = _rarefaction_uv(seg, [seg.xi_lo, seg.xi_hi])
+            states = zip(us.tolist(), vs.tolist())
+        else:
+            states = [(seg.state.u, seg.state.v)] * 2
+        for c, sign, (u, v) in zip((seg.xi_lo, seg.xi_hi), (-1.0, 1.0), states):
             if math.isfinite(c):
                 k = coef.setdefault(c, [0.0] * 6)
                 k[0] += sign * (sol.flux.f(u, v) - c * u)
@@ -624,6 +686,29 @@ def test_weak_residual_agrees_with_x_piece_quadrature(rng):
                                   reference=_panel_reference, tol=1e-12)
 
 
+def test_weak_residual_agrees_with_x_piece_quadrature_on_defective_fans(rng):
+    # On a correct fan D = (A(U) - xi) U' vanishes, so the fan rows' sign
+    # and U' go unseen.  With every rarefaction lagging by 1e-3 in xi, D and
+    # the jumps at the fans' edges are O(1e-3), and the Green form at 32
+    # nodes must still equal the space-time integral that the x-piece
+    # reference takes.
+    # A quarter of each battery per case, every bump position covered once
+    # in the four cases.
+    cases = [random_brio_data(rng, region, sign_case)
+             for region, sign_case in (("I", "flip"), ("II", "same"), ("III", "flip"))]
+    cases = [(data, solve_brio(data)) for data in cases]
+    cases.append(_canary_flip_solution())
+    for i, (data, sol) in enumerate(cases):
+        bad = verify._lagging(sol)
+        battery = solution_battery(bad)[i % 4::4]
+        got = weak_residual(bad, battery, nodes=32)
+        ref = _panel_reference(bad, battery, nodes=128)
+        assert max_residual(got) > 1e-6
+        for pair, ref_pair in zip(got, ref, strict=True):
+            for r, q in zip(pair, ref_pair):
+                assert abs(r - q) <= 1e-12 * data_scale(data), (data, r, q)
+
+
 def test_weak_residual_is_exact_on_piecewise_constant_solutions(rng):
     # Constant wedges and carriers are integrated on their rays, the x-piece
     # reference in (x, t); on these solutions both rules are exact once
@@ -686,25 +771,22 @@ def test_weak_residual_rounding_floor_is_linear_in_the_data():
 
 
 def test_fan_rows_invert_each_xi_node_once(rng, monkeypatch):
+    # One row per (bump, rarefaction segment) whose rays meet the support,
+    # n ray inverses per row, and one inverse of both edges per segment.
     sol = solve_brio(random_brio_data(rng, "I", "same"))
     battery = solution_battery(sol)
-    panels, inverted = [], []
-    cut, ray = verify._panels, IntegralCurve.ray
-
-    def counting_panels(*args):
-        out = cut(*args)
-        panels.append(len(out[0]))
-        return out
+    fans = [seg for seg in sol.segments if isinstance(seg, RarefactionSegment)]
+    rows = sum(_fan_range(seg, phi) is not None for seg in fans for phi in battery)
+    inverted, ray = [], IntegralCurve.ray
 
     def counting_ray(self, xi):
         inverted.append(np.size(xi))
         return ray(self, xi)
 
-    monkeypatch.setattr(verify, "_panels", counting_panels)
     monkeypatch.setattr(IntegralCurve, "ray", counting_ray)
     weak_residual(sol, battery, nodes=32)
-    assert sum(panels) > 0
-    assert 0 < sum(inverted) <= 32 * sum(panels)
+    assert len(fans) == 2 and rows > 0
+    assert sum(inverted) == 32 * rows + 2 * len(fans), (sum(inverted), rows)
 
 
 def test_weak_residual_bumps_are_independent(rng):
