@@ -11,7 +11,9 @@ even pairs and the change in odd ones.  The summary holds, per
 end-to-end metric, the median and quartiles of each side, the relative
 spread (q3 - q1) / median of each side, and in how many pairs the change
 was better.  Then one `--trace 1` run per side on first_seed gives the
-per-layer metrics, stored under "traced".  Runs of further workloads are
+per-layer metrics, stored under "traced".  "rss_fit" is the least-squares
+line of peak_rss_mb on the attempted op count over all untraced runs of
+both sides (see rss_fit).  Runs of further workloads are
 merged into an existing output file, so one file can hold every workload
 of a comparison.
 
@@ -99,6 +101,29 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def rss_fit(runs: list[dict]) -> dict | None:
+    """peak_rss_mb = intercept + slope * attempted, fitted over every untraced run of both sides.
+
+    The benchmark keeps per-op records in lists, so its peak RSS grows with
+    the op count.  The slope (bytes per attempted op) is that growth, and the
+    intercept (MiB) the memory of the program itself; the mean residual of
+    each side is a difference in program memory that the op count does not
+    explain.  None when the runs lack peak_rss_mb or all attempted the same
+    number of ops.
+    """
+    points = [(r[s]["attempted"], r[s]["metrics"].get("peak_rss_mb"), s)
+              for r in runs for s in ("parent", "change")]
+    if any(y is None for _, y, _ in points) or len({x for x, _, _ in points}) < 2:
+        return None
+    slope, intercept = statistics.linear_regression([x for x, _, _ in points],
+                                                    [y for _, y, _ in points])
+    residual = {s: [y - intercept - slope * x for x, y, side in points if side == s]
+                for s in ("parent", "change")}
+    return {"intercept_mib": intercept, "slope_b_per_op": slope * 2.0 ** 20,
+            "max_abs_residual_mib": max(abs(e) for es in residual.values() for e in es),
+            "mean_residual_mib": {s: statistics.fmean(es) for s, es in residual.items()}}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", type=Path, required=True)
@@ -131,6 +156,12 @@ def main(argv=None) -> int:
         f"{m} {traced['parent']['metrics'].get(m, math.nan):.4g} -> {v:.4g}"
         for m, v in traced["change"]["metrics"].items()), file=sys.stderr)
 
+    fit = rss_fit(runs)
+    if fit is not None:
+        print(f"{args.workload} peak_rss_mb fit: {fit['intercept_mib']:.2f} MiB + "
+              f"{fit['slope_b_per_op']:.0f} B/op, largest residual "
+              f"{fit['max_abs_residual_mib']:.2f} MiB", file=sys.stderr)
+
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
     doc["workloads"][args.workload] = {
         "seconds": seconds,
@@ -141,6 +172,7 @@ def main(argv=None) -> int:
         "failed_ops": {s: sum(r[s]["failed"] for r in runs) for s in ("parent", "change")},
         "attempted_ops": {s: sum(r[s]["attempted"] for r in runs) for s in ("parent", "change")},
         "summary": summarise(runs, better),
+        "rss_fit": fit,
         "runs": runs,
         "traced": traced,
     }

@@ -142,42 +142,58 @@ def _rewrite(path: str, text: str) -> None:
 
 
 _FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# The classes json writes, and the bases it writes a subclass as, in its order.
+_JSON_CLASSES = frozenset({float, str, dict, list, tuple, int, bool, type(None)})
+_JSON_BASES = (float, str, dict, list, tuple, int)
 
 
-def _json_text(o, nl: str = "\n") -> str:
-    """o as json.dumps writes it with an indent of 2, byte for byte.
+def _json_text(o) -> str:
+    """o as json.dumps writes it with an indent of 2, byte for byte, from one list of pieces.
 
-    nl is the line break plus the indent of o's own line.  A value that is
-    not a str, int, float, bool, None, dict, list or tuple raises TypeError,
-    as in json; so does a key that is not a str (encode_basestring_ascii
-    takes only str), where json would convert a number, bool or None.
+    A value of a class json does not write raises TypeError, as in json; so
+    does a key that is not a str (encode_basestring_ascii takes only str),
+    where json would convert a number, bool or None.
     """
-    if isinstance(o, float):
+    out: list[str] = []
+    _json_pieces(o, "\n", out)
+    return "".join(out)
+
+
+def _json_pieces(o, nl: str, out: list[str]) -> None:
+    """Append o's text to out; nl is the line break plus o's indent.
+
+    A subclass instance is written as its first base in _JSON_BASES.
+    """
+    kind = type(o)
+    if kind not in _JSON_CLASSES:
+        kind = next((base for base in _JSON_BASES if isinstance(o, base)), kind)
+    if kind is float:
         text = float.__repr__(o)
-        return _FLOAT_NAMES.get(text, text)
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
+        out.append(_FLOAT_NAMES.get(text, text))
+    elif kind is str:
+        out.append(encode_basestring_ascii(o))
+    elif kind is dict:
         inner = nl + "  "
-        items = [encode_basestring_ascii(key) + ": " + _json_text(value, inner)
-                 for key, value in o.items()]
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
+        sep = "{" + inner
+        for key, value in o.items():
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _json_pieces(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "}" if o else "{}")
+    elif kind is list or kind is tuple:
         inner = nl + "  "
-        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in o]) + nl + "]"
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        sep = "[" + inner
+        for value in o:
+            out.append(sep)
+            _json_pieces(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "]" if o else "[]")
+    elif o is None or o is True or o is False:
+        out.append("null" if o is None else "true" if o else "false")
+    elif kind is int:
+        out.append(int.__repr__(o))
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _dump_json(path: str, doc: dict) -> None:

@@ -127,20 +127,19 @@ def brio_flux(state: BrioState) -> tuple[float, float]:
     return energy(state), state.v * (state.u - 1.0)
 
 
+# One object per system, so that solutions built on the same fluxes compare equal.
+_BRIO_FLUX_PAIR = FluxPair(f=lambda u, v: 0.5 * (u * u + v * v), g=lambda u, v: v * (u - 1.0))
+_TRIANGULAR_FLUX_PAIR = FluxPair(f=lambda u, v: 0.5 * u * u, g=lambda u, v: v * (u - 1.0))
+
+
 def brio_flux_pair() -> FluxPair:
     """Original-system fluxes as a FluxPair for the generic delta-shock builder."""
-    return FluxPair(
-        f=lambda u, v: 0.5 * (u * u + v * v),
-        g=lambda u, v: v * (u - 1.0),
-    )
+    return _BRIO_FLUX_PAIR
 
 
 def triangular_flux_pair() -> FluxPair:
     """Decoupled test system (u^2/2, v(u-1)): Burgers driving a passive v."""
-    return FluxPair(
-        f=lambda u, v: 0.5 * u * u,
-        g=lambda u, v: v * (u - 1.0),
-    )
+    return _TRIANGULAR_FLUX_PAIR
 
 
 def trans_flux_g(u, q):

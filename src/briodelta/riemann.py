@@ -128,13 +128,10 @@ def solve_middle(left: TransState, right: TransState) -> TransState:
     # polish has evaluated: each velocity is evaluated once.
     memo: dict[float, tuple[float, float]] = {}
 
-    def curves(u: float) -> tuple[float, float]:
+    def phi(u: float) -> float:
         if u not in memo:
             memo[u] = (f1.q(u), b2.q(u))
-        return memo[u]
-
-    def phi(u: float) -> float:
-        q1, q2 = curves(u)
+        q1, q2 = memo[u]
         return q1 - q2
 
     lo0, hi0 = (min(left.u, right.u), max(left.u, right.u))
@@ -161,10 +158,10 @@ def solve_middle(left: TransState, right: TransState) -> TransState:
     # stretch (right state on the critical curve), the middle state is the
     # touch point itself.
     ustar = f1.u_star
-    if u_m > ustar and abs(phi(ustar)) <= 1e-9 * (1.0 + abs(curves(ustar)[0])):
+    if u_m > ustar and abs(phi(ustar)) <= 1e-9 * (1.0 + abs(memo[ustar][0])):
         u_m = ustar
 
-    q_m, q_b = curves(u_m)
+    q_m, q_b = memo[u_m]
     residual = abs(q_m - q_b)
     if residual > TOL_ROOT * (1.0 + abs(q_m)):
         raise BracketFailure(
@@ -260,7 +257,7 @@ def _rarefaction_wave(family: int, left: TransState, right: TransState) -> Wave:
     curve = (integrate_rarefaction(1, left, right.u) if family == 1
              else integrate_rarefaction(2, right, left.u))
     return Wave("rarefaction", family, left, right,
-                float(curve.lam_at(left.u)), float(curve.lam_at(right.u)), curve)
+                curve.lam_at(left.u), curve.lam_at(right.u), curve)
 
 
 def build_fan(left: TransState, right: TransState) -> WaveFan:

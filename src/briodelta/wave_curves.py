@@ -23,14 +23,18 @@ Wright omega for family 2, the W_{-1} branch for family 1 (Corless et al.,
 "On the Lambert W function", Adv. Comput. Math. 5, 1996).  Both are real
 kernels here, _omega and _root_z_minus_ln_z: a start and a fixed number of
 Halley steps, written once for a float (math, so a float stays a float)
-and for an array (NumPy).  The critical
-curve q = u^2/2 (s = 1) is the family-2 curve with C = +inf, so family-2
-curves never cross it; family-1 curves reach it at u* = C - 1/2 + ln(2)/2
-and stop there.  Composite curves (everything reachable from a left state
-by a family-1 wave, everything that reaches a right state by a family-2
-wave) are what the Riemann solver intersects, and every wave of the fan
-lies on one of them: family-1 waves on the curve through the left state,
-family-2 waves on the curve through the right state.
+and for an array (NumPy).  The critical curve q = u^2/2 (s = 1) is the
+family-2 curve with C = +inf, so family-2 curves never cross it; family-1
+curves reach it at u* = C - 1/2 + ln(2)/2 and stop there.  Composite
+curves (everything reachable from a left state by a family-1 wave,
+everything that reaches a right state by a family-2 wave) are what the
+Riemann solver intersects, and every wave of the fan lies on one of them:
+family-1 waves on the curve through the left state, family-2 waves on the
+curve through the right state.  A composite curve fixes its constants at
+construction (the data state's u and q, C, u* and the data-only part r0
+of its locus radicand), so its q at a float is straight-line scalar code
+with no array dispatch.  The scalar loci, IntegralCurve and tabulate_curve
+reach the same helpers (_locus, _radicand, _offset, _energy).
 """
 
 from __future__ import annotations
@@ -44,6 +48,9 @@ from .core import TOL_ZERO, TransState
 from .errors import DomainError, PreconditionError
 
 _LN2 = math.log(2.0)
+# The clamp z_min - ln z_min on L for roots z >= z_min of z - ln z = L,
+# at z = s + 1 >= 2 and at z = 2(s + 1) >= 4.
+_L_MIN = {2.0: 2.0 - _LN2, 4.0: 4.0 - math.log(4.0)}
 
 
 def shock_radicand(base: TransState, u: float) -> float:
@@ -51,39 +58,48 @@ def shock_radicand(base: TransState, u: float) -> float:
 
     With d = base.u - u it is 2 slack + 1/4 + d/2 + d^2/3 >= 2 slack + 1/16.
     """
-    d = base.u - u
-    return 2.0 * base.slack + 0.25 + 0.5 * d + d * d / 3.0
+    return _radicand(1.0, _radicand_0(1.0, base.slack), base.u, u)
 
 
-def _locus(sign, base: TransState, u):
-    """(q, c) at velocity u on a shock locus through base, scalar or array.
+def _radicand_0(sign, slack: float) -> float:
+    """Data-only part r0 of a locus radicand: 2 slack + 1/4, or 8 slack + 1 for sign None."""
+    return 8.0 * slack + 1.0 if sign is None else 2.0 * slack + 0.25
 
-    c is the speed of the shock joining base to the state at u, and
-    q = base.q + (u - base.u) c.  sign +1 / -1 is the family-1 / family-2
-    locus at u <= base.u, c = u - 1/2 -+ sqrt(shock_radicand); sign None is
-    the inverse family-2 locus at u >= base.u (left states reaching base),
-    c = u - 1/2 + sqrt(inverse_radicand)/2.  At u = base.u, c is the
-    family's characteristic speed.
-    """
-    sqrt = np.sqrt if isinstance(u, np.ndarray) else math.sqrt  # scalars stay floats
+
+def _radicand(sign, r0, u0, u):
+    """Radicand of the locus through a base of velocity u0 at velocity u, from its data part r0."""
     if sign is None:
-        c = u - 0.5 + 0.5 * sqrt(inverse_radicand(base, u))
-    else:
-        c = u - 0.5 - sign * sqrt(shock_radicand(base, u))
-    return base.q + (u - base.u) * c, c
+        e = u - u0
+        return r0 - 2.0 * e + 4.0 * e * e / 3.0
+    d = u0 - u
+    return r0 + 0.5 * d + d * d / 3.0
+
+
+def _locus(sign, u0, q0, r0, u, sqrt=math.sqrt):
+    """(q, c) at velocity u on a shock locus through the base (u0, q0); for an array, sqrt=np.sqrt.
+
+    c is the speed of the shock joining the base to the state at u, and
+    q = q0 + (u - u0) c.  sign +1 / -1: the family-1 / family-2 locus at
+    u <= u0, c = u - 1/2 -+ sqrt(shock_radicand); sign None: the inverse
+    family-2 locus at u >= u0 (left states reaching the base), c = u - 1/2
+    + sqrt(inverse_radicand)/2.  r0 = _radicand_0(sign, slack).  At u = u0,
+    c is the family's characteristic speed.
+    """
+    root = sqrt(_radicand(sign, r0, u0, u))
+    c = u - 0.5 + 0.5 * root if sign is None else u - 0.5 - sign * root
+    return q0 + (u - u0) * c, c
 
 
 def _branch(sign, base: TransState, u: float):
     """_locus at a scalar u, which must lie on the locus's side of base.u up to TOL_ZERO."""
-    if sign is None:
-        if u < base.u - TOL_ZERO:
-            raise PreconditionError(
-                f"inverse family-2 branch needs u >= base.u, got u={u!r} < {base.u!r}")
-        return _locus(None, base, max(u, base.u))
-    if u > base.u + TOL_ZERO:
+    if sign is None and u < base.u - TOL_ZERO:
+        raise PreconditionError(
+            f"inverse family-2 branch needs u >= base.u, got u={u!r} < {base.u!r}")
+    if sign is not None and u > base.u + TOL_ZERO:
         raise PreconditionError(f"family-{1 if sign > 0 else 2} shock branch needs "
                                 f"u <= base.u, got u={u!r} > {base.u!r}")
-    return _locus(sign, base, min(u, base.u))
+    u = max(u, base.u) if sign is None else min(u, base.u)
+    return _locus(sign, base.u, base.q, _radicand_0(sign, base.slack), u)
 
 
 def shock_q_1(base: TransState, u: float) -> float:
@@ -101,8 +117,7 @@ def inverse_radicand(base_right: TransState, u: float) -> float:
 
     With e = u - base_right.u it is 8 slack + 1 - 2e + 4e^2/3 >= 8 slack + 1/4.
     """
-    e = u - base_right.u
-    return 8.0 * base_right.slack + 1.0 - 2.0 * e + 4.0 * e * e / 3.0
+    return _radicand(None, _radicand_0(None, base_right.slack), base_right.u, u)
 
 
 def inverse_shock_q_2(base_right: TransState, u: float) -> float:
@@ -143,27 +158,19 @@ class IntegralCurve:
     C: float
     u_star: float
 
-    def _offset(self, u):
-        """s - 1 >= 0 at velocity u (a float stays a float)."""
-        x = 2.0 * (u - self.C) - 1.0
-        if self.family == 2:
-            return _omega(x)  # y + ln y = x
-        return _root_z_minus_ln_z(-x, 2.0) - 2.0  # z = s + 1
-
     def q_at(self, u):
         """Energy at velocity u; exactly base.q at the base."""
         u = _float_or_array(u)
         array = isinstance(u, np.ndarray)
         if not array and u == self.base.u:
             return self.base.q
-        t = self._offset(u)
-        q = 0.5 * u * u + 0.125 * t * (t + 2.0)
+        q = _energy(u, _offset(self.family, self.C, u))
         return np.where(u == self.base.u, self.base.q, q) if array else q
 
     def lam_at(self, u):
         """Characteristic speed of the family at velocity u."""
         u = _float_or_array(u)
-        t = self._offset(u)
+        t = _offset(self.family, self.C, u)
         return u + 0.5 * t if self.family == 2 else u - 1.0 - 0.5 * t
 
     def ray(self, xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -184,7 +191,20 @@ class IntegralCurve:
             z = 0.5 * _root_z_minus_ln_z(-k - _LN2, 4.0)
             t = z - 2.0
             u = xi + 0.5 * z
-        return u, 0.5 * u * u + 0.125 * t * (t + 2.0), t
+        return u, _energy(u, t), t
+
+
+def _offset(family: int, C: float, u):
+    """t = s - 1 >= 0 at velocity u on the family's curve of constant C; a float stays a float."""
+    x = 2.0 * (u - C) - 1.0
+    if family == 2:
+        return _omega(x)  # y + ln y = x
+    return _root_z_minus_ln_z(-x, 2.0) - 2.0  # z = s + 1
+
+
+def _energy(u, t):
+    """q = u^2/2 + t(t + 2)/8 at velocity u and t = s - 1."""
+    return 0.5 * u * u + 0.125 * t * (t + 2.0)
 
 
 def _float_or_array(u):
@@ -201,14 +221,15 @@ def _root_z_minus_ln_z(L, z_min: float):
     L below the value at z_min is clamped there.  Halley steps from the
     asymptote z = L + ln L; three reach full precision for every L.
     """
-    log, maximum = (np.log, np.maximum) if isinstance(L, np.ndarray) else (math.log, max)
-    L = maximum(L, z_min - math.log(z_min))
+    array = isinstance(L, np.ndarray)
+    L_min = _L_MIN[z_min]
+    log, L = (np.log, np.maximum(L, L_min)) if array else (math.log, L_min if L < L_min else L)
     z = L + log(L)
     for _ in range(3):
         f = z - log(z) - L
         w = 1.0 / z
         z = z - f / (1.0 - w - 0.5 * f * w / (z - 1.0))
-    return maximum(z, z_min)
+    return np.maximum(z, z_min) if array else z_min if z < z_min else z
 
 
 # Below this x, e^x underflows to 0.0 and so does omega(x).
@@ -250,7 +271,7 @@ def _omega(x):
                      np.where(x <= 1.0, _omega_near_1(x), _omega_asymptote(big, np.log(big))))
         exp = np.exp
     else:
-        x = max(x, _X_UNDERFLOW)
+        x = _X_UNDERFLOW if x < _X_UNDERFLOW else x
         y = (_omega_tail(math.exp(x)) if x <= -2.0 else
              _omega_near_1(x) if x <= 1.0 else _omega_asymptote(x, math.log(x)))
         exp = math.exp
@@ -263,14 +284,13 @@ def _omega(x):
     return y
 
 
-def _rarefaction_curve(family: int, base: TransState) -> IntegralCurve:
-    e = 8.0 * base.slack  # w - 1 at the base
+def _rarefaction_constants(family: int, u: float, slack: float) -> tuple[float, float]:
+    """(C, u_star) of the family's rarefaction curve through a state of velocity u and slack."""
+    e = 8.0 * slack  # w - 1 at the base
     y = e / (1.0 + math.sqrt(1.0 + e))  # s - 1, without cancellation
     if family == 2:
-        C = math.inf if y == 0.0 else base.u - 0.5 * (1.0 + y + math.log(y))
-        return IntegralCurve(2, base, C, math.inf)
-    C = base.u + 0.5 * (1.0 + y - math.log(2.0 + y))
-    return IntegralCurve(1, base, C, base.u + 0.5 * (y - math.log1p(0.5 * y)))
+        return (math.inf if y == 0.0 else u - 0.5 * (1.0 + y + math.log(y))), math.inf
+    return u + 0.5 * (1.0 + y - math.log(2.0 + y)), u + 0.5 * (y - math.log1p(0.5 * y))
 
 
 # Kept under its ODE-era name: the benchmark's tracer wraps it in riemann.
@@ -289,7 +309,7 @@ def integrate_rarefaction(family: int, base: TransState, u_target: float) -> Int
     if family == 1 and u_target < base.u - TOL_ZERO:
         raise PreconditionError(f"family-1 rarefactions run forward only "
                                 f"(u_target {u_target!r} < base.u {base.u!r})")
-    curve = _rarefaction_curve(family, base)
+    curve = IntegralCurve(family, base, *_rarefaction_constants(family, base.u, base.slack))
     if abs(u_target - base.u) > TOL_ZERO and u_target > curve.u_star:
         raise DomainError(f"family-1 rarefaction from {base} meets the critical curve "
                           f"at u={curve.u_star!r} before reaching u_target={u_target!r}")
@@ -307,16 +327,17 @@ class Forward1Curve:
 
     def __init__(self, left: TransState):
         self.left = left
-        self._rw = _rarefaction_curve(1, left)
-        self.u_star = self._rw.u_star
+        slack = left.slack
+        self._u, self._q, self._r = left.u, left.q, _radicand_0(1.0, slack)
+        self._C, self.u_star = _rarefaction_constants(1, left.u, slack)
 
     def q(self, u: float) -> float:
         """Energy at velocity u."""
-        if u < self.left.u:
-            return _locus(1.0, self.left, u)[0]
+        if u < self._u:
+            return _locus(1.0, self._u, self._q, self._r, u)[0]
         if u >= self.u_star:
             return 0.5 * u * u
-        return self._rw.q_at(u)
+        return self._q if u == self._u else _energy(u, _offset(1, self._C, u))
 
 
 class Backward2Curve:
@@ -328,13 +349,15 @@ class Backward2Curve:
 
     def __init__(self, right: TransState):
         self.right = right
-        self._rw = _rarefaction_curve(2, right)
+        slack = right.slack
+        self._u, self._q, self._r = right.u, right.q, _radicand_0(None, slack)
+        self._C = _rarefaction_constants(2, right.u, slack)[0]
 
     def q(self, u: float) -> float:
         """Energy at velocity u."""
-        if u > self.right.u:
-            return _locus(None, self.right, u)[0]
-        return self._rw.q_at(u)
+        if u > self._u:
+            return _locus(None, self._u, self._q, self._r, u)[0]
+        return self._q if u == self._u else _energy(u, _offset(2, self._C, u))
 
 
 # Composite curve objects, under the names the benchmark's tracer wraps in riemann.
@@ -369,11 +392,12 @@ def tabulate_curve(kind: str, base: TransState, us) -> np.ndarray:
 
     if kind in _SHOCK_KINDS:
         sign = _SHOCK_KINDS[kind]
-        q, lam = _locus(sign, base, np.maximum(us, base.u) if sign is None
-                        else np.minimum(us, base.u))
+        q, lam = _locus(sign, base.u, base.q, _radicand_0(sign, base.slack),
+                        np.maximum(us, base.u) if sign is None else np.minimum(us, base.u),
+                        np.sqrt)
         return np.column_stack([us, q, lam])
 
-    curve = _rarefaction_curve(1 if kind == "rw1" else 2, base)
+    curve = integrate_rarefaction(1 if kind == "rw1" else 2, base, base.u)
     # rw1 rows end where the curve meets the critical curve.
     beyond = us > curve.u_star
     if beyond.any():

@@ -1,4 +1,4 @@
-"""The paired-benchmark script accepts only a strict result on a run's last line."""
+"""The paired-benchmark script: strict result lines and the peak-RSS fit."""
 
 from __future__ import annotations
 
@@ -42,3 +42,30 @@ def test_non_result_lines_are_rejected(line):
 def test_empty_output_is_rejected():
     with pytest.raises(ValueError):
         bench_pairs.parse_result("")
+
+
+def _run(attempted: int, rss: float) -> dict:
+    return {"correct": True, "attempted": attempted, "failed": 0,
+            "metrics": {"peak_rss_mb": rss}}
+
+
+def test_rss_fit_separates_op_growth_from_program_memory():
+    # 40 MiB of program plus 128 B per op on the parent; the change holds
+    # 0.5 MiB more at any op count, and both sides see the same op counts.
+    mib = 2.0 ** 20
+    runs = [{"parent": _run(n, 40.0 + 128.0 * n / mib), "change": _run(m, 40.5 + 128.0 * m / mib)}
+            for n, m in ((100000, 160000), (120000, 140000), (140000, 120000), (160000, 100000))]
+    fit = bench_pairs.rss_fit(runs)
+    assert fit["slope_b_per_op"] == pytest.approx(128.0)
+    assert fit["intercept_mib"] == pytest.approx(40.25)
+    assert fit["mean_residual_mib"]["parent"] == pytest.approx(-0.25)
+    assert fit["mean_residual_mib"]["change"] == pytest.approx(0.25)
+    assert fit["max_abs_residual_mib"] == pytest.approx(0.25)
+
+
+def test_rss_fit_needs_the_metric_and_two_op_counts():
+    same = [{"parent": _run(100, 40.0), "change": _run(100, 41.0)}] * 3
+    assert bench_pairs.rss_fit(same) is None
+    missing = [{"parent": _run(100, 40.0), "change": _run(200, 41.0)}]
+    del missing[0]["change"]["metrics"]["peak_rss_mb"]
+    assert bench_pairs.rss_fit(missing) is None

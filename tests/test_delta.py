@@ -604,6 +604,19 @@ def test_outer_states_echo_the_data():
         assert sol.segments[-1].state == data.right, data
 
 
+@pytest.mark.parametrize("vr", [3.3, -3.3])
+def test_two_solves_of_equal_data_compare_equal(vr):
+    # Equal data give equal solutions, flux pair included, with and without
+    # a v sign change; so do the generic builder's solutions.
+    data, same = (_data(1.0, 3.0, 0.7, vr) for _ in range(2))
+    assert solve_brio(data) == solve_brio(same)
+    assert (_flip_boundary(solve_brio(data)) is None) == (vr > 0.0)
+    assert brio_flux_pair() is brio_flux_pair()
+    assert triangular_flux_pair() is triangular_flux_pair()
+    for flux in (brio_flux_pair(), triangular_flux_pair()):
+        assert generic_delta_shock(flux, data, "a") == generic_delta_shock(flux, same, "a")
+
+
 def test_near_ties_keep_their_tiny_family_1_wave():
     regular = solve_brio(NEAR_TIES[0])
     assert regular.region is Region.I

@@ -521,3 +521,63 @@ def test_tabulate_shock_rows_match_row_loop(rng, slack):
         tabulate_curve("sw2", base, np.array([u - 1.0, u + 1e-3]))
     with pytest.raises(PreconditionError):
         tabulate_curve("sw2_inv", base, np.array([u + 1.0, u - 1e-3]))
+
+
+def _raw_bases(rng, n: int):
+    """Raw states with |u| = 10^U(-2, 3) and |v|/|u| = 10^U(-8, 0); every fourth has v = 0."""
+    for i in range(n):
+        u = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-2.0, 3.0))
+        r = 0.0 if i % 4 == 3 else float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8.0, 0.0))
+        yield lift(BrioState(u, r * u))
+
+
+def _assert_ulps(a, b, k: int, what) -> None:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert np.all(np.abs(a - b) <= k * np.spacing(np.maximum(np.abs(a), np.abs(b)))), what
+
+
+def test_composite_curves_agree_with_scalar_and_array_evaluators():
+    # The composite curves fix their branch constants at construction.  On
+    # every branch, past u* included, they give the public scalar loci and
+    # the float IntegralCurve values bit for bit, and tabulate_curve's rows
+    # (q and the speed column) agree with the scalar values within 4 ulps.
+    rng = np.random.default_rng(27)
+    for base in _raw_bases(rng, 160):
+        f1, b2 = forward_curve_1(base), backward_curve_2(base)
+        rw1, rw2 = integrate_rarefaction(1, base, base.u), integrate_rarefaction(2, base, base.u)
+        star, scale = f1.u_star, 1.0 + abs(base.u)
+        below = np.sort(base.u - scale * 10.0 ** rng.uniform(-8.0, 1.0, 12)).tolist()
+        above = np.sort(base.u + scale * 10.0 ** rng.uniform(-8.0, 1.0, 12)).tolist()
+        # The rarefaction branch is [base.u, u*); it is empty when u* rounds to base.u.
+        inner = base.u + (star - base.u) * np.sort(rng.uniform(0.0, 1.0, 12))
+        rare = [u for u in [base.u] + inner.tolist() if u < star]
+        for u in (star + (1.0 + abs(star)) * 10.0 ** rng.uniform(-12.0, 1.0, 6)).tolist():
+            assert f1.q(u) == rw1.q_at(u) == 0.5 * u * u, (base, u)
+        for u in below:
+            assert f1.q(u) == shock_q_1(base, u) and b2.q(u) == rw2.q_at(u), (base, u)
+        for u in above:
+            assert b2.q(u) == inverse_shock_q_2(base, u), (base, u)
+        for u in rare:
+            assert f1.q(u) == rw1.q_at(u), (base, u)
+        assert b2.q(base.u) == rw2.q_at(base.u) == base.q, base
+
+        def shock_1(u):
+            return shock_speed(1, base, TransState(u, f1.q(u)))
+
+        def shock_2_inv(u):
+            return shock_speed(2, TransState(u, b2.q(u)), base)
+
+        # kind: (velocities, scalar q, scalar speed or None)
+        for kind, us, q, lam in (("sw1", below, f1.q, shock_1),
+                                 ("sw2", below, lambda u: shock_q_2(base, u), None),
+                                 ("rw2_inv", below, b2.q, rw2.lam_at),
+                                 ("sw2_inv", above, b2.q, shock_2_inv),
+                                 ("rw2", above, rw2.q_at, rw2.lam_at),
+                                 ("rw1", rare, f1.q, rw1.lam_at)):
+            if not us:
+                continue
+            rows = tabulate_curve(kind, base, us)
+            assert rows[:, 0].tolist() == us, (kind, base)
+            _assert_ulps(rows[:, 1], [q(u) for u in us], 4, (kind, base))
+            if lam is not None:
+                _assert_ulps(rows[:, 2], [lam(u) for u in us], 4, (kind, base))
