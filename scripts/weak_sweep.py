@@ -23,7 +23,13 @@ import numpy as np
 from briodelta import BrioState, RiemannData
 from briodelta.delta import solve_brio
 from briodelta.errors import BrioError
-from briodelta.verify import TOL_WEAK, _worst, solution_battery, weak_residual
+from briodelta.verify import (
+    TOL_WEAK,
+    _suite_weak_scale,
+    _worst,
+    solution_battery,
+    weak_residual,
+)
 
 # (lo, hi, seed) of each sweep.
 SWEEPS = ((-3.0, 3.0, 2), (-8.0, 6.0, 3), (-8.0, 8.0, 1))
@@ -51,8 +57,7 @@ def sweep(lo: float, hi: float, seed: int, n: int) -> dict:
         except BrioError:
             errors += 1
             continue
-        scale = 1.0 + max(abs(data.left.u), abs(data.left.v),
-                          abs(data.right.u), abs(data.right.v))
+        scale = _suite_weak_scale(data)
         battery = solution_battery(sol)
         for nodes in NODES:
             worst_here = _worst(weak_residual(sol, battery, nodes=nodes))

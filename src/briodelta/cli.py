@@ -21,8 +21,7 @@ partial file.
 --config FILE holds a JSON object keyed by option (x_min for --x-min) whose
 values win over flags, with a warning.  Each value is read by its option's
 type and choices: a string as written, a number as its text, a list joined by
-commas (--left, --right, --base, --ladder), true/false for --arclength only,
-null as not given.
+commas (--left, --right, --base, --ladder), null as not given.
 
 Exit codes: 0 success, 1 bad input, usage errors included, or a solver
 error (one machine-readable JSON line on stderr), 2 verification failure.
@@ -40,7 +39,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .core import BrioState, RiemannData, TransState, lift
-from .delta import sample_brio_many, solution_to_dict, solve_brio
+from .delta import sample_brio_many, solution_to_dict, solve_brio, wave_speeds
 from .errors import BrioError, PreconditionError
 from .riemann import build_fan
 from .verify import FvGrid, compare_fan_fv, property_suite
@@ -71,11 +70,11 @@ def _parse_pair(value: str, what: str) -> tuple[float, float]:
 
 def _config_value(action: argparse.Action, value):
     """Read one JSON config value the way its option reads a flag's text."""
-    if value is None or (action.nargs == 0 and isinstance(value, bool)):
+    if value is None:
         return value
     if isinstance(value, list) and action.option_strings[0] in _LIST_OPTIONS:
         value = ",".join(map(str, value))
-    if action.nargs == 0 or isinstance(value, (bool, list, dict)):
+    if isinstance(value, (bool, list, dict)):
         raise PreconditionError(f"config {action.dest} cannot be {value!r}")
     try:
         value = (action.type or str)(str(value))
@@ -260,13 +259,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     data = _riemann_data(args)
     sol = solve_brio(data, flip_speed=args.flip_speed or "rh")
     t = _require_positive("time", args.time if args.time is not None else 1.0)
-    finite = [s.speed for s in sol.singular]
-    for seg in sol.segments:
-        finite += [b for b in (seg.xi_lo, seg.xi_hi) if math.isfinite(b)]
-    x_min = args.x_min if args.x_min is not None else \
-        min(finite + [0.0]) * t - 1.0
-    x_max = args.x_max if args.x_max is not None else \
-        max(finite + [0.0]) * t + 1.0
+    speeds = wave_speeds(sol) + [0.0]
+    x_min = args.x_min if args.x_min is not None else min(speeds) * t - 1.0
+    x_max = args.x_max if args.x_max is not None else max(speeds) * t + 1.0
     if not x_max > x_min:
         raise PreconditionError("sampling window must have x_max > x_min")
     if not math.isfinite(x_max - x_min):
@@ -296,13 +291,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else 0
-    kwargs = {}
-    if args.tol_weak is not None:
-        kwargs["tol_weak"] = _require_positive("tol_weak", args.tol_weak)
-    if args.arclength:
-        kwargs["arclength"] = True
-    report = property_suite(seed, **kwargs)
+    report = property_suite(args.seed if args.seed is not None else 0)
     path = os.path.join(_out_dir(args), "report.json")
     _dump_json(path, report)
     n_pass = sum(1 for c in report["checks"] if c["passed"])
@@ -383,10 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the property suite")
     p.add_argument("--seed", type=int)
-    p.add_argument("--tol-weak", dest="tol_weak", type=float)
-    p.add_argument("--arclength", action="store_true", default=None,
-                   help="weight line terms by sqrt(1+c^2) (diagnostic; "
-                   "the carried rates are calibrated to the unweighted form)")
     _add_common(p, _cmd_verify)
 
     p = sub.add_parser("fv-compare", help="finite-volume refinement table")

@@ -253,6 +253,12 @@ def cardinality(sol: DeltaSolution) -> int:
     )
 
 
+def wave_speeds(sol: DeltaSolution) -> list[float]:
+    """Speeds of the carriers, then the finite edge speeds of the segments."""
+    return [s.speed for s in sol.singular] + [
+        xi for seg in sol.segments for xi in (seg.xi_lo, seg.xi_hi) if math.isfinite(xi)]
+
+
 def sample_brio(sol: DeltaSolution, x: float, t: float):
     """Regular state at (x, t) plus (position, strength) of every singularity."""
     if not (math.isfinite(x) and 0.0 < t < math.inf):

@@ -29,6 +29,7 @@ from .core import (
     BrioState,
     RiemannData,
     TransState,
+    discriminant,
     lift,
     project,
     trans_flux_g,
@@ -46,6 +47,7 @@ from .delta import (
     rh_deficit_v,
     sample_brio_many,
     solve_brio,
+    wave_speeds,
 )
 from .errors import (
     BlowUp,
@@ -174,12 +176,7 @@ test_function_battery.__test__ = False
 
 def solution_battery(sol: DeltaSolution) -> list[TestFunction]:
     """Battery sized to one solution's rays and carriers, up to time 1."""
-    speeds = [s.speed for s in sol.singular]
-    for seg in sol.segments:
-        for xi in (seg.xi_lo, seg.xi_hi):
-            if math.isfinite(xi):
-                speeds.append(xi)
-    return test_function_battery(speeds, 1.0)
+    return test_function_battery(wave_speeds(sol), 1.0)
 
 
 def _ray_times(bumps: _Bumps, r, xi):
@@ -250,15 +247,14 @@ def _scaled(y, c, w):
     return (y - c.reshape(shape)) / w.reshape(shape)
 
 
-def _ray_table(sol: DeltaSolution, arclength: bool):
+def _ray_table(sol: DeltaSolution):
     """Rows (c, ku, kv, au, bu, av, bv), one per distinct finite ray x = c t.
 
     A ray is an edge between two segments or a carrier.  On it, (ku, kv)
     is (F - c U) of the segment on its left minus that of the one on its
     right, each side at its own edge state: a rarefaction's two edge states
     are sampled on its edge rays.  A carrier of strength rate t + constant
-    adds rate to a and constant to b of its component, both times
-    sqrt(1 + c^2) under arclength.
+    adds rate to a and constant to b of its component.
     """
     ends = []  # (U at xi_lo, U at xi_hi) of each segment
     for seg in sol.segments:
@@ -276,9 +272,8 @@ def _ray_table(sol: DeltaSolution, arclength: bool):
         table[rays.index(c), 1:3] += ((f(ul, vl) - f(ur, vr)) - c * (ul - ur),
                                       (g(ul, vl) - g(ur, vr)) - c * (vl - vr))
     for s in sol.singular:
-        weight = math.sqrt(1.0 + s.speed * s.speed) if arclength else 1.0
         col = 3 if s.component == "u" else 5
-        table[rays.index(s.speed), col:col + 2] += (s.rate * weight, s.constant * weight)
+        table[rays.index(s.speed), col:col + 2] += (s.rate, s.constant)
     return table
 
 
@@ -379,8 +374,7 @@ def _initial_parts(sol: DeltaSolution, bumps: _Bumps, gx, gw):
         yield r, du[k] * mass, dv[k] * mass
 
 
-def weak_residual(sol: DeltaSolution, phis, *, nodes: int = 32,
-                  arclength: bool = False) -> list[tuple[float, float]]:
+def weak_residual(sol: DeltaSolution, phis, *, nodes: int = 32) -> list[tuple[float, float]]:
     """Absolute residuals (r_u, r_v) of both integral identities, per bump.
 
     For each bump phi the residual of the u equation is
@@ -405,9 +399,8 @@ def weak_residual(sol: DeltaSolution, phis, *, nodes: int = 32,
       lies inside the support.  A ray is an edge between segments or a
       Dirac carrier; its row integrates k phi with k = (F - c U) of the
       segment on its left minus that of the one on its right, each at its
-      edge state, plus each carrier's beta(t) (phi_t + c phi_x), times
-      sqrt(1 + c^2) under arclength.  So each ray's phi, phi_t and phi_x
-      are evaluated once.
+      edge state, plus each carrier's beta(t) (phi_t + c phi_x).  So each
+      ray's phi, phi_t and phi_x are evaluated once.
     - initial data: one row per (bump, side of x = 0) when the support
       reaches t = 0, integrating (u_0 - U) phi(x, 0) with U the state of
       the outer wedge on that side; a row whose difference is exactly zero
@@ -437,7 +430,7 @@ def weak_residual(sol: DeltaSolution, phis, *, nodes: int = 32,
     bumps = _Bumps.of(phis)
     parts = [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))]
     parts += _fan_parts(sol, bumps, gx, gw)
-    parts += _ray_parts(bumps, _ray_table(sol, arclength), nodes)
+    parts += _ray_parts(bumps, _ray_table(sol), nodes)
     parts += _initial_parts(sol, bumps, gx, gw)
 
     b, pu, pv = (np.concatenate(col) for col in zip(*parts))
@@ -526,15 +519,11 @@ def compare_fan_fv(fan: WaveFan, grid: FvGrid) -> float:
                 ray_pts.append(p)
     pts = np.unique(np.concatenate([edges, np.asarray(ray_pts)]))
     lo, hi = pts[:-1], pts[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    gx, gw = _gl(_FV_NODES)
-    X = mid[:, None] + half[:, None] * gx
-    W = half[:, None] * gw
+    X, W = _nodes(lo, hi, *_gl(_FV_NODES))
     uu, qq = sample_fan_many(fan, X.ravel() / grid.T)
     uu = uu.reshape(X.shape)
     qq = qq.reshape(X.shape)
-    idx = np.clip(((mid - grid.x_min) / dx).astype(int), 0, n - 1)
+    idx = np.clip(((0.5 * (lo + hi) - grid.x_min) / dx).astype(int), 0, n - 1)
     u_avg = np.bincount(idx, weights=(W * uu).sum(axis=1), minlength=n) / dx
     q_avg = np.bincount(idx, weights=(W * qq).sum(axis=1), minlength=n) / dx
     return float(np.sum(np.abs(u_avg - u_fv) + np.abs(q_avg - q_fv)) * dx)
@@ -662,19 +651,9 @@ def flip_pair_alternatives(sol: DeltaSolution, k: int, rng):
 
 
 # ---------------------------------------------------------------------------
-# Property suite: a table of named checks.  Each check takes the suite's
-# _SuiteRun, draws from its one generator in table order, and returns one
+# Property suite: a table of named checks.  Each check takes the suite's one
+# generator, draws from it in table order, and returns one
 # (passed, measured, tolerance) row per name of its table entry.
-
-
-@dataclass(frozen=True)
-class _SuiteRun:
-    rng: np.random.Generator
-    tol_weak: float
-    arclength: bool
-
-    def weak(self, sol, phis, **kw):
-        return weak_residual(sol, phis, arclength=self.arclength, **kw)
 
 
 def _worst(res) -> float:
@@ -703,7 +682,7 @@ def _rw1_curves(rng):
         yield us, np.asarray(integrate_rarefaction(1, left, um).q_at(us))
 
 
-def _critical_curve_invariance(run: _SuiteRun):
+def _critical_curve_invariance(rng):
     """Family-2 integral curves started on q = u^2/2 stay on it."""
     worst = 0.0
     for u0 in (-2.0, 0.0, 1.0, 3.0):
@@ -714,26 +693,26 @@ def _critical_curve_invariance(run: _SuiteRun):
     return [(worst <= 1e-8, worst, 1e-8)]
 
 
-def _lambda1_monotone_rw1(run: _SuiteRun):
+def _lambda1_monotone_rw1(rng):
     """The slow-family speed increases through every family-1 rarefaction."""
     worst = min(float(np.diff(trans_lambdas(us, qs)[0]).min())
-                for us, qs in _rw1_curves(run.rng))
+                for us, qs in _rw1_curves(rng))
     return [(worst > 0.0, worst, 0.0)]
 
 
-def _qtilde_decreasing_rw1(run: _SuiteRun):
+def _qtilde_decreasing_rw1(rng):
     """The discriminant 8q - 4u^2 + 1 falls along family-1 rarefactions, to 1 at q = u^2/2."""
-    worst = max(float(np.diff(8.0 * qs - 4.0 * us * us + 1.0).max())
-                for us, qs in _rw1_curves(run.rng))
+    worst = max(float(np.diff(discriminant(us, qs)).max())
+                for us, qs in _rw1_curves(rng))
     return [(worst < 0.0, worst, 0.0)]
 
 
-def _shock_rh_consistency(run: _SuiteRun):
+def _shock_rh_consistency(rng):
     """Both shock loci satisfy both jump conditions to rounding."""
     worst = 0.0
     for _ in range(_SHOCK_BASES):
-        base = random_trans_state(run.rng)
-        u = base.u - float(run.rng.uniform(0.05, 1.5))
+        base = random_trans_state(rng)
+        u = base.u - float(rng.uniform(0.05, 1.5))
         for q in (shock_q_1(base, u), shock_q_2(base, u)):
             c = (q - base.q) / (u - base.u)
             res = abs(c * (q - base.q)
@@ -742,13 +721,13 @@ def _shock_rh_consistency(run: _SuiteRun):
     return [(worst <= 1e-10, worst, 1e-10)]
 
 
-def _middle_states(run: _SuiteRun):
+def _middle_states(rng):
     """Randomized middle states: domain, Lax admissibility, region round trip."""
     min_slack = math.inf
     lax_ok = round_ok = True
     for region in _REGION_WAVES:
         for _ in range(_PAIRS_PER_REGION):
-            left, right, mid = random_trans_pair(run.rng, region)
+            left, right, mid = random_trans_pair(rng, region)
             fan = build_fan(left, right)
             m = fan.middle
             # Signed, unlike the clamped TransState.slack, so the check can fail.
@@ -759,13 +738,13 @@ def _middle_states(run: _SuiteRun):
     return [(min_slack >= -1e-9, min_slack, -1e-9), _flag(lax_ok), _flag(round_ok)]
 
 
-def _delta_construction(run: _SuiteRun):
+def _delta_construction(rng):
     """Carried rates are the RH deficit, carriers keep the first equation, flips order."""
     worst_def = worst_u = 0.0
     order_ok = True
     for region in ("II", "III", "IV"):
         for sign_case in ("same", "flip"):
-            sol = solve_brio(random_brio_data(run.rng, region, sign_case))
+            sol = solve_brio(random_brio_data(rng, region, sign_case))
             deficit, carrier_u = _recomputed_deficits(sol)
             worst_def, worst_u = max(worst_def, deficit), max(worst_u, carrier_u)
             order_ok &= sign_case == "same" or _flip_ordered(sol)
@@ -773,44 +752,44 @@ def _delta_construction(run: _SuiteRun):
             (worst_u <= 1e-10, worst_u, 1e-10), _flag(order_ok)]
 
 
-def _weak_residual_admissible(run: _SuiteRun):
+def _weak_residual_admissible(rng):
     """Weak residuals of admissible constructions over the 25-bump battery."""
     worst = 0.0
     for region in _REGION_WAVES:
         for sign_case in ("same", "flip"):
-            data = random_brio_data(run.rng, region, sign_case)
+            data = random_brio_data(rng, region, sign_case)
             sol = solve_brio(data)
-            res = run.weak(sol, solution_battery(sol))
+            res = weak_residual(sol, solution_battery(sol))
             worst = max(worst, _worst(res) / _suite_weak_scale(data))
-    return [(worst <= run.tol_weak, worst, run.tol_weak)]
+    return [(worst <= TOL_WEAK, worst, TOL_WEAK)]
 
 
-def _minimality(run: _SuiteRun):
+def _minimality(rng):
     """Spliced flip pairs stay weak solutions but carry more deltas."""
-    data = random_brio_data(run.rng, "II", "same")
+    data = random_brio_data(rng, "II", "same")
     sol = solve_brio(data)
     base_card = cardinality(sol)
     scale = _suite_weak_scale(data)
     ok, worst = True, 0.0
-    for alt in flip_pair_alternatives(sol, 3, run.rng):
-        worst = max(worst, _worst(run.weak(alt, solution_battery(alt))) / scale)
+    for alt in flip_pair_alternatives(sol, 3, rng):
+        worst = max(worst, _worst(weak_residual(alt, solution_battery(alt))) / scale)
         ok &= cardinality(alt) > base_card
-    return [(ok and worst <= run.tol_weak, worst, run.tol_weak)]
+    return [(ok and worst <= TOL_WEAK, worst, TOL_WEAK)]
 
 
-def _nonuniqueness_fixture(run: _SuiteRun):
+def _nonuniqueness_fixture(rng):
     """Two weak solutions over zero data; cardinality picks the zero one."""
     fix = nonuniqueness_example(1.0, -1.0, 1.0)
     zero = nonuniqueness_example(0.0, -1.0, 1.0)
     battery = test_function_battery([-1.0, 1.0], 1.0)
-    worst = _worst(run.weak(fix, battery))
-    worst0 = _worst(run.weak(zero, battery))
+    worst = _worst(weak_residual(fix, battery))
+    worst0 = _worst(weak_residual(zero, battery))
     ok = worst <= 1e-8 and worst0 <= 1e-12 and \
         cardinality(fix) == 2 and cardinality(zero) == 0
     return [(ok, worst, 1e-8)]
 
 
-def _canary_sw1_sign(run: _SuiteRun):
+def _canary_sw1_sign(rng):
     """Canary: a fast-family locus state passed off as a slow shock fails Lax."""
     left = TransState(1.0, 5.0)
     wrong = TransState(0.7, shock_q_2(left, 0.7))
@@ -818,10 +797,10 @@ def _canary_sw1_sign(run: _SuiteRun):
     return [_flag(not lax_check(Wave("shock", 1, left, wrong, c, c)))]
 
 
-def _canary_flip_speed(run: _SuiteRun):
+def _canary_flip_speed(rng):
     """Canary: a flip speed off both admissible values gives a finite residual > 1e-4."""
     _, sol = _canary_flip_solution()
-    worst = _worst(run.weak(sol, solution_battery(sol)))
+    worst = _worst(weak_residual(sol, solution_battery(sol)))
     return [(1e-4 < worst < math.inf, worst, 1e-4)]
 
 
@@ -837,7 +816,7 @@ def _fv_cross_validation_row():
     return err <= bound, err, bound
 
 
-def _fv_cross_validation(run: _SuiteRun):
+def _fv_cross_validation(rng):
     """FV cross-validation on a forward-built two-shock (region IV) fan."""
     return [_fv_cross_validation_row()]
 
@@ -869,7 +848,7 @@ def _defective_fan():
     return data, _lagging(solve_brio(data)), TestFunction((0.0, 0.5), (2.5, 0.45))
 
 
-def _quadrature_convergence(run: _SuiteRun):
+def _quadrature_convergence(rng):
     """Doubling the nodes gains >= 4x until the floor on a defective fan.
 
     On a correct fan the fan rows integrate D = 0 and every rule reads the
@@ -880,8 +859,8 @@ def _quadrature_convergence(run: _SuiteRun):
     """
     data, sol, phi = _defective_fan()
     floor = 1e-12 * _suite_weak_scale(data)
-    ref = run.weak(sol, [phi], nodes=256)
-    levels = [_worst(np.abs(np.subtract(run.weak(sol, [phi], nodes=n), ref)))
+    ref = weak_residual(sol, [phi], nodes=256)
+    levels = [_worst(np.abs(np.subtract(weak_residual(sol, [phi], nodes=n), ref)))
               for n in (4, 8, 16)]
     ratio_ok, worst_ratio = all(map(math.isfinite, levels)), math.inf
     for a, b in zip(levels[:-1], levels[1:]):
@@ -896,7 +875,7 @@ def _quadrature_convergence(run: _SuiteRun):
 
 
 # (check, its (name, measured, tolerance) rows when it raises BrioError), in
-# report order.  A tolerance of None stands for the run's tol_weak.
+# report order.
 _SUITE = (
     (_critical_curve_invariance, (("critical_curve_invariance", math.inf, 1e-8),)),
     (_lambda1_monotone_rw1, (("lambda1_monotone_rw1", -math.inf, 0.0),)),
@@ -908,8 +887,8 @@ _SUITE = (
     (_delta_construction, (("deficit_identity", math.inf, 1e-12),
                            ("carrier_u_exactness", math.inf, 1e-10),
                            ("flip_ordering", 1.0, 0.0))),
-    (_weak_residual_admissible, (("weak_residual_admissible", math.inf, None),)),
-    (_minimality, (("minimality", math.inf, None),)),
+    (_weak_residual_admissible, (("weak_residual_admissible", math.inf, TOL_WEAK),)),
+    (_minimality, (("minimality", math.inf, TOL_WEAK),)),
     (_nonuniqueness_fixture, (("nonuniqueness_fixture", math.inf, 1e-8),)),
     (_canary_sw1_sign, (("canary_sw1_sign", 1.0, 0.0),)),
     (_canary_flip_speed, (("canary_flip_speed", 0.0, 1e-4),)),
@@ -918,25 +897,22 @@ _SUITE = (
 )
 
 
-def property_suite(seed: int = 0, *, tol_weak: float = TOL_WEAK,
-                   arclength: bool = False) -> dict:
+def property_suite(seed: int = 0) -> dict:
     """Run every module-level invariant and report pass/fail per check.
 
     Deterministic for a fixed seed.  Failures never raise; they land in the
     report (the CLI turns an any-failed report into exit code 2).  A check
-    that raises BrioError reports its table rows, failed.  The arclength
-    variant reweights the line terms by sqrt(1 + c^2); carried rates are
-    calibrated to the unweighted form, so expect the weak checks to fail
-    under it (that asymmetry is the point of exposing the flag).
+    that raises BrioError reports its table rows, failed.
+    weak_residual_admissible and minimality judge the residual over
+    1 + max |data| against TOL_WEAK.
     """
-    run = _SuiteRun(np.random.default_rng(seed), tol_weak, arclength)
+    rng = np.random.default_rng(seed)
     checks: list[dict] = []
     for check, fallback in _SUITE:
         try:
-            rows = check(run)
+            rows = check(rng)
         except BrioError:
-            rows = [(False, measured, tol_weak if tol is None else tol)
-                    for _, measured, tol in fallback]
+            rows = [(False, measured, tol) for _, measured, tol in fallback]
         checks += [{"name": name, "passed": bool(passed), "measured": float(measured),
                     "tolerance": float(tol)}
                    for (name, _, _), (passed, measured, tol) in zip(fallback, rows, strict=True)]

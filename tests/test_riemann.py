@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import types
 
 import jsonschema
 import mpmath as mp
@@ -339,6 +340,20 @@ def test_polish_converges_where_phi_is_flat_on_one_side(monkeypatch):
     monkeypatch.setattr(riemann, "_POLISH_STEPS", 5)
     with pytest.raises(BracketFailure):
         _polish_root(phi, root - 1.0, root + 1.0, phi(root - 1.0), phi(root + 1.0))
+
+
+def test_solve_middle_raises_bracket_failure(monkeypatch, fixture_pair):
+    left, right = fixture_pair
+    # Curves that never cross: the bracket widens to its full reach, then raises.
+    for name, q in (("forward_curve_1", 1.0), ("backward_curve_2", 0.0)):
+        monkeypatch.setattr(riemann, name, lambda state, q=q: types.SimpleNamespace(q=lambda u: q))
+    with pytest.raises(BracketFailure, match=r"within 2\*\*40"):
+        solve_middle(left, right)
+    monkeypatch.undo()
+    # A polish that returns a bracket end leaves a residual above TOL_ROOT.
+    monkeypatch.setattr(riemann, "_polish_root", lambda f, a, b, fa, fb: a)
+    with pytest.raises(BracketFailure, match="polish stalled"):
+        solve_middle(left, right)
 
 
 def _solve_middle_every_call(left: TransState, right: TransState) -> TransState:

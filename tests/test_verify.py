@@ -6,6 +6,7 @@ import functools
 import importlib.resources
 import json
 import math
+from dataclasses import replace
 
 import jsonschema
 import numpy as np
@@ -174,20 +175,6 @@ def test_weak_residual_detects_wrong_rate(fixture_pair):
     assert bad > 1e-5
 
 
-def test_arclength_weighting_is_a_different_functional():
-    # Line terms gain a sqrt(1 + c^2) factor.  With a single carrier at
-    # speed 1 that scales a nonzero term, so the residual moves; for the
-    # symmetric non-uniqueness fixture the two line terms still cancel.
-    sol = _branch_a_solution()
-    battery = solution_battery(sol)
-    assert max_residual(weak_residual(sol, battery)) <= 1e-12
-    assert max_residual(weak_residual(sol, battery, arclength=True)) > 1e-3
-
-    fix = nonuniqueness_example(1.0, -1.0, 1.0)
-    fb = test_function_battery([-1.0, 1.0], 1.0)
-    assert max_residual(weak_residual(fix, fb, arclength=True)) <= 1e-8
-
-
 def test_fv_grid_validation():
     with pytest.raises(PreconditionError):
         FvGrid(1.0, 1.0, 64)
@@ -319,14 +306,13 @@ def test_property_suite_fv_fallback_draws_nothing(monkeypatch):
 
 
 def test_property_suite_reports_table_fallback_rows(monkeypatch):
-    # A check that raises reports every row of its table entry, failed; a
-    # fallback tolerance of None is the run's tol_weak.
+    # A check that raises reports every row of its table entry, failed.
     def fail(*args):
         raise PreconditionError("forced")
 
     monkeypatch.setattr(verify, "_recomputed_deficits", fail)
     monkeypatch.setattr(verify, "flip_pair_alternatives", fail)
-    report = property_suite(seed=0, tol_weak=2e-7)
+    report = property_suite(seed=0)
     _validate_report(report)
     rows = {c["name"]: c for c in report["checks"]}
     table = dict(verify._SUITE)
@@ -334,8 +320,8 @@ def test_property_suite_reports_table_fallback_rows(monkeypatch):
     assert len(expected) == 4
     for name, measured, tol in expected:
         assert rows[name] == {"name": name, "passed": False, "measured": measured,
-                              "tolerance": 2e-7 if tol is None else tol}
-    assert rows["minimality"]["tolerance"] == 2e-7
+                              "tolerance": tol}
+    assert rows["minimality"]["tolerance"] == TOL_WEAK
     assert [c["name"] for c in report["checks"]] == \
         [name for _, fallback in verify._SUITE for name, _, _ in fallback]
 
@@ -349,10 +335,10 @@ def test_suite_weak_rows_fail_on_a_nan_residual(monkeypatch):
         return res[:1] + [(math.nan, 0.0)] + res[2:]
 
     monkeypatch.setattr(verify, "weak_residual", nan_in_second_bump)
-    run = verify._SuiteRun(np.random.default_rng(0), TOL_WEAK, False)
+    rng = np.random.default_rng(0)
     for check, tol in ((verify._weak_residual_admissible, TOL_WEAK),
                        (verify._minimality, TOL_WEAK), (verify._canary_flip_speed, 1e-4)):
-        assert check(run) == [(False, math.inf, tol)], check
+        assert check(rng) == [(False, math.inf, tol)], check
     # The convergence row has one bump: a NaN r_v in its reference or in
     # one of its levels must fail it too.
     for bad in (256, 16):
@@ -361,7 +347,7 @@ def test_suite_weak_rows_fail_on_a_nan_residual(monkeypatch):
             return [(ru, math.nan) for ru, _ in res] if nodes == bad else res
 
         monkeypatch.setattr(verify, "weak_residual", nan_r_v)
-        assert verify._quadrature_convergence(run)[0][0] is False, bad
+        assert verify._quadrature_convergence(rng)[0][0] is False, bad
     assert verify._worst([(0.0, 1.0), (math.nan, 0.0)]) == math.inf
     assert verify._worst([(0.0, 1.0), (2.0, 0.5)]) == 2.0
 
@@ -378,23 +364,10 @@ def test_quadrature_convergence_fixture_is_above_the_floor():
         assert max_residual(weak_residual(sol, [phi], nodes=nodes)) > 10.0 * TOL_WEAK * scale
 
 
-def test_property_suite_arclength_flags_weak_checks():
-    report = property_suite(seed=0, arclength=True)
-    _validate_report(report)
-    failed = {c["name"] for c in report["checks"] if not c["passed"]}
-    assert "weak_residual_admissible" in failed
-    passed = {c["name"] for c in report["checks"] if c["passed"]}
-    # The symmetric fixture and the structural canaries are insensitive to
-    # the line-term weighting.
-    assert "nonuniqueness_fixture" in passed
-    assert "canary_sw1_sign" in passed
-    assert "canary_flip_speed" in passed
-
-
 _leggauss = functools.lru_cache(np.polynomial.legendre.leggauss)
 
 
-def _panel_reference(sol, phis, *, nodes=32, arclength=False):
+def _panel_reference(sol, phis, *, nodes=32):
     """The weak residual in x-pieces, one NumPy round per time panel and bump.
 
     An independent route to the same integral: the space-time integral of
@@ -449,12 +422,11 @@ def _panel_reference(sol, phis, *, nodes=32, arclength=False):
                     "i,ijk->", tw, WX * (v * pt + sol.flux.g(u, v) * px))))
             for s in sol.singular:
                 c = s.speed
-                weight = math.sqrt(1.0 + c * c) if arclength else 1.0
                 for _, tn, tw in panels((c,), xlo, xhi, t_lo, t_hi):
                     vals = (s.rate * tn + s.constant) * (
                         phi.dt(c * tn, tn) + c * phi.dx(c * tn, tn))
                     (parts_u if s.component == "u" else parts_v).append(
-                        float(np.dot(tw, vals)) * weight)
+                        float(np.dot(tw, vals)))
         if t0 - wt < 0.0:
             xcuts = [xlo, 0.0, xhi] if xlo < 0.0 < xhi else [xlo, xhi]
             for xa, xb in zip(xcuts[:-1], xcuts[1:]):
@@ -532,15 +504,14 @@ def _fan_reference(sol, seg, phi, gx, gw):
     return parts_u, parts_v
 
 
-def _ray_reference(sol, phi, nodes, arclength):
+def _ray_reference(sol, phi, nodes):
     """u and v parts of the ray rows of one bump, one NumPy round per ray.
 
     Each segment adds (F - c U) of its upper edge state at its upper edge
     and subtracts that of its lower edge state at its lower one, a
     rarefaction's edge states sampled on its edge rays; each carrier adds
-    beta(t) (phi_t + c phi_x), weighted by sqrt(1 + c^2) under arclength.
-    Each ray is integrated where it lies inside the support, with
-    min(n, 2p + 1) nodes.
+    beta(t) (phi_t + c phi_x).  Each ray is integrated where it lies inside
+    the support, with min(n, 2p + 1) nodes.
     """
     coef = {}
     for seg in sol.segments:
@@ -555,11 +526,10 @@ def _ray_reference(sol, phi, nodes, arclength):
                 k[0] += sign * (sol.flux.f(u, v) - c * u)
                 k[1] += sign * (sol.flux.g(u, v) - c * v)
     for s in sol.singular:
-        weight = math.sqrt(1.0 + s.speed ** 2) if arclength else 1.0
         k = coef.setdefault(s.speed, [0.0] * 6)
         at = 2 if s.component == "u" else 4
-        k[at] += s.rate * weight
-        k[at + 1] += s.constant * weight
+        k[at] += s.rate
+        k[at + 1] += s.constant
     x0, t0 = phi.center
     wx, wt = phi.halfwidths
     t_lo, t_hi = max(0.0, t0 - wt), t0 + wt
@@ -582,7 +552,7 @@ def _ray_reference(sol, phi, nodes, arclength):
     return parts_u, parts_v
 
 
-def _ray_panel_reference(sol, phis, *, nodes=32, arclength=False):
+def _ray_panel_reference(sol, phis, *, nodes=32):
     """The weak residual's own quadrature, one bump at a time.
 
     Rarefaction segments in (xi, t) by _fan_reference, constant wedges and
@@ -592,7 +562,7 @@ def _ray_panel_reference(sol, phis, *, nodes=32, arclength=False):
     gx, gw = _leggauss(nodes)
     results = []
     for phi in phis:
-        parts_u, parts_v = _ray_reference(sol, phi, nodes, arclength)
+        parts_u, parts_v = _ray_reference(sol, phi, nodes)
         for seg in sol.segments:
             if isinstance(seg, RarefactionSegment):
                 pu, pv = _fan_reference(sol, seg, phi, gx, gw)
@@ -647,9 +617,6 @@ def test_batched_weak_residual_matches_panel_reference(rng, fixture_pair):
         for sol, scale in subsets.get(nodes, sols):
             _assert_matches_reference(sol, solution_battery(sol), scale,
                                       nodes=nodes)
-    for sol, scale in sols:
-        _assert_matches_reference(sol, solution_battery(sol), scale,
-                                  arclength=True)
 
     left, right = fixture_pair
     data = RiemannData(project(left, 1.0), project(right, 1.0))
@@ -657,9 +624,7 @@ def test_batched_weak_residual_matches_panel_reference(rng, fixture_pair):
         _assert_matches_reference(alt, solution_battery(alt), data_scale(data))
 
     fix = nonuniqueness_example(1.0, -1.0, 1.0)
-    battery = test_function_battery([-1.0, 1.0], 1.0)
-    for arclength in (False, True):
-        _assert_matches_reference(fix, battery, 1.0, arclength=arclength)
+    _assert_matches_reference(fix, test_function_battery([-1.0, 1.0], 1.0), 1.0)
 
     data, canary = _canary_flip_solution()
     _assert_matches_reference(canary, solution_battery(canary), data_scale(data))
@@ -719,6 +684,14 @@ def test_weak_residual_is_exact_on_piecewise_constant_solutions(rng):
         data = random_brio_data(rng, "IV", sign_case)
         sol = solve_brio(data)
         cases.append((sol, solution_battery(sol), data_scale(data)))
+    # Every other solution echoes the data at its ends; here the outer left
+    # state is moved off the data, so the initial-data rows carry the jump.
+    sol, phis, scale = cases[0]
+    outer = sol.segments[0]
+    moved = replace(sol, segments=(
+        replace(outer, state=BrioState(outer.state.u + 0.1, outer.state.v)),) + sol.segments[1:])
+    assert max_residual(weak_residual(moved, phis)) > 1e-2
+    cases.append((moved, phis, scale))
     data = RiemannData(BrioState(1.0, 1.0), BrioState(0.0, 0.0))
     for branch in ("a", "b"):
         sol = generic_delta_shock(brio_flux_pair(), data, branch)

@@ -238,6 +238,12 @@ def test_curve_slope_bounds(base_left):
     assert np.all(rows1[:, 2] <= rows1[:, 0] - 1.0 + 1e-12)
     rows2 = tabulate_curve("rw2", base_left, np.linspace(1.0, 4.0, 40))
     assert np.all(rows2[:, 2] >= rows2[:, 0] - 1e-12)
+    # Each table starts at the base state, at its family's characteristic speed.
+    for family, rows in ((1, rows1), (2, rows2)):
+        assert rows[0, 1] == base_left.q
+        assert_close(rows[0, 2], family_lambda(family, base_left.u, base_left.q), 1e-12)
+    with pytest.raises(ValueError, match="family must be 1 or 2"):
+        family_lambda(3, base_left.u, base_left.q)
 
 
 def test_tabulate_shock_speed_column(base_left):
