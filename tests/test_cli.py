@@ -166,15 +166,13 @@ def test_verify_failing_check_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_has_no_tolerance_or_weighting_option(tmp_path, capsys):
-    # TOL_WEAK on the scale 1 + max |data| is the one weak verdict: neither
-    # a flag nor a config key can move it or reweight the carriers.
-    job = tmp_path / "job.json"
-    for flags, key in ((("--tol-weak", "1e-3"), "tol_weak"), (("--arclength",), "arclength")):
-        job.write_text(json.dumps({key: True}))
-        for argv in (flags, ("--config", str(job))):
-            code, out, err = _run(capsys, "verify", *argv, "--out", str(tmp_path / "out"))
-            assert (code, out) == (1, ""), argv
-            assert set(json.loads(err)) == {"error", "message"} and err.count("\n") == 1
+    # TOL_WEAK on the scale 1 + max |data| is the one weak verdict: no flag
+    # can move it or reweight the carriers. test_bad_config_values_exit_1
+    # refuses the same two names as config keys.
+    for flags in (("--tol-weak", "1e-3"), ("--arclength",)):
+        code, out, err = _run(capsys, "verify", *flags, "--out", str(tmp_path / "out"))
+        assert (code, out) == (1, ""), flags
+        assert set(json.loads(err)) == {"error", "message"} and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -356,11 +354,13 @@ def test_config_value_matches_its_flag(tmp_path, capsys, base, flags, cfg):
     (("fv-compare",) + _DATA, {"x_min": [1]}),
     (("curves", "--base", "1,5"), {"samples": 17.9}),
     (("verify",), {"seed": 1.5}),
+    (("verify", "--seed", "0"), {"arclength": "false"}),
     (("solve",) + _DATA, {"flip_speed": "sideways"}),
     (("solve",) + _DATA, {"flip_speed": True}),
     (("solve",) + _DATA, {"flip_speed": 1.5}),
     (("solve",) + _DATA, {"out": {"dir": "x"}}),
     (("solve",) + _DATA, {"tol_ode": 1e-6}),
+    (("verify", "--seed", "0"), {"tol_weak": 1e-3}),
 ])
 def test_bad_config_values_exit_1(tmp_path, capsys, argv, cfg):
     job = tmp_path / "job.json"
