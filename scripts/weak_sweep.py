@@ -10,13 +10,16 @@ draws.  Each
 draw is solved with solve_brio and judged on its 25-bump battery: the
 largest residual over 1 + max |data| must not exceed TOL_WEAK.  Per sweep
 it prints the typed solve errors, the failures at 32 and at 128 nodes, the
-count of non-finite residuals (a non-finite residual also fails), and the
-worst scaled residual with the draw that produced it.
+count of non-finite residuals (a non-finite residual also fails), the
+median wall time of one weak_residual call at 32 nodes, and the worst
+scaled residual with the draw that produced it.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
+import time
 
 import numpy as np
 
@@ -34,6 +37,8 @@ from briodelta.verify import (
 # (lo, hi, seed) of each sweep.
 SWEEPS = ((-3.0, 3.0, 2), (-8.0, 6.0, 3), (-8.0, 8.0, 1))
 NODES = (32, 128)
+# Node count whose weak_residual calls are timed.
+TIMED_NODES = 32
 DRAWS = 600
 
 
@@ -51,6 +56,7 @@ def sweep(lo: float, hi: float, seed: int, n: int) -> dict:
     errors, nonfinite = 0, 0
     failures = dict.fromkeys(NODES, 0)
     worst, worst_data = 0.0, None
+    seconds = []
     for data in draws(lo, hi, seed, n):
         try:
             sol = solve_brio(data)
@@ -60,7 +66,11 @@ def sweep(lo: float, hi: float, seed: int, n: int) -> dict:
         scale = _suite_weak_scale(data)
         battery = solution_battery(sol)
         for nodes in NODES:
-            worst_here = _worst(weak_residual(sol, battery, nodes=nodes))
+            start = time.perf_counter()
+            res = weak_residual(sol, battery, nodes=nodes)
+            if nodes == TIMED_NODES:
+                seconds.append(time.perf_counter() - start)
+            worst_here = _worst(res)
             if math.isinf(worst_here):
                 nonfinite += 1
                 failures[nodes] += 1
@@ -70,7 +80,8 @@ def sweep(lo: float, hi: float, seed: int, n: int) -> dict:
             if scaled > worst:
                 worst, worst_data = scaled, (nodes, data)
     return {"errors": errors, "failures": failures, "nonfinite": nonfinite,
-            "worst": worst, "worst_data": worst_data}
+            "worst": worst, "worst_data": worst_data,
+            "median_ms": 1e3 * statistics.median(seconds) if seconds else math.nan}
 
 
 def main() -> None:
@@ -80,7 +91,8 @@ def main() -> None:
         print(f"10^[{lo:g}, {hi:g}], seed {seed}, {DRAWS} draws: "
               f"{out['errors']} solve errors, weak failures at "
               f"{' / '.join(map(str, NODES))} nodes {fails}, "
-              f"{out['nonfinite']} non-finite")
+              f"{out['nonfinite']} non-finite, median weak_residual "
+              f"{out['median_ms']:.3f} ms per draw at {TIMED_NODES} nodes")
         if out["worst_data"] is not None:
             nodes, data = out["worst_data"]
             print(f"  worst scaled residual {out['worst']:.3g} at {nodes} nodes: "

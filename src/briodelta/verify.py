@@ -79,9 +79,9 @@ BUMP_EXPONENT = 6
 # Gauss-Legendre nodes in t needed on a ray: there the weak integrand is a
 # polynomial of degree at most 4p in t.
 _RAY_EXACT = 2 * BUMP_EXPONENT + 1
-# Points evaluated per array pass of weak_residual: n per initial-data row,
-# min(n, 2p + 1) per ray row and n min(n, 2p + 1) per fan row.  Bounds its
-# temporaries whatever the battery size or node count n.
+# Points per array pass of weak_residual, whatever the battery or node count
+# n: n per initial-data row, min(n, 2p + 1) per ray row and n min(n, 2p + 1)
+# per fan row's value-only m0.  A rarefaction's one ray inverse takes n a row.
 _CHUNK_POINTS = 8192
 # Draws random_trans_pair makes before giving up on a region.
 _PAIR_TRIES = 64
@@ -189,8 +189,7 @@ def _ray_times(bumps: _Bumps, r, xi):
     """
     shape = (-1,) + (1,) * (np.ndim(xi) - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = bumps.xlo[r].reshape(shape) / xi
-        b = bumps.xhi[r].reshape(shape) / xi
+        a, b = bumps.xlo[r].reshape(shape) / xi, bumps.xhi[r].reshape(shape) / xi
     neg = np.signbit(xi)
     return (np.fmax(bumps.t_lo[r].reshape(shape), np.where(neg, b, a)),
             np.fmin(bumps.t_hi[r].reshape(shape), np.where(neg, a, b)))
@@ -228,47 +227,21 @@ class _Bumps:
         x0, t0, wx, wt = np.array([phi.center + phi.halfwidths for phi in phis]).T
         return cls(x0, t0, wx, wt, x0 - wx, x0 + wx, np.maximum(t0 - wt, 0.0), t0 + wt)
 
-    def factors(self, r, x, t):
-        """(B, B') at s_x = (x - x0)/wx and at s_t = (t - t0)/wt for rows r.
-
-        x and t hold one leading entry per row and any trailing node axes.
-        """
-        return (_bump(_scaled(x, self.x0[r], self.wx[r]), slope=True),
-                _bump(_scaled(t, self.t0[r], self.wt[r]), slope=True))
-
-    def value(self, r, x, t):
-        """phi(x, t) of rows r, x and t shaped as in factors."""
-        return (_bump(_scaled(x, self.x0[r], self.wx[r]))
-                * _bump(_scaled(t, self.t0[r], self.wt[r])))
-
-
-def _scaled(y, c, w):
-    shape = c.shape + (1,) * (np.ndim(y) - 1)
-    return (y - c.reshape(shape)) / w.reshape(shape)
-
-
-def _ray_table(sol: DeltaSolution):
+def _ray_table(sol: DeltaSolution, states):
     """Rows (c, ku, kv, au, bu, av, bv), one per distinct finite ray x = c t.
 
     A ray is an edge between two segments or a carrier.  On it, (ku, kv)
     is (F - c U) of the segment on its left minus that of the one on its
-    right, each side at its own edge state: a rarefaction's two edge states
-    are sampled on its edge rays.  A carrier of strength rate t + constant
-    adds rate to a and constant to b of its component.
+    right, each side at its edge state: states holds each segment's
+    (U at xi_lo, U at xi_hi), from _fan_parts.  A carrier of strength
+    rate t + constant adds rate to a and constant to b of its component.
     """
-    ends = []  # (U at xi_lo, U at xi_hi) of each segment
-    for seg in sol.segments:
-        if isinstance(seg, ConstantSegment):
-            ends.append(((seg.state.u, seg.state.v),) * 2)
-        else:
-            u, v, _ = _rarefaction_uv(seg, [seg.xi_lo, seg.xi_hi])
-            ends.append(tuple(zip(u.tolist(), v.tolist())))
     edges = [seg.xi_hi for seg in sol.segments[:-1]]
     rays = sorted({*edges, *(s.speed for s in sol.singular)})
     table = np.zeros((len(rays), 7))
     table[:, 0] = rays
     f, g = sol.flux.f, sol.flux.g
-    for c, (_, (ul, vl)), ((ur, vr), _) in zip(edges, ends, ends[1:]):
+    for c, (_, (ul, vl)), ((ur, vr), _) in zip(edges, states, states[1:]):
         table[rays.index(c), 1:3] += ((f(ul, vl) - f(ur, vr)) - c * (ul - ur),
                                       (g(ul, vl) - g(ur, vr)) - c * (vl - vr))
     for s in sol.singular:
@@ -278,16 +251,17 @@ def _ray_table(sol: DeltaSolution):
 
 
 def _fan_parts(sol: DeltaSolution, bumps: _Bumps, gx, gw):
-    """(bump, u part, v part) of the rarefaction wedges, per chunk of rows.
+    """(parts, states): the (bump, u part, v part) of the rarefaction rows,
+    and each segment's edge states (U at xi_lo, U at xi_hi).
 
-    By Green's identity a wedge is its edge rays' integrals of phi (F - c U),
-    which the ray table holds, minus int int phi D dxi dt in ray
-    coordinates x = xi t, where U_t + F_x = D/t, dx dt = t dxi dt and
-    D = (A(U) - xi) U' with A = [[u, v], [v, u - 1]].  A row is one
-    rarefaction segment's rays between the smallest and the largest corner
-    slope x/t of one bump's support: n nodes in xi, one ray inverse each,
-    and m0 = int phi dt on each ray with min(n, 2p + 1) nodes in t.  U' is
-    closed in t = s - 1: family 2 has u' = (t + 1)/(2t + 1) and
+    By Green's identity a wedge is its edge rays' integrals of phi (F - c U)
+    minus int int phi D dxi dt in ray coordinates x = xi t, where
+    U_t + F_x = D/t, dx dt = t dxi dt and D = (A(U) - xi) U' with
+    A = [[u, v], [v, u - 1]].  A row is one rarefaction segment's rays
+    between the smallest and the largest corner slope x/t of one bump's
+    support: n nodes in xi, each weighted by m0 = int phi dt (_m0).  One
+    ray inverse per segment samples every row's nodes and both edge rays.
+    U' is closed in t = s - 1: family 2 has u' = (t + 1)/(2t + 1) and
     v v' = t u'/2, family 1 u' = (t + 1)/(2t + 3) and v v' = -(t + 2) u'/2;
     v' = (v v')/v, and (u - 1 - xi) v' is 0 where v = 0.  D vanishes on a
     correct fan, so m0's kinks at the corner slopes cost accuracy only in
@@ -297,31 +271,58 @@ def _fan_parts(sol: DeltaSolution, bumps: _Bumps, gx, gw):
     with np.errstate(divide="ignore", invalid="ignore"):
         lo = np.fmin(bumps.xlo / bumps.t_lo, bumps.xlo / bumps.t_hi)[live]
         hi = np.fmax(bumps.xhi / bumps.t_lo, bumps.xhi / bumps.t_hi)[live]
-    m = min(len(gx), _RAY_EXACT)
+    tx, tw = _gl(min(len(gx), _RAY_EXACT))
+    parts, states = [], []
     for seg in sol.segments:
-        if not isinstance(seg, RarefactionSegment):
+        if isinstance(seg, ConstantSegment):
+            states.append(((seg.state.u, seg.state.v),) * 2)
             continue
         xa, xb = np.maximum(lo, seg.xi_lo), np.minimum(hi, seg.xi_hi)
         hit = xa < xb
-        b, xa, xb = live[hit], xa[hit], xb[hit]
-        for k in _slices(len(b), len(gx) * m):
-            r = b[k]
-            XI, WXI = _nodes(xa[k], xb[k], gx, gw)
-            ta, tb = _ray_times(bumps, r, XI)
-            if np.any(tb - ta < -1e-12 * (1.0 + np.abs(tb))):
-                raise QuadratureFailure("support times inverted on a ray")
-            T, TW = _nodes(ta, tb, *_gl(m))
-            w = WXI * (TW * bumps.value(r, XI[..., None] * T, T)).sum(-1)
-            u, v, t = _rarefaction_uv(seg, XI)
-            if seg.family == 2:
-                du = (t + 1.0) / (2.0 * t + 1.0)
-                vdv = 0.5 * t * du
-            else:
-                du = (t + 1.0) / (2.0 * t + 3.0)
-                vdv = -0.5 * (t + 2.0) * du
-            dv = np.divide(vdv, v, out=np.zeros_like(v), where=v != 0.0)
-            yield (r, -(w * ((u - XI) * du + vdv)).sum(-1),
-                   -(w * (v * du + (u - 1.0 - XI) * dv)).sum(-1))
+        r = live[hit]
+        XI, WXI = _nodes(xa[hit], xb[hit], gx, gw)
+        u, v, t = _rarefaction_uv(seg, np.append(XI, (seg.xi_lo, seg.xi_hi)))
+        states.append(tuple(zip(u[-2:].tolist(), v[-2:].tolist())))
+        u, v, t = (a[:-2].reshape(XI.shape) for a in (u, v, t))
+        ta, tb = _ray_times(bumps, r, XI)
+        if np.any(tb - ta < -1e-12 * (1.0 + np.abs(tb))):
+            raise QuadratureFailure("support times inverted on a ray")
+        w = np.empty_like(XI)
+        for k in _slices(len(r), len(gx) * len(tx)):
+            w[k] = _m0(bumps, r[k], XI[k], ta[k], tb[k], tx, tw)
+        w *= WXI
+        fast = seg.family == 2
+        du = (t + 1.0) / (2.0 * t + (1.0 if fast else 3.0))
+        vdv = (0.5 * t if fast else -0.5 * (t + 2.0)) * du
+        dv = np.divide(vdv, v, out=np.zeros_like(v), where=v != 0.0)
+        parts.append((r, -(w * ((u - XI) * du + vdv)).sum(-1),
+                      -(w * (v * du + (u - 1.0 - XI) * dv)).sum(-1)))
+    return parts, states
+
+
+def _m0(bumps: _Bumps, r, xi, ta, tb, gx, gw):
+    """m0 = int phi(xi t, t) dt over [ta, tb] of bump rows r, by value alone:
+    on the abscissae g, t = mid + half g, so s_x = (xi t - x0)/wx and
+    s_t = (t - t0)/wt are affine in g, and phi = (max(1 - s_x^2, 0)
+    max(1 - s_t^2, 0))^p takes its power by squaring."""
+    mid, half = 0.5 * (ta + tb), 0.5 * (tb - ta)
+    x0, wx, t0, wt = (col[r, None] for col in (bumps.x0, bumps.wx, bumps.t0, bumps.wt))
+    y = _hat((xi * mid - x0) / wx, xi * half / wx, gx)
+    y *= _hat((mid - t0) / wt, half / wt, gx)
+    z, p = None, BUMP_EXPONENT
+    while p:
+        if p & 1:
+            z = y if z is None else z * y
+        p >>= 1
+        if p:
+            y = y * y
+    return half * (z @ gw)
+
+
+def _hat(a, b, g):
+    """max(1 - s^2, 0) at s = a + b g, with g along a new last axis."""
+    s = np.square(a[..., None] + b[..., None] * g)
+    return np.maximum(np.subtract(1.0, s, out=s), 0.0, out=s)
 
 
 def _ray_parts(bumps: _Bumps, table, n: int):
@@ -341,7 +342,8 @@ def _ray_parts(bumps: _Bumps, table, n: int):
         r = b[k]
         c, ku, kv, au, bu, av, bv = table[j[k]].T
         T, TW = _nodes(ta[k], tb[k], *_gl(m))
-        (bx, dbx), (bt, dbt) = bumps.factors(r, c[:, None] * T, T)
+        bx, dbx = _bump((c[:, None] * T - bumps.x0[r, None]) / bumps.wx[r, None], slope=True)
+        bt, dbt = _bump((T - bumps.t0[r, None]) / bumps.wt[r, None], slope=True)
         d = TW * (bx * dbt / bumps.wt[r, None] + c[:, None] * bt * dbx / bumps.wx[r, None])
         phi, d0, d1 = (TW * bx * bt).sum(-1), d.sum(-1), (T * d).sum(-1)
         yield r, ku * phi + au * d1 + bu * d0, kv * phi + av * d1 + bv * d0
@@ -351,9 +353,12 @@ def _initial_parts(sol: DeltaSolution, bumps: _Bumps, gx, gw):
     """(bump, u part, v part) of the initial-data rows, per chunk of rows.
 
     A row is a support reaching t = 0, split at x = 0, with the data state
-    there minus the outer segment's state.  Rows where both differences are
-    exactly zero are dropped.
+    there minus the outer segment's state.  None is built where the two are
+    exactly equal, and no array at all when they are on both sides.
     """
+    data, lo, hi = sol.initial, sol.segments[0].state, sol.segments[-1].state
+    if (lo, hi) == (data.left, data.right):
+        return
     low = np.flatnonzero(bumps.t0 - bumps.wt < 0.0)
     xlo, xhi = bumps.xlo[low], bumps.xhi[low]
     split = (xlo < 0.0) & (0.0 < xhi)
@@ -361,7 +366,6 @@ def _initial_parts(sol: DeltaSolution, bumps: _Bumps, gx, gw):
     xa = np.concatenate([xlo, np.zeros(split.sum())])
     xb = np.concatenate([np.where(split, 0.0, xhi), xhi[split]])
     left = 0.5 * (xa + xb) < 0.0
-    data, lo, hi = sol.initial, sol.segments[0].state, sol.segments[-1].state
     du = np.where(left, data.left.u - lo.u, data.right.u - hi.u)
     dv = np.where(left, data.left.v - lo.v, data.right.v - hi.v)
     keep = (du != 0.0) | (dv != 0.0)
@@ -369,8 +373,8 @@ def _initial_parts(sol: DeltaSolution, bumps: _Bumps, gx, gw):
     for k in _slices(len(b), len(gx)):
         r = b[k]
         X, XW = _nodes(xa[k], xb[k], gx, gw)
-        (bx, _), (bt, _) = bumps.factors(r, X, np.zeros(len(r)))
-        mass = (XW * bx).sum(-1) * bt
+        mass = (XW * _bump((X - bumps.x0[r, None]) / bumps.wx[r, None])).sum(-1)
+        mass *= _bump(-bumps.t0[r] / bumps.wt[r])
         yield r, du[k] * mass, dv[k] * mass
 
 
@@ -391,33 +395,29 @@ def weak_residual(sol: DeltaSolution, phis, *, nodes: int = 32) -> list[tuple[fl
     constant wedge the last integral is 0.  So the terms are integrated in
     three tables, built with array operations across bumps:
 
-    - fan: one row per (bump, rarefaction segment) integrates -phi D,
-      D = (A(U) - xi) U', over the segment's rays inside the support, in
-      ray coordinates (see _fan_parts); its n xi-nodes take one ray
-      inverse each.
+    - fan: one row per (bump, rarefaction segment) integrates -m0 D,
+      D = (A(U) - xi) U', over the segment's rays inside the support in
+      ray coordinates, m0 = int phi dt from the bump's value alone (see
+      _fan_parts).  One ray inverse per segment takes all its rows'
+      xi-nodes and its two edge states, which the ray table reuses.
     - ray: one row per (bump, ray x = c t) over the times where the ray
-      lies inside the support.  A ray is an edge between segments or a
-      Dirac carrier; its row integrates k phi with k = (F - c U) of the
-      segment on its left minus that of the one on its right, each at its
-      edge state, plus each carrier's beta(t) (phi_t + c phi_x).  So each
-      ray's phi, phi_t and phi_x are evaluated once.
+      lies inside the support, an edge between segments or a Dirac
+      carrier.  It integrates k phi with k = (F - c U) of the segment on
+      its left minus that of the one on its right, each at its edge state,
+      plus each carrier's beta(t) (phi_t + c phi_x).
     - initial data: one row per (bump, side of x = 0) when the support
       reaches t = 0, integrating (u_0 - U) phi(x, 0) with U the state of
-      the outer wedge on that side; a row whose difference is exactly zero
-      is dropped.
+      the outer wedge on that side, unless that difference is exactly zero.
 
     `nodes` = n is the Gauss-Legendre count in xi on each fan row and in x
     on each initial-data row.  Along a ray, fan or edge, the integrand is
-    a polynomial of degree at most 4p in t for the bump exponent
-    p = BUMP_EXPONENT, so min(n, 2p + 1) nodes in t integrate it exactly
-    once n >= 2p + 1.
+    a polynomial of degree at most 4p in t for p = BUMP_EXPONENT, so
+    min(n, 2p + 1) nodes in t integrate it exactly once n >= 2p + 1.
 
-    Each table's rows are evaluated in consecutive slices of at most
-    _CHUNK_POINTS evaluated points, the fan rows one rarefaction segment at
-    a time, so no array of all points is ever built.  Each row gives one
-    partial sum, and each bump's partial sums are added by math.fsum, so a
-    bump's residual depends neither on row order nor on the other bumps of
-    the battery.
+    Each table's kernels run in slices of at most _CHUNK_POINTS points
+    (n per fan row for its ray inverse and D).  Each row gives one partial
+    sum, and each bump's partial sums are added by math.fsum, so a bump's
+    residual depends neither on row order nor on the other bumps.
 
     `nodes` must be an integer >= 1 and not a bool, else PreconditionError.
     """
@@ -428,9 +428,9 @@ def weak_residual(sol: DeltaSolution, phis, *, nodes: int = 32) -> list[tuple[fl
         return []
     gx, gw = _gl(nodes)
     bumps = _Bumps.of(phis)
-    parts = [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))]
-    parts += _fan_parts(sol, bumps, gx, gw)
-    parts += _ray_parts(bumps, _ray_table(sol), nodes)
+    parts, states = _fan_parts(sol, bumps, gx, gw)
+    parts += [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))]
+    parts += _ray_parts(bumps, _ray_table(sol, states), nodes)
     parts += _initial_parts(sol, bumps, gx, gw)
 
     b, pu, pv = (np.concatenate(col) for col in zip(*parts))

@@ -617,6 +617,14 @@ def test_batched_weak_residual_matches_panel_reference(rng, fixture_pair):
         for sol, scale in subsets.get(nodes, sols):
             _assert_matches_reference(sol, solution_battery(sol), scale,
                                       nodes=nodes)
+    # On a correct fan D = 0 hides the fan rows' m0; lagging copies of the
+    # region-I and region-II fans give it weight (D = -LAG U').
+    for sol, scale in (sols[0], sols[2]):
+        bad = verify._lagging(sol)
+        battery = solution_battery(bad)
+        assert max_residual(weak_residual(bad, battery)) > 1e-6
+        for nodes in (4, 8, 16, 32):
+            _assert_matches_reference(bad, battery, scale, nodes=nodes)
 
     left, right = fixture_pair
     data = RiemannData(project(left, 1.0), project(right, 1.0))
@@ -745,7 +753,8 @@ def test_weak_residual_rounding_floor_is_linear_in_the_data():
 
 def test_fan_rows_invert_each_xi_node_once(rng, monkeypatch):
     # One row per (bump, rarefaction segment) whose rays meet the support,
-    # n ray inverses per row, and one inverse of both edges per segment.
+    # n ray inverses per row plus both edges per segment, all in one call
+    # per segment.
     sol = solve_brio(random_brio_data(rng, "I", "same"))
     battery = solution_battery(sol)
     fans = [seg for seg in sol.segments if isinstance(seg, RarefactionSegment)]
@@ -760,6 +769,7 @@ def test_fan_rows_invert_each_xi_node_once(rng, monkeypatch):
     weak_residual(sol, battery, nodes=32)
     assert len(fans) == 2 and rows > 0
     assert sum(inverted) == 32 * rows + 2 * len(fans), (sum(inverted), rows)
+    assert len(inverted) == len(fans), inverted
 
 
 def test_weak_residual_bumps_are_independent(rng):
