@@ -9,10 +9,11 @@ draw 7k + 5 and v_R = 0 in draw 7k + 6, so v = 0 on one side in 2 of 7
 draws.  Each
 draw is solved with solve_brio and judged on its 25-bump battery: the
 largest residual over 1 + max |data| must not exceed TOL_WEAK.  Per sweep
-it prints the typed solve errors, the failures at 32 and at 128 nodes, the
-count of non-finite residuals (a non-finite residual also fails), the
-median wall time of one weak_residual call at 32 nodes, and the worst
-scaled residual with the draw that produced it.
+it prints the typed solve errors, the failures at 8, 32 and 128 nodes
+(below 2p + 1 = 13 nodes too, a correct solution reads the rounding
+floor), the count of non-finite residuals (a non-finite residual also
+fails), the median wall time of one weak_residual call at 32 nodes, and
+the worst scaled residual with the draw that produced it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from briodelta.verify import (
 
 # (lo, hi, seed) of each sweep.
 SWEEPS = ((-3.0, 3.0, 2), (-8.0, 6.0, 3), (-8.0, 8.0, 1))
-NODES = (32, 128)
+NODES = (8, 32, 128)
 # Node count whose weak_residual calls are timed.
 TIMED_NODES = 32
 DRAWS = 600

@@ -5,12 +5,11 @@ solutions against smooth bump test functions.  By Green's identity each
 wedge between two rays reduces to line integrals of phi (F - c U) along
 its two edge rays, plus, in a rarefaction wedge, a quadrature in ray
 coordinates of phi D with D = (A(U) - xi) U', which vanishes on a correct
-fan.  So the regular part becomes one line integral per (bump, ray) that
-also takes the Dirac carrier on that ray, one row of phi D per (bump,
-rarefaction wedge), and the mismatch between the data and the outer
-wedges at t = 0.  All are computed with Gauss-Legendre rules, exactly on
-every ray once the rule has 2p + 1 nodes; an admissible solution drives
-both residuals to the rounding floor.
+fan.  By parts, a Dirac carrier takes minus its rate times the line
+integral of phi on its ray, and minus its constant times phi(0, 0).  So
+one value-only kernel integrates phi along rays, by Gauss-Legendre rules
+exact once they have 2p + 1 nodes; an admissible solution zeroes every
+weight, and both residuals sit at the rounding floor.
 
 The finite-volume solver is a deliberately independent route to the
 transformed fans (first-order Rusanov, nothing shared with the wave-curve
@@ -80,8 +79,8 @@ BUMP_EXPONENT = 6
 # polynomial of degree at most 4p in t.
 _RAY_EXACT = 2 * BUMP_EXPONENT + 1
 # Points per array pass of weak_residual, whatever the battery or node count
-# n: n per initial-data row, min(n, 2p + 1) per ray row and n min(n, 2p + 1)
-# per fan row's value-only m0.  A rarefaction's one ray inverse takes n a row.
+# n: n per initial-data row and min(n, 2p + 1) per ray entry's m0, a fan
+# xi-node or a (bump, ray) pair.  A rarefaction's one ray inverse takes n a row.
 _CHUNK_POINTS = 8192
 # Draws random_trans_pair makes before giving up on a region.
 _PAIR_TRIES = 64
@@ -180,19 +179,17 @@ def solution_battery(sol: DeltaSolution) -> list[TestFunction]:
 
 
 def _ray_times(bumps: _Bumps, r, xi):
-    """[ta, tb] of the rays xi inside the supports of bumps r.
+    """[ta, tb] of the rays xi inside the supports of bumps r, entry by entry.
 
     On the ray x = xi t the support is t_lo <= t <= t_hi and
-    xlo <= xi t <= xhi; xi holds one leading entry per row.  At xi = +-0
-    the x-bounds divide to -inf and +inf, or to NaN for an end at 0, which
-    fmax and fmin drop.
+    xlo <= xi t <= xhi.  At xi = +-0 the x-bounds divide to -inf and +inf,
+    or to NaN for an end at 0, which fmax and fmin drop.
     """
-    shape = (-1,) + (1,) * (np.ndim(xi) - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        a, b = bumps.xlo[r].reshape(shape) / xi, bumps.xhi[r].reshape(shape) / xi
+        a, b = bumps.xlo[r] / xi, bumps.xhi[r] / xi
     neg = np.signbit(xi)
-    return (np.fmax(bumps.t_lo[r].reshape(shape), np.where(neg, b, a)),
-            np.fmin(bumps.t_hi[r].reshape(shape), np.where(neg, a, b)))
+    return (np.fmax(bumps.t_lo[r], np.where(neg, b, a)),
+            np.fmin(bumps.t_hi[r], np.where(neg, a, b)))
 
 
 def _nodes(a, b, gx, gw):
@@ -227,40 +224,42 @@ class _Bumps:
         x0, t0, wx, wt = np.array([phi.center + phi.halfwidths for phi in phis]).T
         return cls(x0, t0, wx, wt, x0 - wx, x0 + wx, np.maximum(t0 - wt, 0.0), t0 + wt)
 
+
 def _ray_table(sol: DeltaSolution, states):
-    """Rows (c, ku, kv, au, bu, av, bv), one per distinct finite ray x = c t.
+    """Rows (c, ku, kv), one per distinct finite ray x = c t.
 
     A ray is an edge between two segments or a carrier.  On it, (ku, kv)
     is (F - c U) of the segment on its left minus that of the one on its
     right, each side at its edge state: states holds each segment's
     (U at xi_lo, U at xi_hi), from _fan_parts.  A carrier of strength
-    rate t + constant adds rate to a and constant to b of its component.
+    rate t + constant subtracts its rate from k of its component: by parts
+    its term is -rate int phi(c t, t) dt - constant phi(0, 0), and the
+    constant goes to _initial_parts.
     """
     edges = [seg.xi_hi for seg in sol.segments[:-1]]
     rays = sorted({*edges, *(s.speed for s in sol.singular)})
-    table = np.zeros((len(rays), 7))
+    table = np.zeros((len(rays), 3))
     table[:, 0] = rays
     f, g = sol.flux.f, sol.flux.g
     for c, (_, (ul, vl)), ((ur, vr), _) in zip(edges, states, states[1:]):
-        table[rays.index(c), 1:3] += ((f(ul, vl) - f(ur, vr)) - c * (ul - ur),
-                                      (g(ul, vl) - g(ur, vr)) - c * (vl - vr))
+        table[rays.index(c), 1:] += ((f(ul, vl) - f(ur, vr)) - c * (ul - ur),
+                                     (g(ul, vl) - g(ur, vr)) - c * (vl - vr))
     for s in sol.singular:
-        col = 3 if s.component == "u" else 5
-        table[rays.index(s.speed), col:col + 2] += (s.rate, s.constant)
+        table[rays.index(s.speed), 1 if s.component == "u" else 2] -= s.rate
     return table
 
 
 def _fan_parts(sol: DeltaSolution, bumps: _Bumps, gx, gw):
-    """(parts, states): the (bump, u part, v part) of the rarefaction rows,
-    and each segment's edge states (U at xi_lo, U at xi_hi).
+    """(parts, states): the (bump, xi, u weight, v weight) entries of the
+    rarefaction rows, and each segment's edge states (U at xi_lo, U at xi_hi).
 
     By Green's identity a wedge is its edge rays' integrals of phi (F - c U)
     minus int int phi D dxi dt in ray coordinates x = xi t, where
     U_t + F_x = D/t, dx dt = t dxi dt and D = (A(U) - xi) U' with
     A = [[u, v], [v, u - 1]].  A row is one rarefaction segment's rays
     between the smallest and the largest corner slope x/t of one bump's
-    support: n nodes in xi, each weighted by m0 = int phi dt (_m0).  One
-    ray inverse per segment samples every row's nodes and both edge rays.
+    support, with n nodes in xi, each an entry of weight -w_xi D.  One ray
+    inverse per segment samples every row's nodes and both edge rays.
     U' is closed in t = s - 1: family 2 has u' = (t + 1)/(2t + 1) and
     v v' = t u'/2, family 1 u' = (t + 1)/(2t + 3) and v v' = -(t + 2) u'/2;
     v' = (v v')/v, and (u - 1 - xi) v' is 0 where v = 0.  D vanishes on a
@@ -271,7 +270,6 @@ def _fan_parts(sol: DeltaSolution, bumps: _Bumps, gx, gw):
     with np.errstate(divide="ignore", invalid="ignore"):
         lo = np.fmin(bumps.xlo / bumps.t_lo, bumps.xlo / bumps.t_hi)[live]
         hi = np.fmax(bumps.xhi / bumps.t_lo, bumps.xhi / bumps.t_hi)[live]
-    tx, tw = _gl(min(len(gx), _RAY_EXACT))
     parts, states = [], []
     for seg in sol.segments:
         if isinstance(seg, ConstantSegment):
@@ -279,34 +277,49 @@ def _fan_parts(sol: DeltaSolution, bumps: _Bumps, gx, gw):
             continue
         xa, xb = np.maximum(lo, seg.xi_lo), np.minimum(hi, seg.xi_hi)
         hit = xa < xb
-        r = live[hit]
-        XI, WXI = _nodes(xa[hit], xb[hit], gx, gw)
-        u, v, t = _rarefaction_uv(seg, np.append(XI, (seg.xi_lo, seg.xi_hi)))
+        xi, wxi = (a.ravel() for a in _nodes(xa[hit], xb[hit], gx, gw))
+        u, v, t = _rarefaction_uv(seg, np.append(xi, (seg.xi_lo, seg.xi_hi)))
         states.append(tuple(zip(u[-2:].tolist(), v[-2:].tolist())))
-        u, v, t = (a[:-2].reshape(XI.shape) for a in (u, v, t))
-        ta, tb = _ray_times(bumps, r, XI)
-        if np.any(tb - ta < -1e-12 * (1.0 + np.abs(tb))):
-            raise QuadratureFailure("support times inverted on a ray")
-        w = np.empty_like(XI)
-        for k in _slices(len(r), len(gx) * len(tx)):
-            w[k] = _m0(bumps, r[k], XI[k], ta[k], tb[k], tx, tw)
-        w *= WXI
+        u, v, t = u[:-2], v[:-2], t[:-2]
         fast = seg.family == 2
         du = (t + 1.0) / (2.0 * t + (1.0 if fast else 3.0))
         vdv = (0.5 * t if fast else -0.5 * (t + 2.0)) * du
         dv = np.divide(vdv, v, out=np.zeros_like(v), where=v != 0.0)
-        parts.append((r, -(w * ((u - XI) * du + vdv)).sum(-1),
-                      -(w * (v * du + (u - 1.0 - XI) * dv)).sum(-1)))
+        parts.append((np.repeat(live[hit], len(gx)), xi,
+                      -wxi * ((u - xi) * du + vdv), -wxi * (v * du + (u - 1.0 - xi) * dv)))
     return parts, states
 
 
+def _line_parts(bumps: _Bumps, entries, n: int):
+    """(bump, u part, v part) of the ray entries (bump, xi, u weight,
+    v weight), the fan's first and the ray table's last: the weights times
+    m0 = int phi(xi t, t) dt where the ray lies inside the support, by
+    min(n, 2p + 1) nodes in t.  Entries that miss it are dropped; a fan
+    node whose support times are inverted beyond rounding raises
+    QuadratureFailure.
+    """
+    b, xi, wu, wv = (np.concatenate(col) for col in zip(*entries))
+    ta, tb = _ray_times(bumps, b, xi)
+    fan = slice(len(b) - len(entries[-1][0]))
+    if np.any(tb[fan] - ta[fan] < -1e-12 * (1.0 + np.abs(tb[fan]))):
+        raise QuadratureFailure("support times inverted on a ray")
+    keep = ta < tb
+    b, xi, wu, wv, ta, tb = (a[keep] for a in (b, xi, wu, wv, ta, tb))
+    tx, tw = _gl(min(n, _RAY_EXACT))
+    m0 = np.empty_like(xi)
+    for k in _slices(len(b), len(tx)):
+        m0[k] = _m0(bumps, b[k], xi[k], ta[k], tb[k], tx, tw)
+    return b, m0 * wu, m0 * wv
+
+
 def _m0(bumps: _Bumps, r, xi, ta, tb, gx, gw):
-    """m0 = int phi(xi t, t) dt over [ta, tb] of bump rows r, by value alone:
+    """m0 = int phi(xi t, t) dt over [ta, tb] of bumps r, by value alone:
     on the abscissae g, t = mid + half g, so s_x = (xi t - x0)/wx and
     s_t = (t - t0)/wt are affine in g, and phi = (max(1 - s_x^2, 0)
-    max(1 - s_t^2, 0))^p takes its power by squaring."""
+    max(1 - s_t^2, 0))^p takes its power by squaring.  Each entry's sum
+    runs along its own row, so it does not depend on the others."""
     mid, half = 0.5 * (ta + tb), 0.5 * (tb - ta)
-    x0, wx, t0, wt = (col[r, None] for col in (bumps.x0, bumps.wx, bumps.t0, bumps.wt))
+    x0, wx, t0, wt = (col[r] for col in (bumps.x0, bumps.wx, bumps.t0, bumps.wt))
     y = _hat((xi * mid - x0) / wx, xi * half / wx, gx)
     y *= _hat((mid - t0) / wt, half / wt, gx)
     z, p = None, BUMP_EXPONENT
@@ -316,7 +329,7 @@ def _m0(bumps: _Bumps, r, xi, ta, tb, gx, gw):
         p >>= 1
         if p:
             y = y * y
-    return half * (z @ gw)
+    return half * (z * gw).sum(-1)
 
 
 def _hat(a, b, g):
@@ -325,37 +338,21 @@ def _hat(a, b, g):
     return np.maximum(np.subtract(1.0, s, out=s), 0.0, out=s)
 
 
-def _ray_parts(bumps: _Bumps, table, n: int):
-    """(bump, u part, v part) of the ray rows, per chunk of rows.
-
-    A row is one ray of the table on [ta, tb], the times where it lies
-    inside one bump's support, when ta < tb.  It takes min(n, 2p + 1)
-    nodes in t and three moments on its ray: the integrals of phi, of
-    d = phi_t + c phi_x and of t d.
-    """
-    count = len(bumps.x0)
-    ta, tb = _ray_times(bumps, np.arange(count), np.broadcast_to(table[:, 0], (count, len(table))))
-    b, j = np.nonzero(ta < tb)
-    ta, tb = ta[b, j], tb[b, j]
-    m = min(n, _RAY_EXACT)
-    for k in _slices(len(b), m):
-        r = b[k]
-        c, ku, kv, au, bu, av, bv = table[j[k]].T
-        T, TW = _nodes(ta[k], tb[k], *_gl(m))
-        bx, dbx = _bump((c[:, None] * T - bumps.x0[r, None]) / bumps.wx[r, None], slope=True)
-        bt, dbt = _bump((T - bumps.t0[r, None]) / bumps.wt[r, None], slope=True)
-        d = TW * (bx * dbt / bumps.wt[r, None] + c[:, None] * bt * dbx / bumps.wx[r, None])
-        phi, d0, d1 = (TW * bx * bt).sum(-1), d.sum(-1), (T * d).sum(-1)
-        yield r, ku * phi + au * d1 + bu * d0, kv * phi + av * d1 + bv * d0
-
-
 def _initial_parts(sol: DeltaSolution, bumps: _Bumps, gx, gw):
     """(bump, u part, v part) of the initial-data rows, per chunk of rows.
 
-    A row is a support reaching t = 0, split at x = 0, with the data state
-    there minus the outer segment's state.  None is built where the two are
-    exactly equal, and no array at all when they are on both sides.
+    The carriers' constants, a Dirac mass at the origin, take -phi(0, 0)
+    times their sum per component, one row per support holding it, unless
+    both sums are 0.  Then a row is a support reaching t = 0, split at
+    x = 0, with the data state there minus the outer segment's state; none
+    is built where the two are equal, no array when they are on both sides.
     """
+    cu = math.fsum(s.constant for s in sol.singular if s.component == "u")
+    cv = math.fsum(s.constant for s in sol.singular if s.component == "v")
+    if cu or cv:
+        phi = _bump(-bumps.x0 / bumps.wx) * _bump(-bumps.t0 / bumps.wt)
+        b = np.flatnonzero(phi)  # the supports that hold the origin
+        yield b, -cu * phi[b], -cv * phi[b]
     data, lo, hi = sol.initial, sol.segments[0].state, sol.segments[-1].state
     if (lo, hi) == (data.left, data.right):
         return
@@ -390,34 +387,35 @@ def weak_residual(sol: DeltaSolution, phis, *, nodes: int = 32) -> list[tuple[fl
     and that of the v equation likewise with (v, g).  In a wedge
     c1 t < x < c2 t where U is smooth, Green's identity gives its integral
     as int phi(c2 t, t)(F - c2 U) dt - int phi(c1 t, t)(F - c1 U) dt, with
-    U at each edge, minus int int phi (U_t + F_x) dx dt; for the two outer
-    wedges also -U int phi(x, 0) dx over their side of x = 0.  In a
-    constant wedge the last integral is 0.  So the terms are integrated in
-    three tables, built with array operations across bumps:
+    U at each edge, minus int int phi (U_t + F_x) dx dt (0 in a constant
+    wedge); for the two outer wedges also -U int phi(x, 0) dx over their
+    side of x = 0.  A carrier's integrand is beta(t) d/dt phi(c t, t) with
+    beta = rate t + constant, by parts -rate int phi(c t, t) dt minus
+    constant phi(0, 0).  So no derivative of phi is taken: but for the rows
+    at t = 0, each term is a weight times m0 = int phi(xi t, t) dt along a
+    ray inside the support, all by one value-only kernel (_line_parts):
 
-    - fan: one row per (bump, rarefaction segment) integrates -m0 D,
-      D = (A(U) - xi) U', over the segment's rays inside the support in
-      ray coordinates, m0 = int phi dt from the bump's value alone (see
-      _fan_parts).  One ray inverse per segment takes all its rows'
-      xi-nodes and its two edge states, which the ray table reuses.
-    - ray: one row per (bump, ray x = c t) over the times where the ray
-      lies inside the support, an edge between segments or a Dirac
-      carrier.  It integrates k phi with k = (F - c U) of the segment on
-      its left minus that of the one on its right, each at its edge state,
-      plus each carrier's beta(t) (phi_t + c phi_x).
-    - initial data: one row per (bump, side of x = 0) when the support
-      reaches t = 0, integrating (u_0 - U) phi(x, 0) with U the state of
-      the outer wedge on that side, unless that difference is exactly zero.
+    - fan: each of the n nodes in xi of a (bump, rarefaction segment) row
+      weighs -w_xi D, D = (A(U) - xi) U' (_fan_parts).  One ray inverse per
+      segment takes all its rows' nodes and its two edge states.
+    - ray: each (bump, ray x = c t) pair, an edge between segments or a
+      carrier, weighs k = (F - c U) of the segment on its left minus that
+      of the one on its right, each at its edge state, minus the rate of
+      each carrier on it: the delta-shock jump condition.
+    - t = 0: one row per (bump, side of x = 0) when the support reaches
+      t = 0 integrates (u_0 - U) phi(x, 0), U the outer wedge's state on
+      that side, unless that difference is exactly zero; one row per bump
+      whose support holds the origin takes the carriers' constants.
 
     `nodes` = n is the Gauss-Legendre count in xi on each fan row and in x
-    on each initial-data row.  Along a ray, fan or edge, the integrand is
-    a polynomial of degree at most 4p in t for p = BUMP_EXPONENT, so
-    min(n, 2p + 1) nodes in t integrate it exactly once n >= 2p + 1.
+    on each initial-data row.  Along a ray the integrand is a polynomial
+    of degree at most 4p in t for p = BUMP_EXPONENT, so min(n, 2p + 1)
+    nodes in t integrate it exactly once n >= 2p + 1; on a correct
+    solution every weight vanishes, so any n reads the rounding floor.
 
-    Each table's kernels run in slices of at most _CHUNK_POINTS points
-    (n per fan row for its ray inverse and D).  Each row gives one partial
-    sum, and each bump's partial sums are added by math.fsum, so a bump's
-    residual depends neither on row order nor on the other bumps.
+    The kernels run in slices of at most _CHUNK_POINTS points (n per fan
+    row for its ray inverse and D).  math.fsum adds each bump's parts, so
+    its residual depends neither on their order nor on the other bumps.
 
     `nodes` must be an integer >= 1 and not a bool, else PreconditionError.
     """
@@ -428,10 +426,11 @@ def weak_residual(sol: DeltaSolution, phis, *, nodes: int = 32) -> list[tuple[fl
         return []
     gx, gw = _gl(nodes)
     bumps = _Bumps.of(phis)
-    parts, states = _fan_parts(sol, bumps, gx, gw)
-    parts += [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))]
-    parts += _ray_parts(bumps, _ray_table(sol, states), nodes)
-    parts += _initial_parts(sol, bumps, gx, gw)
+    entries, states = _fan_parts(sol, bumps, gx, gw)
+    table = _ray_table(sol, states)
+    entries.append((np.repeat(np.arange(len(phis)), len(table)),
+                    *np.tile(table, (len(phis), 1)).T))
+    parts = [_line_parts(bumps, entries, nodes), *_initial_parts(sol, bumps, gx, gw)]
 
     b, pu, pv = (np.concatenate(col) for col in zip(*parts))
     order = np.argsort(b, kind="stable")
