@@ -6,17 +6,16 @@ on an x-grid at fixed time, plus a sidecar listing the Dirac carriers),
 verify (property suite report), fv-compare (finite-volume refinement
 table).  Outputs land in --out, the BRIODELTA_OUT directory, or the
 working directory, with fixed file names so reruns are byte-identical.
-Every JSON output (solution.json, singular.json, report.json) comes from one
-writer, _json_text, whose text is byte for byte that of json.dumps with an
-indent of 2; CSV values are written as %.17g.  solution.json and report.json
+Every JSON output's text is byte for byte that of json.dumps with an indent
+of 2: solution.json's is its fixed layout filled in one % format
+(_solution_text), singular.json's and report.json's come from one writer,
+_json_text.  CSV values are written as %.17g.  solution.json and report.json
 match their packaged schemas by construction (solution_to_dict and
-property_suite fix every type and enum), so nothing is checked at write time;
-the tests validate every such document the CLI writes against its schema.
-Every output's full text is built before its file is opened, so a document
-that cannot be encoded leaves an existing file alone.  An existing output is
-rewritten in place: opened without truncation, written, then cut at the end
-of the new text.  The write is not atomic: an interrupted call can leave a
-partial file.
+property_suite fix every type and enum); the tests check every such document
+the CLI writes.  Each output's text is built before its file is opened, so a
+document that cannot be encoded leaves an existing file alone.  An existing
+output is overwritten in place through a raw descriptor and cut at the end of
+the new text; the write is not atomic, so an interruption can leave it partial.
 
 --config FILE holds a JSON object keyed by option (x_min for --x-min) whose
 values win over flags, with a warning.  Each value is read by its option's
@@ -123,11 +122,6 @@ def _out_dir(args: argparse.Namespace) -> str:
     return out
 
 
-def _open_in_place(path: str, flags: int) -> int:
-    """os.open for open(): create if missing, but never truncate on open."""
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
-
-
 def _rewrite(path: str, text: str) -> None:
     """Write text as UTF-8 over the file at path, then cut the file at its end.
 
@@ -135,9 +129,15 @@ def _rewrite(path: str, text: str) -> None:
     on ext4 a truncate to zero makes the following close flush the file to
     disk (auto_da_alloc), which costs far more than the write itself.
     """
-    with open(path, "wb", opener=_open_in_place) as f:
-        f.write(text.encode("utf-8"))
-        f.truncate()
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        n = os.write(fd, data)
+        while n < len(data):
+            n += os.write(fd, data[n:])
+        os.ftruncate(fd, n)
+    finally:
+        os.close(fd)
 
 
 _FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -199,6 +199,32 @@ def _dump_json(path: str, doc: dict) -> None:
     _rewrite(path, _json_text(doc) + "\n")
 
 
+# solution.json as solution_to_dict lays it out, as % formats: the document
+# with a %s for each of its two lists (and %%s for each leaf), and the list
+# items by segment kind (None: a carrier), indented as items, a %s per leaf.
+_UV = dict.fromkeys("uv")
+_SOLUTION_LAYOUT = _json_text({"initial": {"left": _UV, "right": _UV}, "regular": "|",
+                               "singular": "|", "options": {"flip_speed": None}}
+                              ).replace("null", "%%s").replace('"|"', "%s")
+_ITEM_LAYOUT = {kind: _json_text(dict.fromkeys(keys) | states).replace("\n", "\n    ")
+                .replace("null", "%s") for kind, keys, states in (
+    ("constant", ("xi_lo", "xi_hi", "kind"), {"state": _UV}),
+    ("rarefaction", ("xi_lo", "xi_hi", "kind", "family", "v_sign"), {"left": _UV, "right": _UV}),
+    (None, ("speed", "rate", "constant", "component"), {}))}
+
+
+def _solution_text(doc: dict) -> str:
+    """_json_text(doc) for a solution_to_dict document: its layout in one % format
+    over its leaves, the values of its innermost dicts in key order."""
+    leaves = [x for part in doc.values() for item in (part if type(part) is list else (part,))
+              for v in item.values() for x in (v.values() if type(v) is dict else (v,))]
+    layout = _SOLUTION_LAYOUT % tuple(
+        "[\n    " + ",\n    ".join([_ITEM_LAYOUT[item.get("kind")] for item in doc[name]])
+        + "\n  ]" if doc[name] else "[]" for name in ("regular", "singular"))
+    return layout % tuple([_FLOAT_NAMES.get(t := float.__repr__(o), t) if type(o) is float
+                           else _json_text(o) for o in leaves])
+
+
 def _write_csv(path: str, header, rows) -> None:
     """Write a CSV table: header names, then rows of floats as %.17g.
 
@@ -224,7 +250,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     data = _riemann_data(args)
     doc = solution_to_dict(solve_brio(data, flip_speed=args.flip_speed or "rh"))
     path = os.path.join(_out_dir(args), "solution.json")
-    _dump_json(path, doc)
+    _rewrite(path, _solution_text(doc) + "\n")
     print(path)
     return 0
 
@@ -389,26 +415,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 # One parser per process: parse_args keeps nothing between calls.
 _PARSER = build_parser()
-# Subcommand -> its option strings that take a value, from its own actions.
-_VALUE_OPTIONS = {
-    name: frozenset(opt for a in sub._actions if a.nargs != 0 for opt in a.option_strings)
-    for action in _PARSER._actions if isinstance(action, argparse._SubParsersAction)
-    for name, sub in action.choices.items()
-}
+# Subcommand -> its own parser, which _PARSER hands the rest of argv to.
+_SUBPARSERS = next(a for a in _PARSER._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
-def _attach_values(argv: list[str]) -> list[str]:
-    """Rewrite `--x-min -1e-3` as `--x-min=-1e-3` for every option of the subcommand
-    that takes a value.
+def _attach_values(argv: list[str], sub: argparse.ArgumentParser) -> list[str]:
+    """Rewrite `--x-min -1e-3` as `--x-min=-1e-3` for each option of sub that takes a value.
 
     argparse reads a token such as -1,2, -1e-3 or -inf as an option, not as
     the value of the option before it, so such a value parses only in the
     `=` form.  A token starting with `--` stays an option.
     """
-    options = _VALUE_OPTIONS.get(argv[0], frozenset()) if argv else frozenset()
+    options = sub._option_string_actions
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in options and not token.startswith("--"):
+        if out and out[-1] in options and options[out[-1]].nargs != 0 \
+                and not token.startswith("--"):
             out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)
@@ -417,8 +439,15 @@ def _attach_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    sub = _SUBPARSERS.get(argv[0]) if argv else None
     try:
-        args = _PARSER.parse_args(_attach_values(argv))
+        if sub is None:
+            args = _PARSER.parse_args(argv)
+        else:  # _PARSER's namespace and usage errors, at the cost of sub alone
+            args, extras = sub.parse_known_args(_attach_values(argv[1:], sub),
+                                                argparse.Namespace(subcommand=argv[0]))
+            if extras:
+                _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
         _apply_config(args)
         return args.handler(args)
     except SystemExit as e:  # --help

@@ -59,7 +59,7 @@ from .wave_curves import (
 
 TOL_ROOT = 1e-12
 TOL_LAX = 1e-10
-# The bracket's ends move at most 2**_REACH past the starting interval.
+# The bracket's ends move at most 2**_REACH (1 + max |u|) past the starting interval.
 _REACH = 40
 # The polish stops once the bracket is narrower than _XTOL + _RTOL |u|:
 # 1e-14 plus four units of roundoff in u.  Where phi is flat to
@@ -117,8 +117,8 @@ def solve_middle(left: TransState, right: TransState) -> TransState:
 
     The root is bracketed starting from [min(u_L, u_R), max(u_L, u_R)].  An
     end is widened only while phi has the wrong sign there, by 1, 2, 4, ...
-    up to 2**40 past its start.  A polished root whose curve residual
-    exceeds TOL_ROOT (1 + |q|) raises BracketFailure.
+    up to 2**40 (1 + max(|u_L|, |u_R|)) past its start.  A polished root
+    whose curve residual exceeds TOL_ROOT (1 + |q|) raises BracketFailure.
     """
     if _states_coincide(left, right):
         return left
@@ -135,14 +135,15 @@ def solve_middle(left: TransState, right: TransState) -> TransState:
         return q1 - q2
 
     lo0, hi0 = (min(left.u, right.u), max(left.u, right.u))
+    scale = 1.0 + max(abs(left.u), abs(right.u))
     lo, hi = lo0, hi0
     phi_lo, phi_hi = phi(lo), phi(hi)
     k = 0
     while not phi_lo >= 0.0 >= phi_hi:
-        if k > _REACH:
+        if 2.0 ** k > 2.0 ** _REACH * scale:
             raise BracketFailure(
                 f"no sign change of the curve difference between {left} and {right} "
-                f"within 2**{_REACH} of the starting interval [{lo0!r}, {hi0!r}]"
+                f"within 2**{_REACH} * {scale!r} of the starting interval [{lo0!r}, {hi0!r}]"
             )
         if phi_lo < 0.0:
             lo = lo0 - 2.0 ** k

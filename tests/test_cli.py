@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import ast
+import copy
 import csv
+import functools
 import importlib.resources
 import io
 import json
 import math
+import operator
 import os
 import random
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from http import HTTPStatus
 from pathlib import Path
 
@@ -22,11 +26,11 @@ import pytest
 
 from briodelta import cli, verify
 from briodelta.cli import ENV_OUT, main
-from briodelta.core import BrioState, RiemannData, TransState
+from briodelta.core import BrioState, RiemannData, TransState, lift
 from briodelta.delta import solution_to_dict, solve_brio
 from briodelta.errors import BrioError
 from briodelta.verify import property_suite
-from briodelta.wave_curves import shock_q_1
+from briodelta.wave_curves import forward_curve_1, shock_q_1
 
 
 def _schema(name: str) -> dict:
@@ -430,6 +434,82 @@ def test_parser_is_built_once(tmp_path, capsys, monkeypatch):
     assert cli._PARSER.parse_args(["solve"]).flip_speed is None
 
 
+# argparse's wording moves between Python versions; these literals are 3.11's.
+_ARGPARSE_TEXT_PINNED = sys.version_info[:2] == (3, 11)
+_TOP_HELP = """\
+usage: briodelta [-h] {solve,curves,sample,verify,fv-compare} ...
+
+Exact delta-shock Riemann solver for a 2x2 model system
+
+positional arguments:
+  {solve,curves,sample,verify,fv-compare}
+    solve               write the delta-solution JSON
+    curves              tabulate wave curves from a base state
+    sample              sample the regular part on an x-grid
+    verify              run the property suite
+    fv-compare          finite-volume refinement table
+
+options:
+  -h, --help            show this help message and exit
+"""
+_SOLVE_HELP = """\
+usage: briodelta solve [-h] [--left LEFT] [--right RIGHT]
+                       [--flip-speed {rh,paper}] [--config CONFIG] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --left LEFT           left state as u,v
+  --right RIGHT         right state as u,v
+  --flip-speed {rh,paper}
+  --config CONFIG       JSON config file; its keys override command-line
+                        options (a warning is printed)
+  --out OUT             output directory (default: $BRIODELTA_OUT or the
+                        working directory)
+"""
+
+
+def _usage_error(message: str) -> tuple[int, str, str]:
+    return 1, "", json.dumps({"error": "PreconditionError", "message": message}) + "\n"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ((), _usage_error("briodelta: the following arguments are required: subcommand")),
+    (("bogus",), _usage_error(
+        "briodelta: argument subcommand: invalid choice: 'bogus' "
+        "(choose from 'solve', 'curves', 'sample', 'verify', 'fv-compare')")),
+    (("--help",), (0, _TOP_HELP, "")),
+    (("solve", "--help"), (0, _SOLVE_HELP, "")),
+    (("solve", *_DATA, "extra", "more"),
+     _usage_error("briodelta: unrecognized arguments: extra more")),
+    (("solve", "--frob"), _usage_error("briodelta: unrecognized arguments: --frob")),
+    (("solve", *_DATA, "--flip-speed", "sideways"), _usage_error(
+        "briodelta solve: argument --flip-speed: invalid choice: 'sideways' "
+        "(choose from 'rh', 'paper')")),
+    (("solve", "--left"), _usage_error("briodelta solve: argument --left: expected one argument")),
+    (("solve", "--left", "--right", "1,1"),
+     _usage_error("briodelta solve: argument --left: expected one argument")),
+    (("sample", *_DATA, "--x-m", "1"), _usage_error(
+        "briodelta sample: ambiguous option: --x-m could match --x-min, --x-max")),
+    (("verify", "--seed", "x"),
+     _usage_error("briodelta verify: argument --seed: invalid int value: 'x'")),
+    # An unambiguous abbreviation is not an error.
+    (("solve", *_DATA, "--flip", "paper"), (0, "{out}/solution.json\n", "")),
+])
+def test_usage_errors_are_pinned_at_both_parser_levels(tmp_path, capsys, monkeypatch, argv,
+                                                       expected):
+    # main parses a subcommand's arguments with that subcommand's parser; the
+    # bytes are those of the one top-level parser, which parses everything
+    # once no subcommand is known to main.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv(ENV_OUT, str(tmp_path))
+    got = _run(capsys, *argv)
+    if _ARGPARSE_TEXT_PINNED:
+        code, out, err = expected
+        assert got == (code, out.replace("{out}", str(tmp_path)), err)
+    monkeypatch.setattr(cli, "_SUBPARSERS", {})
+    assert _run(capsys, *argv) == got
+
+
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:
     """Run a fresh interpreter that imports briodelta from this source tree."""
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -512,6 +592,65 @@ def test_failed_write_leaves_existing_file_alone(tmp_path, capsys):
     with pytest.raises(TypeError):
         cli._dump_json(str(path), {"x": object()})
     assert path.read_bytes() == kept
+
+
+def test_rewrite_cuts_the_old_tail_and_creates_under_the_umask(tmp_path):
+    path = tmp_path / "out.txt"
+    umask = os.umask(0o027)
+    try:
+        cli._rewrite(str(path), "a longer first text\n")
+    finally:
+        os.umask(umask)
+    assert path.stat().st_mode & 0o777 == 0o640
+    assert path.read_bytes() == b"a longer first text\n"
+    # A rewrite keeps the file's mode and ends where its text ends.
+    path.chmod(0o600)
+    for text in ("caf\u00e9 \U0001f600", "short", ""):
+        cli._rewrite(str(path), text)
+        assert path.read_bytes() == text.encode("utf-8")
+    assert path.stat().st_mode & 0o777 == 0o600
+
+
+def test_rewrite_of_a_directory_raises_and_writes_nothing(tmp_path):
+    target = tmp_path / "solution.json"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError):
+        cli._rewrite(str(target), "{}\n")
+    assert list(target.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_rewrite_writes_every_byte_of_partial_writes(tmp_path, monkeypatch):
+    write, counts = os.write, []
+
+    def partial(fd, data):
+        counts.append(len(data))
+        return write(fd, bytes(data[:7]))
+
+    monkeypatch.setattr(os, "write", partial)
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"x" * 100)
+    text = "0123456789" * 5 + "\u00e9"
+    cli._rewrite(str(path), text)
+    assert path.read_bytes() == text.encode("utf-8")
+    assert counts == list(range(52, 0, -7))
+
+
+def test_rewrite_closes_its_descriptor_when_a_write_fails(tmp_path, monkeypatch):
+    close, closed = os.close, []
+
+    def failing(fd, data):
+        raise OSError(28, "No space left on device")
+
+    def recording(fd):
+        closed.append(fd)
+        close(fd)
+
+    monkeypatch.setattr(os, "write", failing)
+    monkeypatch.setattr(os, "close", recording)
+    with pytest.raises(OSError, match="No space"):
+        cli._rewrite(str(tmp_path / "out.txt"), "text")
+    assert len(closed) == 1
 
 
 def test_cli_prints_only_paths_and_leaks_no_file(tmp_path):
@@ -618,6 +757,64 @@ def test_json_writer_matches_json_dumps_on_real_documents(tmp_path, capsys):
 def test_json_writer_refuses_what_no_document_holds(doc):
     with pytest.raises(TypeError):
         cli._json_text(doc)
+
+
+def _solutions_of_every_shape() -> dict:
+    """One solution per shape (region, v-flip, wave count) and flip_speed:
+    regions I-IV from seeded raw draws, and degenerate fans of no wave and of
+    one wave (data on the left state's own family-1 curves), each with and
+    without a v-flip."""
+    left = BrioState(1.0, 3.0)
+    pairs = [(left, left), (BrioState(0.5, 1.0), BrioState(0.5, -1.0))]
+    for u, q in ((2.0, forward_curve_1(lift(left)).q(2.0)), (0.7, shock_q_1(lift(left), 0.7))):
+        v = math.sqrt(2.0 * q - u * u)
+        pairs += [(left, BrioState(u, v)), (left, BrioState(u, -v))]
+    rng = np.random.default_rng(31)
+    pairs += [(BrioState(ul, vl), BrioState(ur, vr)) for ul, vl, ur, vr in
+              rng.uniform((-2, -3, -2, -3), (3, 3, 3, 3), size=(80, 4)).tolist()]
+    shapes = {}
+    for l, r in pairs:
+        for flip_speed in ("rh", "paper"):
+            try:
+                sol = solve_brio(RiemannData(l, r), flip_speed=flip_speed)
+            except BrioError:
+                continue
+            key = (sol.region.value, l.v * r.v < 0.0, len(sol.fan.waves), flip_speed)
+            shapes.setdefault(key, sol)
+    regions = {(region, flip, 2) for region in ("I", "II", "III", "IV") for flip in (False, True)}
+    degenerate = {("Degenerate", flip, n) for flip in (False, True) for n in (0, 1)}
+    assert {key[:3] for key in shapes} >= regions | degenerate
+    return shapes
+
+
+def _leaf_paths(o, path=()):
+    """Paths to o's float and None leaves."""
+    if isinstance(o, (dict, list)):
+        for key, value in (o.items() if isinstance(o, dict) else enumerate(o)):
+            yield from _leaf_paths(value, path + (key,))
+    elif o is None or type(o) is float:
+        yield path
+
+
+def test_solution_layout_matches_json_dumps_on_every_shape():
+    for sol in _solutions_of_every_shape().values():
+        # flip_speed None is a solution built without options.
+        for options in (sol.options, {}, {"flip_speed": -0.25}):
+            doc = solution_to_dict(replace(sol, options=options))
+            assert cli._solution_text(doc) == json.dumps(doc, indent=2)
+
+
+def test_solution_layout_keeps_odd_floats_in_every_slot():
+    odd_floats = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16)
+    for sol in _solutions_of_every_shape().values():
+        doc = solution_to_dict(sol)
+        paths = list(_leaf_paths(doc))
+        assert len(paths) >= 5
+        for path in paths:
+            for x in odd_floats:
+                odd = copy.deepcopy(doc)
+                functools.reduce(operator.getitem, path[:-1], odd)[path[-1]] = x
+                assert cli._solution_text(odd) == json.dumps(odd, indent=2), (path, x)
 
 
 def _csv_oracle(text: str) -> str:
