@@ -272,19 +272,18 @@ def sample_brio(sol: DeltaSolution, x: float, t: float):
 def sample_brio_many(sol: DeltaSolution, xi) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized regular-part sampling: arrays (u, v) over ray slopes."""
     xi = np.asarray(xi, dtype=float)
-    u = np.empty_like(xi)
-    v = np.empty_like(xi)
-    edges = np.asarray([seg.xi_hi for seg in sol.segments[:-1]])
-    idx = np.searchsorted(edges, xi, side="right")
+    if xi.ndim == 0:
+        return tuple(a.reshape(()) for a in sample_brio_many(sol, xi.reshape(1)))
+    idx = np.searchsorted(np.array([seg.xi_hi for seg in sol.segments[:-1]]), xi, side="right")
+    # Every slot takes a constant state, a rarefaction's then its rays.
+    states = [seg.state if isinstance(seg, ConstantSegment) else seg.left for seg in sol.segments]
+    u = np.array([s.u for s in states])[idx]
+    v = np.array([s.v for s in states])[idx]
     for i, seg in enumerate(sol.segments):
-        m = idx == i
-        if not m.any():
-            continue
-        if isinstance(seg, ConstantSegment):
-            u[m] = seg.state.u
-            v[m] = seg.state.v
-        else:
-            u[m], v[m], _ = _rarefaction_uv(seg, xi[m])
+        if isinstance(seg, RarefactionSegment):
+            m = idx == i
+            if m.any():
+                u[m], v[m], _ = _rarefaction_uv(seg, xi[m])
     return u, v
 
 

@@ -5,8 +5,8 @@ through the left state with the composite inverse family-2 curve through the
 right state.  Their difference phi(u) = f1(u) - b2(u) falls monotonically, so
 its one root is bracketed from the data: the interval between the two
 velocities, with each end whose sign is wrong pushed outward by 1, 2, 4, ...
-until phi(lo) >= 0 >= phi(hi), then polished by Chandrupatla's bracketed
-method (inverse quadratic interpolation safeguarded by bisection).  The four
+until phi(lo) >= 0 >= phi(hi), then polished by Newton steps on the curves'
+closed-form slopes, safeguarded by bisection.  The four
 sign combinations of (u_M - u_L, u_R - u_M) classify the fan into the four
 shock/rarefaction regions.  A wave exists exactly when u_M differs from the
 data velocity on its side: there is no tie tolerance, since near q = u^2/2 a
@@ -42,6 +42,7 @@ the slack q - u^2/2):
 from __future__ import annotations
 
 import enum
+import math
 import sys
 from dataclasses import dataclass
 
@@ -61,12 +62,10 @@ TOL_ROOT = 1e-12
 TOL_LAX = 1e-10
 # The bracket's ends move at most 2**_REACH (1 + max |u|) past the starting interval.
 _REACH = 40
-# The polish stops once the bracket is narrower than _XTOL + _RTOL |u|:
-# 1e-14 plus four units of roundoff in u.  Where phi is flat to
-# rounding on one side of the root (a middle state on the critical curve)
-# it needs about 120 steps for the widest bracket, 2**41; _POLISH_STEPS
-# bounds it.
-_XTOL = 1e-14
+# The polish stops at |phi| <= _RTOL (|q1| + |q2|), the rounding floor of
+# phi, or at a step of at most _RTOL |u|, four units of roundoff in u.  Where
+# phi is flat to rounding on one side of the root it bisects, about 110 steps
+# from the widest bracket, 2**41; _POLISH_STEPS bounds it.
 _RTOL = 4.0 * sys.float_info.epsilon
 _POLISH_STEPS = 200
 
@@ -152,7 +151,12 @@ def solve_middle(left: TransState, right: TransState) -> TransState:
             hi = hi0 + 2.0 ** k
             phi_hi = phi(hi)
         k += 1
-    u_m = _polish_root(phi, lo, hi, phi_lo, phi_hi)
+
+    def newton(u: float) -> tuple[float, float, float]:
+        q1, q2 = memo[u] if u in memo else memo.setdefault(u, (f1.q(u), b2.q(u)))
+        return q1 - q2, f1.slope(u, q1) - b2.slope(u, q2), _RTOL * (abs(q1) + abs(q2))
+
+    u_m = _polish_root(newton, lo, hi, phi_lo, phi_hi)
 
     # First-touch refinement: when the family-1 rarefaction has been
     # continued along the critical curve and the root landed on that flat
@@ -173,45 +177,39 @@ def solve_middle(left: TransState, right: TransState) -> TransState:
 
 
 def _polish_root(f, a: float, b: float, fa: float, fb: float) -> float:
-    """Root of f in the bracket [a, b], with fa = f(a) and fb = f(b) of opposite signs.
+    """Root of a falling phi in [a, b], fa = phi(a) >= 0 >= fb = phi(b); f(u) = (phi, phi', floor).
 
-    Chandrupatla's method (Adv. Eng. Software 28, 1997): each step tries
-    inverse quadratic interpolation through the bracket ends and the end
-    last dropped, when the three points make it safe, and bisects
-    otherwise; every step lands at least half the tolerance inside the
-    bracket.  It stops once the bracket is narrower than _XTOL + _RTOL |u|
-    and returns the end where |f| is smaller.  Raises BracketFailure after
-    _POLISH_STEPS steps.
+    Safeguarded Newton (rtsafe, Press et al., Numerical Recipes) from the end
+    where |phi| is smaller: it bisects where a step would leave the bracket or
+    phi' >= 0, and doubles a step that stayed on its side and less than halved
+    |phi|, so a slow tail or a stall at rounding level crosses the root.  It
+    stops at |phi| <= floor, at a step of at most _RTOL |u| or when no float
+    lies inside the bracket, returning the last point evaluated, and raises
+    BracketFailure after _POLISH_STEPS steps.
     """
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    t = 0.5
+    x = a if fa <= -fb else b
+    fx, dfx, floor = f(x)
+    grow = 0.0
     for _ in range(_POLISH_STEPS):
-        x = a + t * (b - a)
-        fx = f(x)
-        # Keep [a, b] a bracket with a the newest point; c is the end dropped.
-        if (fx > 0.0) == (fa > 0.0):
-            c, fc = a, fa
+        if abs(fx) <= floor:
+            return x
+        if fx > 0.0:
+            a = x
         else:
-            c, fc = b, fb
-            b, fb = a, fa
-        a, fa = x, fx
-        xm, fm = (a, fa) if abs(fa) < abs(fb) else (b, fb)
-        width = abs(b - a)
-        tol = _XTOL + _RTOL * abs(xm)
-        if fm == 0.0 or width < tol:
-            return xm
-        xi = (a - b) / (c - b)
-        ph = (fa - fb) / (fc - fb)
-        if ph * ph < xi and (1.0 - ph) * (1.0 - ph) < 1.0 - xi:
-            t = (fa / (fb - fa) * fc / (fb - fc)
-                 + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
-        else:
-            t = 0.5
-        tlim = 0.5 * tol / width
-        t = min(1.0 - tlim, max(tlim, t))
+            b = x
+        step = fx / dfx if dfx < 0.0 else math.inf
+        if abs(step) <= _RTOL * abs(x):
+            return x
+        step = grow or step
+        newton = a < x - step < b
+        if not newton:
+            step = x - (a + 0.5 * (b - a))
+            if not a < x - step < b:
+                return x
+        fn, dfn, fl = f(x - step)
+        slow = newton and (fn > 0.0) == (fx > 0.0) and abs(fn) > 0.5 * abs(fx)
+        grow = 2.0 * step if slow else 0.0
+        x, fx, dfx, floor = x - step, fn, dfn, fl
     raise BracketFailure(
         f"middle-state polish did not converge in {_POLISH_STEPS} steps on [{a!r}, {b!r}]")
 
@@ -292,28 +290,21 @@ def sample_fan(fan: WaveFan, xi: float) -> TransState:
 def sample_fan_many(fan: WaveFan, xi) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized sample_fan: arrays (u, q) for an array of ray slopes."""
     xi = np.asarray(xi, dtype=float)
-    u = np.empty_like(xi)
-    q = np.empty_like(xi)
-
-    edges: list[float] = []
-    for w in fan.waves:
-        edges.extend((w.speed_lo, w.speed_hi))
-    idx = np.searchsorted(np.asarray(edges), xi, side="right")
-
-    consts = [fan.left]
-    for w in fan.waves:
-        consts.append(w.right)
-    for region in range(len(fan.waves) + 1):
-        m = idx == 2 * region
-        if m.any():
-            u[m] = consts[region].u
-            q[m] = consts[region].q
+    if xi.ndim == 0:
+        return tuple(a.reshape(()) for a in sample_fan_many(fan, xi.reshape(1)))
+    # Slot 2k is the constant state states[k] (left of wave k, or right of
+    # the last wave); slot 2k + 1, inside wave k, only a rarefaction's rays
+    # reach: it takes states[k], then the rays.
+    edges = np.array([s for w in fan.waves for s in (w.speed_lo, w.speed_hi)])
+    idx = np.searchsorted(edges, xi, side="right")
+    states, k = (fan.left, *(w.right for w in fan.waves)), idx >> 1
+    u = np.array([s.u for s in states])[k]
+    q = np.array([s.q for s in states])[k]
     for widx, w in enumerate(fan.waves):
-        m = idx == 2 * widx + 1
-        if m.any():
-            # inside this wave; shocks have zero-width slots, so this is a
-            # rarefaction interior
-            u[m], q[m], _ = w.curve.ray(xi[m])
+        if w.curve is not None:
+            m = idx == 2 * widx + 1
+            if m.any():
+                u[m], q[m], _ = w.curve.ray(xi[m])
     return u, q
 
 

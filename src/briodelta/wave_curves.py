@@ -90,6 +90,21 @@ def _locus(sign, u0, q0, r0, u, sqrt=math.sqrt):
     return q0 + (u - u0) * c, c
 
 
+def _locus_slope(sign, u0, r0, u: float) -> float:
+    """dq/du = c + (u - u0) c' at a float u on the shock locus of _locus."""
+    root = math.sqrt(_radicand(sign, r0, u0, u))
+    e = u - u0
+    if sign is None:  # radicand r0 - 2e + 4e^2/3
+        return u - 0.5 + 0.5 * root + e * (1.0 + (2.0 * e / 3.0 - 0.5) / root)
+    return u - 0.5 - sign * root + e * (1.0 - sign * (e / 3.0 - 0.25) / root)  # r0 - e/2 + e^2/3
+
+
+def _slack_offset(slack: float) -> float:
+    """t = s - 1 = 8 slack / (1 + sqrt(1 + 8 slack)) of a state's slack, without cancellation."""
+    e = 8.0 * slack  # w - 1
+    return e / (1.0 + math.sqrt(1.0 + e))
+
+
 def _branch(sign, base: TransState, u: float):
     """_locus at a scalar u, which must lie on the locus's side of base.u up to TOL_ZERO."""
     if sign is None and u < base.u - TOL_ZERO:
@@ -286,8 +301,7 @@ def _omega(x):
 
 def _rarefaction_constants(family: int, u: float, slack: float) -> tuple[float, float]:
     """(C, u_star) of the family's rarefaction curve through a state of velocity u and slack."""
-    e = 8.0 * slack  # w - 1 at the base
-    y = e / (1.0 + math.sqrt(1.0 + e))  # s - 1, without cancellation
+    y = _slack_offset(slack)
     if family == 2:
         return (math.inf if y == 0.0 else u - 0.5 * (1.0 + y + math.log(y))), math.inf
     return u + 0.5 * (1.0 + y - math.log(2.0 + y)), u + 0.5 * (y - math.log1p(0.5 * y))
@@ -339,6 +353,14 @@ class Forward1Curve:
             return 0.5 * u * u
         return self._q if u == self._u else _energy(u, _offset(1, self._C, u))
 
+    def slope(self, u: float, q: float) -> float:
+        """dq/du at velocity u from q = self.q(u): the locus slope, lambda_1, or u past u*."""
+        if u < self._u:
+            return _locus_slope(1.0, self._u, self._r, u)
+        if u >= self.u_star:
+            return u
+        return u - 1.0 - 0.5 * _slack_offset(max(q - 0.5 * u * u, 0.0))
+
 
 class Backward2Curve:
     """Everything connected to a fixed right state by one family-2 wave.
@@ -358,6 +380,12 @@ class Backward2Curve:
         if u > self._u:
             return _locus(None, self._u, self._q, self._r, u)[0]
         return self._q if u == self._u else _energy(u, _offset(2, self._C, u))
+
+    def slope(self, u: float, q: float) -> float:
+        """dq/du at velocity u from q = self.q(u): the inverse locus slope or lambda_2."""
+        if u > self._u:
+            return _locus_slope(None, self._u, self._r, u)
+        return u + 0.5 * _slack_offset(max(q - 0.5 * u * u, 0.0))
 
 
 # Composite curve objects, under the names the benchmark's tracer wraps in riemann.

@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from briodelta import RiemannData, TransState, project, verify
+from briodelta import BrioState, RiemannData, TransState, project, verify
 from briodelta.wave_curves import shock_q_1, shock_q_2
 
 
@@ -120,3 +120,60 @@ def mp_rel(a, b, *inputs) -> float:
     """
     scale = max([abs(b), mp.mpf(1)] + [abs(mp.mpf(x)) for x in inputs])
     return float(abs(mp.mpf(a) - b) / scale)
+
+
+def mp_excess_f1(left: TransState, u):
+    """q - u^2/2 on the composite family-1 curve through left, in mpmath.
+
+    Taken as an excess so that the exponentially small gap of a curve
+    running along q = u^2/2 is not lost beside u^2/2.
+    """
+    a, qa = mp.mpf(left.u), mp.mpf(left.q)
+    if u < a:  # shock locus, upper root of the jump-condition quadratic
+        rad = 2 * qa + mp.mpf(1) / 4 + (a - u) / 2 - (2 * a * a + 2 * a * u - u * u) / 3
+        return qa - u * u / 2 - (a - u) * (2 * u - 1) / 2 + (a - u) * mp.sqrt(rad)
+    c = mp_constant(1, left)
+    if u >= c - mp.mpf(1) / 2 + mp.log(2) / 2:  # past the critical-curve crossing
+        return mp.mpf(0)
+    t = mp_offset(1, c, u)
+    return t * (t + 2) / 8
+
+
+def mp_excess_b2(right: TransState, u):
+    """q - u^2/2 on the composite backward family-2 curve through right."""
+    b, qb = mp.mpf(right.u), mp.mpf(right.q)
+    if u > b:  # inverse shock locus
+        rad = 8 * qb + 1 + (4 * u * u - 8 * u * b - 8 * b * b) / 3 - 2 * u + 2 * b
+        return qb - u * u / 2 + (u - b) * (2 * u - 1) / 2 + (u - b) * mp.sqrt(rad) / 2
+    t = mp_offset(2, mp_constant(2, right), u)
+    return t * (t + 2) / 8
+
+
+def sampler_rays(rng, edges):
+    """Ray sets for a sampler with these finite edge speeds.
+
+    Random rays over the edges +-1 mixed with every edge, its float
+    neighbours and +-0.0; the edges and neighbours alone; +-0.0 and each
+    edge as 1-element arrays; -0.0 and the first edge as 0-d arrays.
+    """
+    edges = [float(e) for e in edges]
+    lo, hi = min(edges + [0.0]) - 1.0, max(edges + [0.0]) + 1.0
+    near = [x for e in edges for x in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
+    mixed = np.concatenate([rng.uniform(lo, hi, 40), near, [0.0, -0.0]])
+    rng.shuffle(mixed)
+    return [mixed, np.array(near), np.array([0.0]), np.array([-0.0]), np.asarray(-0.0),
+            *(np.array([e]) for e in edges), *(np.asarray(e) for e in edges[:1])]
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got, want):
+        assert isinstance(a, np.ndarray) and a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+def raw_pool_pairs():
+    """Every ordered pair of a seeded pool of 24 raw (u, v) states: 552 pairs."""
+    rng = np.random.default_rng(24)
+    pool = [BrioState(float(u), float(v))
+            for u, v in zip(rng.uniform(-2.0, 3.0, 24), rng.uniform(-3.0, 3.0, 24))]
+    return [(a, b) for a in pool for b in pool if a is not b]

@@ -23,6 +23,7 @@ from briodelta.delta import (
     ConstantSegment,
     DeltaSolution,
     RarefactionSegment,
+    _rarefaction_uv,
     cardinality,
     generic_delta_shock,
     nonuniqueness_example,
@@ -38,7 +39,15 @@ from briodelta.riemann import Region, build_fan, sample_fan_many
 from briodelta.verify import TOL_WEAK, random_brio_data, solution_battery, weak_residual
 from briodelta.wave_curves import backward_curve_2, forward_curve_1, shock_q_2
 
-from conftest import assert_close, data_scale, max_residual, mp_at_speed
+from conftest import (
+    assert_close,
+    assert_same_bits,
+    data_scale,
+    max_residual,
+    mp_at_speed,
+    raw_pool_pairs,
+    sampler_rays,
+)
 
 EXPECTED_CARDINALITY = {"I": 0, "II": 1, "III": 1, "IV": 2}
 
@@ -322,6 +331,36 @@ def test_sample_brio_many_matches_scalar(fixture_pair):
             st, _ = sample_brio(sol, float(x), 1.0)
             assert abs(u[i] - st.u) <= 1e-12
             assert abs(v[i] - st.v) <= 1e-12
+
+
+def _sample_brio_many_reference(sol, xi):
+    """sample_brio_many filling one mask per segment, as before the one-index fill."""
+    xi = np.asarray(xi, dtype=float)
+    u = np.empty_like(xi)
+    v = np.empty_like(xi)
+    edges = np.asarray([seg.xi_hi for seg in sol.segments[:-1]])
+    idx = np.searchsorted(edges, xi, side="right")
+    for i, seg in enumerate(sol.segments):
+        m = idx == i
+        if not m.any():
+            continue
+        if isinstance(seg, ConstantSegment):
+            u[m] = seg.state.u
+            v[m] = seg.state.v
+        else:
+            u[m], v[m], _ = _rarefaction_uv(seg, xi[m])
+    return u, v
+
+
+def test_sample_brio_many_matches_the_per_segment_fill_bit_for_bit():
+    # Every ordered pair of the seeded raw pool, with v_R flipped in every
+    # other pair (a v-flip, where two constant segments meet), on every ray set.
+    rng = np.random.default_rng(553)
+    for k, (a, b) in enumerate(raw_pool_pairs()):
+        sol = solve_brio(RiemannData(a, BrioState(b.u, -b.v) if k % 2 else b))
+        edges = [x for seg in sol.segments for x in (seg.xi_lo, seg.xi_hi) if math.isfinite(x)]
+        for xi in sampler_rays(rng, edges):
+            assert_same_bits(sample_brio_many(sol, xi), _sample_brio_many_reference(sol, xi))
 
 
 def test_nonuniqueness_example_structure():

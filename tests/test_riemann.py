@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import importlib.resources
+import importlib.util
 import json
 import types
+from pathlib import Path
 
 import jsonschema
 import mpmath as mp
@@ -46,9 +48,22 @@ from briodelta.wave_curves import (
     shock_q_2,
 )
 
-from conftest import assert_close, mp_constant, mp_offset, region_iv_pair
+from conftest import (
+    assert_close,
+    assert_same_bits,
+    raw_pool_pairs,
+    region_iv_pair,
+    sampler_rays,
+)
+from conftest import mp_excess_b2 as _mp_excess_b2
+from conftest import mp_excess_f1 as _mp_excess_f1
 
 MIDDLE_FIXTURE = TransState(0.5406739149257195, 6.400775468929284)
+
+_spec = importlib.util.spec_from_file_location(
+    "middle_sweep", Path(__file__).resolve().parent.parent / "scripts" / "middle_sweep.py")
+middle_sweep = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(middle_sweep)
 
 
 def _schema(name: str) -> dict:
@@ -324,22 +339,25 @@ def test_bracketed_solve_matches_scalar_reference_scan():
 
 def test_polish_converges_where_phi_is_flat_on_one_side(monkeypatch):
     # Near the critical curve phi is flat to rounding on one side of the
-    # root: a steep line meets a plateau of -1e-15 just right of the root.
-    # From the widest bracket the polish still narrows to its tolerance,
-    # where brentq stops at 100 iterations with an untyped RuntimeError.
+    # root: a steep line meets a plateau of -1e-15 just right of the root,
+    # where the slope is 0 and no Newton step is taken.  From the widest
+    # bracket the polish still narrows to the parent's tolerance, where
+    # brentq stops at 100 iterations with an untyped RuntimeError.
     root = 3.0e-5
 
-    def phi(u: float) -> float:
-        return (root - u) if u < root else -1e-15
+    def f(u: float) -> tuple[float, float, float]:
+        return (root - u, -1.0, 0.0) if u < root else (-1e-15, 0.0, 0.0)
 
     for width in (1.0, 2.0 ** 20, 2.0 ** 41):
         lo, hi = root - width, root + 1.0
-        u = _polish_root(phi, lo, hi, phi(lo), phi(hi))
+        u = _polish_root(f, lo, hi, f(lo)[0], f(hi)[0])
         assert abs(u - root) <= 1e-14 + 4.0 * np.finfo(float).eps * abs(root), (width, u)
-    # Past its step cap the polish raises the solver's typed error.
+    # Past its step cap the polish raises the solver's typed error: with no
+    # slope anywhere it bisects, and 5 halvings of [root - 1, root + 1] are
+    # not enough.
     monkeypatch.setattr(riemann, "_POLISH_STEPS", 5)
     with pytest.raises(BracketFailure):
-        _polish_root(phi, root - 1.0, root + 1.0, phi(root - 1.0), phi(root + 1.0))
+        _polish_root(lambda u: (f(u)[0], 0.0, 0.0), root - 1.0, root + 1.0, 1.0, -1e-15)
 
 
 def test_solve_middle_raises_bracket_failure(monkeypatch, fixture_pair):
@@ -365,6 +383,10 @@ def _solve_middle_every_call(left: TransState, right: TransState) -> TransState:
     def phi(u: float) -> float:
         return f1.q(u) - b2.q(u)
 
+    def newton(u: float) -> tuple[float, float, float]:
+        q1, q2 = f1.q(u), b2.q(u)
+        return q1 - q2, f1.slope(u, q1) - b2.slope(u, q2), riemann._RTOL * (abs(q1) + abs(q2))
+
     lo0, hi0 = min(left.u, right.u), max(left.u, right.u)
     lo, hi, k = lo0, hi0, 0
     while not phi(lo) >= 0.0 >= phi(hi):
@@ -373,7 +395,7 @@ def _solve_middle_every_call(left: TransState, right: TransState) -> TransState:
         if phi(hi) > 0.0:
             hi = hi0 + 2.0 ** k
         k += 1
-    u_m = _polish_root(phi, lo, hi, phi(lo), phi(hi))
+    u_m = _polish_root(newton, lo, hi, phi(lo), phi(hi))
     ustar = f1.u_star
     if u_m > ustar and abs(phi(ustar)) <= 1e-9 * (1.0 + abs(f1.q(ustar))):
         u_m = ustar
@@ -387,10 +409,7 @@ def test_middle_state_evaluates_each_velocity_once(monkeypatch):
     # state is bit-identical to the one found with every curve value
     # recomputed, and neither composite curve is evaluated twice at one
     # velocity within a solve.
-    rng = np.random.default_rng(24)
-    pool = [lift(BrioState(float(u), float(v)))
-            for u, v in zip(rng.uniform(-2.0, 3.0, 24), rng.uniform(-3.0, 3.0, 24))]
-    pairs = [(a, b) for a in pool for b in pool if a is not b]
+    pairs = [(lift(a), lift(b)) for a, b in raw_pool_pairs()]
     assert len(pairs) == 552
     expected = [_solve_middle_every_call(a, b) for a, b in pairs]
 
@@ -409,6 +428,69 @@ def test_middle_state_evaluates_each_velocity_once(monkeypatch):
             assert len(log) == len(set(log)), (a, b)
 
 
+def test_small_data_middle_state_is_the_float_root():
+    # Raw draws with every component +-10^U(-6, 3): q_M lies within 1e-12
+    # relative of the float root of phi (middle_sweep.q_error).  A polish
+    # tolerance of 1e-14 absolute lost up to 2e-4 relative at these scales.
+    for left, right in middle_sweep.draws(-6.0, 3.0, 99, 400):
+        mid = solve_middle(left, right)
+        assert middle_sweep.q_error(left, right, mid) <= 1e-12, (left, right, mid)
+
+
+def test_near_critical_data_polish_in_few_curve_calls():
+    # phi is flat to rounding on one side of this root (both states within
+    # 2e-8 of the critical curve); a derivative-free polish took 162 curve
+    # calls here.
+    left = lift(BrioState(6.575075930541748e-05, 1.8200266358543296e-08))
+    right = lift(BrioState(7.344459432932376e-05, 6.162025420577457e-08))
+    with middle_sweep.counted_q_calls() as calls:
+        mid = solve_middle(left, right)
+    assert calls[0] <= 24
+    assert middle_sweep.q_error(left, right, mid) <= 1e-12
+    # Near the critical curve at small scale, Newton steps can creep toward
+    # the root, gaining less than half of phi each: a polish without the
+    # doubled step ran into its 200-step cap (BracketFailure) on both pairs.
+    for left, right in ((TransState(7.345197827365745e-05, 2.766769192250691e-07),
+                         TransState(0.00013781908556999574, 9.499260799711051e-09)),
+                        (TransState(0.00010827449413358325, 6.900379167061209e-07),
+                         TransState(3.82968489463949e-05, 7.961106760860281e-10))):
+        with middle_sweep.counted_q_calls() as calls:
+            mid = solve_middle(left, right)
+        assert calls[0] <= 100
+        assert middle_sweep.q_error(left, right, mid) <= 1e-12
+
+
+def _sample_fan_many_reference(fan, xi):
+    """sample_fan_many filling one mask per slot, as before the one-index fill."""
+    xi = np.asarray(xi, dtype=float)
+    u = np.empty_like(xi)
+    q = np.empty_like(xi)
+    edges: list[float] = []
+    for w in fan.waves:
+        edges.extend((w.speed_lo, w.speed_hi))
+    idx = np.searchsorted(np.asarray(edges), xi, side="right")
+    consts = [fan.left] + [w.right for w in fan.waves]
+    for region in range(len(fan.waves) + 1):
+        m = idx == 2 * region
+        if m.any():
+            u[m] = consts[region].u
+            q[m] = consts[region].q
+    for widx, w in enumerate(fan.waves):
+        m = idx == 2 * widx + 1
+        if m.any():
+            u[m], q[m], _ = w.curve.ray(xi[m])
+    return u, q
+
+
+def test_sample_fan_many_matches_the_per_slot_fill_bit_for_bit():
+    rng = np.random.default_rng(552)
+    for a, b in raw_pool_pairs():
+        fan = build_fan(lift(a), lift(b))
+        edges = [s for w in fan.waves for s in (w.speed_lo, w.speed_hi)]
+        for xi in sampler_rays(rng, edges):
+            assert_same_bits(sample_fan_many(fan, xi), _sample_fan_many_reference(fan, xi))
+
+
 def test_curve_difference_falls_and_changes_sign_at_the_middle():
     # The bracket relies on phi = f1.q - b2.q falling monotonically: on a
     # grid around the data it never rises beyond rounding, and it is positive
@@ -425,33 +507,6 @@ def test_curve_difference_falls_and_changes_sign_at_the_middle():
         u_m = solve_middle(left, right).u
         assert np.all(us[phi > tol] <= u_m), (left, right)
         assert np.all(us[phi < -tol] >= u_m), (left, right)
-
-
-def _mp_excess_f1(left: TransState, u):
-    """q - u^2/2 on the composite family-1 curve through left, in mpmath.
-
-    Taken as an excess so that the exponentially small gap of a curve
-    running along q = u^2/2 is not lost beside u^2/2.
-    """
-    a, qa = mp.mpf(left.u), mp.mpf(left.q)
-    if u < a:  # shock locus, upper root of the jump-condition quadratic
-        rad = 2 * qa + mp.mpf(1) / 4 + (a - u) / 2 - (2 * a * a + 2 * a * u - u * u) / 3
-        return qa - u * u / 2 - (a - u) * (2 * u - 1) / 2 + (a - u) * mp.sqrt(rad)
-    c = mp_constant(1, left)
-    if u >= c - mp.mpf(1) / 2 + mp.log(2) / 2:  # past the critical-curve crossing
-        return mp.mpf(0)
-    t = mp_offset(1, c, u)
-    return t * (t + 2) / 8
-
-
-def _mp_excess_b2(right: TransState, u):
-    """q - u^2/2 on the composite backward family-2 curve through right."""
-    b, qb = mp.mpf(right.u), mp.mpf(right.q)
-    if u > b:  # inverse shock locus
-        rad = 8 * qb + 1 + (4 * u * u - 8 * u * b - 8 * b * b) / 3 - 2 * u + 2 * b
-        return qb - u * u / 2 + (u - b) * (2 * u - 1) / 2 + (u - b) * mp.sqrt(rad) / 2
-    t = mp_offset(2, mp_constant(2, right), u)
-    return t * (t + 2) / 8
 
 
 def test_middle_state_matches_mpmath(mp50):

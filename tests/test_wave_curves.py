@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import types
 
 import mpmath as mp
 import numpy as np
@@ -31,6 +32,8 @@ from conftest import (
     assert_close,
     mp_at_speed,
     mp_constant,
+    mp_excess_b2,
+    mp_excess_f1,
     mp_q,
     mp_rel,
     random_above_critical,
@@ -422,6 +425,47 @@ def test_omega_matches_mpmath(mp50):
     for x in (-math.inf, -1e300, -800.0, -745.2):
         assert math.exp(x) == 0.0 and _omega(x) == 0.0
         assert _omega(np.array([x]))[0] == 0.0
+
+
+def test_composite_curve_slopes_match_mpmath(mp50):
+    # slope(u, q(u)) against the 50-digit derivative of the composite curve:
+    # shock and rarefaction branches, both sides of the data velocity, past
+    # u* and at its kink, on raw draws in a box, at 10^U(-3, 3) and at
+    # 10^U(8, 16).  The reference curve runs through (u0, u0^2/2 + slack),
+    # with the slack the curve's constants are built from, exactly in
+    # mpmath.  Bound: 64 eps of the terms and of the slope, where q enters
+    # a rarefaction's speed through its slack with weight 2/s.
+    rng = np.random.default_rng(32)
+    eps = np.finfo(float).eps
+    for k in range(45):
+        if k < 15:
+            x = rng.uniform(-1.0, 1.0, 4) * (3.0, 3.0, 3.0, 3.0)
+        else:
+            lo, hi = (-3.0, 3.0) if k < 30 else (8.0, 16.0)
+            x = 10.0 ** rng.uniform(lo, hi, 4) * rng.choice((-1.0, 1.0), 4)
+        left, right = lift(BrioState(x[0], x[1])), lift(BrioState(x[2], x[3]))
+        f1, b2 = Forward1Curve(left), Backward2Curve(right)
+        us = f1.u_star
+        d = float(10.0 ** rng.uniform(-3.0, 0.0)) * (1.0 + abs(left.u))
+        e = float(10.0 ** rng.uniform(-3.0, 0.0)) * (1.0 + abs(right.u))
+        points = [(f1, left.u - d, 0), (f1, left.u, 1), (f1, left.u, -1), (f1, us + d, 0),
+                  (f1, us - 1e-6 * (1.0 + abs(us)), -1), (b2, right.u + e, 0),
+                  (b2, right.u - e, 0), (b2, right.u, 1), (b2, right.u, -1)]
+        if us > left.u:
+            points.append((f1, left.u + 0.5 * (us - left.u), 0))
+        for curve, u, direction in points:
+            excess, base = (mp_excess_f1, left) if curve is f1 else (mp_excess_b2, right)
+            q = curve.q(u)
+            got = curve.slope(u, q)
+            exact = types.SimpleNamespace(u=base.u, q=mp.mpf(base.u) ** 2 / 2 + mp.mpf(base.slack))
+            ref = mp.diff(lambda z: z * z / 2 + excess(exact, z), mp.mpf(u), direction=direction)
+            s = mp.sqrt(8 * excess(exact, mp.mpf(u)) + 1)
+            on_rarefaction = (u >= base.u) if curve is f1 else (u <= base.u)
+            tol = 64 * eps * (1 + abs(u) + abs(base.u) + abs(ref)
+                              + (abs(q) / s if on_rarefaction else 0))
+            assert abs(got - ref) <= tol, (left, right, u, direction, got, ref)
+        # At the crossing the curve turns onto q = u^2/2, whose slope is u.
+        assert f1.slope(us, f1.q(us)) == us
 
 
 @pytest.mark.parametrize("z_min", [2.0, 4.0])
