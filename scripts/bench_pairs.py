@@ -15,7 +15,9 @@ per-layer metrics, stored under "traced".  "rss_fit" is the least-squares
 line of peak_rss_mb on the attempted op count over all untraced runs of
 both sides (see rss_fit).  Runs of further workloads are
 merged into an existing output file, so one file can hold every workload
-of a comparison.
+of a comparison.  Once per output file, "tier1" records the wall seconds
+and pass/fail of the tier-1 test command in each checkout, TIER1_RUNS
+runs per side, the parent first in even runs (see tier1_summary).
 
 The last line of every run's output must be a result: one JSON object
 with a boolean `correct`, integer `attempted` and `failed`, and `metrics`
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
@@ -36,6 +39,9 @@ import time
 from pathlib import Path
 
 PAIRS = 10
+TIER1_RUNS = 3
+# The tier-1 command of ROADMAP.md, run from a checkout's root with src on PYTHONPATH.
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
 
 def _reject_constant(name: str):
@@ -124,6 +130,41 @@ def rss_fit(runs: list[dict]) -> dict | None:
             "mean_residual_mib": {s: statistics.fmean(es) for s, es in residual.items()}}
 
 
+def tier1_once(checkout: Path) -> dict:
+    """Wall seconds and pass/fail (exit code 0) of one tier-1 run in a checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in ("src", os.environ.get("PYTHONPATH")) if p))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, env=env,
+                          capture_output=True, text=True)
+    return {"seconds": time.perf_counter() - t0, "passed": proc.returncode == 0}
+
+
+def tier1_summary(runs: list[dict]) -> dict:
+    """Per side, its runs, their median wall seconds and whether every run passed."""
+    return {s: {"runs": [r[s] for r in runs],
+                "median_s": statistics.median(r[s]["seconds"] for r in runs),
+                "all_passed": all(r[s]["passed"] for r in runs)}
+            for s in ("parent", "change")}
+
+
+def tier1_pairs(parent: Path, change: Path) -> dict:
+    runs = []
+    for i in range(TIER1_RUNS):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        runs.append({side: tier1_once(parent if side == "parent" else change)
+                     for side in order})
+    return tier1_summary(runs)
+
+
+def merge(doc: dict, workload: str, entry: dict, tier1) -> dict:
+    """doc with `entry` as the workload's; tier1() fills "tier1" only when doc has none."""
+    doc.setdefault("workloads", {})[workload] = entry
+    if "tier1" not in doc:
+        doc["tier1"] = tier1()
+    return doc
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", type=Path, required=True)
@@ -163,7 +204,7 @@ def main(argv=None) -> int:
               f"{fit['max_abs_residual_mib']:.2f} MiB", file=sys.stderr)
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
-    doc["workloads"][args.workload] = {
+    entry = {
         "seconds": seconds,
         "seeds": [r["seed"] for r in runs],
         "finished": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -176,6 +217,11 @@ def main(argv=None) -> int:
         "runs": runs,
         "traced": traced,
     }
+    merge(doc, args.workload, entry, lambda: tier1_pairs(args.parent, args.change))
+    t1 = doc["tier1"]
+    print("tier-1 wall s: " + ", ".join(
+        f"{s} {t1[s]['median_s']:.1f} ({'pass' if t1[s]['all_passed'] else 'FAIL'})"
+        for s in ("parent", "change")), file=sys.stderr)
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 

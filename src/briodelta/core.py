@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateJump, DomainError
+from .errors import DegenerateJump, DomainError, PreconditionError
 
 # Domain tolerance, relative to 1 + |u|^2: a state is accepted when
 # q >= u^2/2 - TOL_DOMAIN * (1 + u^2).
@@ -107,8 +107,12 @@ def energy(state: BrioState) -> float:
 
 
 def lift(state: BrioState) -> TransState:
-    """Map (u, v) to the transformed plane (u, q)."""
-    return TransState(state.u, energy(state))
+    """Map (u, v) to the transformed plane (u, q); q must be finite, else PreconditionError."""
+    q = energy(state)
+    if q == math.inf:
+        raise PreconditionError(f"energy of (u={state.u!r}, v={state.v!r}) overflows: "
+                                f"q = (u^2 + v^2)/2 must be finite")
+    return TransState(state.u, q)
 
 
 def project(state: TransState, sign: float) -> BrioState:

@@ -184,8 +184,10 @@ def _polish_root(f, a: float, b: float, fa: float, fb: float) -> float:
     phi' >= 0, and doubles a step that stayed on its side and less than halved
     |phi|, so a slow tail or a stall at rounding level crosses the root.  It
     stops at |phi| <= floor, at a step of at most _RTOL |u| or when no float
-    lies inside the bracket, returning the last point evaluated, and raises
-    BracketFailure after _POLISH_STEPS steps.
+    lies inside the bracket, returning the last point evaluated; a last step
+    of at most _RTOL |u| is still taken when it lands strictly inside the
+    bracket and leaves a smaller |phi|, since at small |q| that step can
+    carry digits of q.  It raises BracketFailure after _POLISH_STEPS steps.
     """
     x = a if fa <= -fb else b
     fx, dfx, floor = f(x)
@@ -199,7 +201,7 @@ def _polish_root(f, a: float, b: float, fa: float, fb: float) -> float:
             b = x
         step = fx / dfx if dfx < 0.0 else math.inf
         if abs(step) <= _RTOL * abs(x):
-            return x
+            return x - step if a < x - step < b and abs(f(x - step)[0]) < abs(fx) else x
         step = grow or step
         newton = a < x - step < b
         if not newton:

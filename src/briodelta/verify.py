@@ -19,6 +19,7 @@ construction) and is used only for convergence trends, never for equality.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -79,9 +80,10 @@ BUMP_EXPONENT = 6
 # polynomial of degree at most 4p in t.
 _RAY_EXACT = 2 * BUMP_EXPONENT + 1
 # Points per array pass of weak_residual, whatever the battery or node count
-# n: n per initial-data row and min(n, 2p + 1) per ray entry's m0, a fan
-# xi-node or a (bump, ray) pair.  A rarefaction's one ray inverse takes n a row.
-_CHUNK_POINTS = 8192
+# n: n per initial-data row and min(n, 2p + 1) per entry of the bump-major
+# table (a fan xi-node or a (bump, ray) pair), so one pass takes a typical
+# table whole; a rarefaction's one ray inverse takes n a row.
+_CHUNK_POINTS = 16384
 # Draws random_trans_pair makes before giving up on a region.
 _PAIR_TRIES = 64
 # Random bases of the shock-locus jump-condition check.
@@ -162,12 +164,15 @@ def test_function_battery(speeds, T: float) -> list[TestFunction]:
     finite = [s for s in speeds if math.isfinite(s)]
     lo = min(finite + [0.0]) * T - _BATTERY_PAD
     hi = max(finite + [0.0]) * T + _BATTERY_PAD
-    xcs = np.linspace(lo, hi, 5)
-    tcs = np.linspace(T / 6.0, 5.0 * T / 6.0, 5)
-    wx = (hi - lo) / 4.0
-    wt = T / 5.0
-    return [TestFunction((float(xc), float(tc)), (wx, wt))
-            for tc in tcs for xc in xcs]
+    xcs, wx, wt = _grid5(lo, hi), (hi - lo) / 4.0, T / 5.0
+    return [TestFunction((xc, tc), (wx, wt)) for tc in _grid5(T / 6.0, 5.0 * T / 6.0)
+            for xc in xcs]
+
+
+def _grid5(lo, hi) -> list[float]:
+    """np.linspace(lo, hi, 5) bit for bit as floats, its underflowed step too."""
+    step = (hi - lo) / 4.0
+    return [float(lo + (k * step if step else k / 4 * (hi - lo))) for k in range(4)] + [float(hi)]
 
 
 test_function_battery.__test__ = False
@@ -176,20 +181,6 @@ test_function_battery.__test__ = False
 def solution_battery(sol: DeltaSolution) -> list[TestFunction]:
     """Battery sized to one solution's rays and carriers, up to time 1."""
     return test_function_battery(wave_speeds(sol), 1.0)
-
-
-def _ray_times(bumps: _Bumps, r, xi):
-    """[ta, tb] of the rays xi inside the supports of bumps r, entry by entry.
-
-    On the ray x = xi t the support is t_lo <= t <= t_hi and
-    xlo <= xi t <= xhi.  At xi = +-0 the x-bounds divide to -inf and +inf,
-    or to NaN for an end at 0, which fmax and fmin drop.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a, b = bumps.xlo[r] / xi, bumps.xhi[r] / xi
-    neg = np.signbit(xi)
-    return (np.fmax(bumps.t_lo[r], np.where(neg, b, a)),
-            np.fmin(bumps.t_hi[r], np.where(neg, a, b)))
 
 
 def _nodes(a, b, gx, gw):
@@ -208,12 +199,10 @@ def _slices(rows: int, points: int):
 
 @dataclass(frozen=True)
 class _Bumps:
-    """A battery as columns, one entry per bump, with each support's box."""
+    """A battery as columns, one entry per bump: `cols` holds the rows
+    (x0, t0, wx, wt), then each support's box."""
 
-    x0: np.ndarray
-    t0: np.ndarray
-    wx: np.ndarray
-    wt: np.ndarray
+    cols: np.ndarray
     xlo: np.ndarray
     xhi: np.ndarray
     t_lo: np.ndarray
@@ -221,12 +210,14 @@ class _Bumps:
 
     @classmethod
     def of(cls, phis) -> _Bumps:
-        x0, t0, wx, wt = np.array([phi.center + phi.halfwidths for phi in phis]).T
-        return cls(x0, t0, wx, wt, x0 - wx, x0 + wx, np.maximum(t0 - wt, 0.0), t0 + wt)
+        c = np.fromiter(itertools.chain.from_iterable(
+            phi.center + phi.halfwidths for phi in phis), float, 4 * len(phis)).reshape(-1, 4).T
+        lo, hi = c[:2] - c[2:], c[:2] + c[2:]
+        return cls(c, lo[0], hi[0], np.maximum(lo[1], 0.0), hi[1])
 
 
 def _ray_table(sol: DeltaSolution, states):
-    """Rows (c, ku, kv), one per distinct finite ray x = c t.
+    """Rows (ku, kv, c), one entry per distinct finite ray x = c t.
 
     A ray is an edge between two segments or a carrier.  On it, (ku, kv)
     is (F - c U) of the segment on its left minus that of the one on its
@@ -237,21 +228,20 @@ def _ray_table(sol: DeltaSolution, states):
     constant goes to _initial_parts.
     """
     edges = [seg.xi_hi for seg in sol.segments[:-1]]
-    rays = sorted({*edges, *(s.speed for s in sol.singular)})
-    table = np.zeros((len(rays), 3))
-    table[:, 0] = rays
+    k = {c: [0.0, 0.0] for c in sorted({*edges, *(s.speed for s in sol.singular)})}
     f, g = sol.flux.f, sol.flux.g
     for c, (_, (ul, vl)), ((ur, vr), _) in zip(edges, states, states[1:]):
-        table[rays.index(c), 1:] += ((f(ul, vl) - f(ur, vr)) - c * (ul - ur),
-                                     (g(ul, vl) - g(ur, vr)) - c * (vl - vr))
+        k[c][0] += (f(ul, vl) - f(ur, vr)) - c * (ul - ur)
+        k[c][1] += (g(ul, vl) - g(ur, vr)) - c * (vl - vr)
     for s in sol.singular:
-        table[rays.index(s.speed), 1 if s.component == "u" else 2] -= s.rate
-    return table
+        k[s.speed][s.component != "u"] -= s.rate
+    return np.array([(*kc, c) for c, kc in k.items()]).reshape(-1, 3).T
 
 
 def _fan_parts(sol: DeltaSolution, bumps: _Bumps, gx, gw):
-    """(parts, states): the (bump, xi, u weight, v weight) entries of the
-    rarefaction rows, and each segment's edge states (U at xi_lo, U at xi_hi).
+    """(blocks, states): per rarefaction segment the mask of its rows over
+    the bumps and their (u weight, v weight, xi), n nodes a row; and each
+    segment's edge states (U at xi_lo, U at xi_hi).
 
     By Green's identity a wedge is its edge rays' integrals of phi (F - c U)
     minus int int phi D dxi dt in ray coordinates x = xi t, where
@@ -266,113 +256,120 @@ def _fan_parts(sol: DeltaSolution, bumps: _Bumps, gx, gw):
     correct fan, so m0's kinks at the corner slopes cost accuracy only in
     proportion to the defect.
     """
-    live = np.flatnonzero(bumps.t_hi > bumps.t_lo)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lo = np.fmin(bumps.xlo / bumps.t_lo, bumps.xlo / bumps.t_hi)[live]
-        hi = np.fmax(bumps.xhi / bumps.t_lo, bumps.xhi / bumps.t_hi)[live]
-    parts, states = [], []
+    live = bumps.t_hi > bumps.t_lo
+    lo = np.fmin(bumps.xlo / bumps.t_lo, bumps.xlo / bumps.t_hi)
+    hi = np.fmax(bumps.xhi / bumps.t_lo, bumps.xhi / bumps.t_hi)
+    blocks, states = [], []
     for seg in sol.segments:
         if isinstance(seg, ConstantSegment):
             states.append(((seg.state.u, seg.state.v),) * 2)
             continue
         xa, xb = np.maximum(lo, seg.xi_lo), np.minimum(hi, seg.xi_hi)
-        hit = xa < xb
-        xi, wxi = (a.ravel() for a in _nodes(xa[hit], xb[hit], gx, gw))
+        hit = live & (xa < xb)
+        xi, wxi = _nodes(xa[hit], xb[hit], gx, gw)
         u, v, t = _rarefaction_uv(seg, np.append(xi, (seg.xi_lo, seg.xi_hi)))
         states.append(tuple(zip(u[-2:].tolist(), v[-2:].tolist())))
-        u, v, t = u[:-2], v[:-2], t[:-2]
+        u, v, t = (a[:-2].reshape(xi.shape) for a in (u, v, t))
         fast = seg.family == 2
         du = (t + 1.0) / (2.0 * t + (1.0 if fast else 3.0))
         vdv = (0.5 * t if fast else -0.5 * (t + 2.0)) * du
         dv = np.divide(vdv, v, out=np.zeros_like(v), where=v != 0.0)
-        parts.append((np.repeat(live[hit], len(gx)), xi,
-                      -wxi * ((u - xi) * du + vdv), -wxi * (v * du + (u - 1.0 - xi) * dv)))
-    return parts, states
+        blocks.append((hit, (-wxi * ((u - xi) * du + vdv),
+                             -wxi * (v * du + (u - 1.0 - xi) * dv), xi)))
+    return blocks, states
 
 
-def _line_parts(bumps: _Bumps, entries, n: int):
-    """(bump, u part, v part) of the ray entries (bump, xi, u weight,
-    v weight), the fan's first and the ray table's last: the weights times
-    m0 = int phi(xi t, t) dt where the ray lies inside the support, by
-    min(n, 2p + 1) nodes in t.  Entries that miss it are dropped; a fan
-    node whose support times are inverted beyond rounding raises
-    QuadratureFailure.
+def _line_parts(bumps: _Bumps, table, valid, m: int, n: int):
+    """(ends, u parts, v parts) of the entry table (u weight, v weight, xi,
+    1, ta, tb): a row per bump, its fan nodes (the first m columns), then
+    its rays, kept where valid.  A part is a weight times m0 over [ta, tb],
+    the ray's time in the support (t_lo <= t <= t_hi, xlo <= xi t <= xhi;
+    at xi = +-0 the x-bounds divide to +-inf, or to NaN for an end at 0,
+    which fmax and fmin drop).  Entries that miss it are dropped, so each
+    bump's parts are one run, ending at its entry of ends; a fan node whose
+    support times are inverted beyond rounding raises QuadratureFailure.
     """
-    b, xi, wu, wv = (np.concatenate(col) for col in zip(*entries))
-    ta, tb = _ray_times(bumps, b, xi)
-    fan = slice(len(b) - len(entries[-1][0]))
-    if np.any(tb[fan] - ta[fan] < -1e-12 * (1.0 + np.abs(tb[fan]))):
-        raise QuadratureFailure("support times inverted on a ray")
+    xi = table[2]
+    a, b = bumps.xlo[:, None] / xi, bumps.xhi[:, None] / xi
+    neg = np.signbit(xi)
+    ta = np.fmax(bumps.t_lo[:, None], np.where(neg, b, a), out=table[4])
+    tb = np.fmin(bumps.t_hi[:, None], np.where(neg, a, b), out=table[5])
     keep = ta < tb
-    b, xi, wu, wv, ta, tb = (a[keep] for a in (b, xi, wu, wv, ta, tb))
+    lost = (valid > keep)[:, :m]  # fan nodes that miss their support, as only rays may
+    if lost.any() and np.any((tb - ta)[:, :m][lost] < -1e-12 * (1.0 + np.abs(tb[:, :m][lost]))):
+        raise QuadratureFailure("support times inverted on a ray")
+    keep &= valid
+    counts = keep.sum(1)
+    cols = np.repeat(bumps.cols, counts, axis=1)
+    entries = table.reshape(6, -1).compress(keep.ravel(), axis=1)
     tx, tw = _gl(min(n, _RAY_EXACT))
-    m0 = np.empty_like(xi)
-    for k in _slices(len(b), len(tx)):
-        m0[k] = _m0(bumps, b[k], xi[k], ta[k], tb[k], tx, tw)
-    return b, m0 * wu, m0 * wv
+    m0 = np.empty(entries.shape[1])
+    for k in _slices(len(m0), len(tx)):
+        m0[k] = _m0(cols[:, k], entries[2:, k], tx, tw)
+    return np.cumsum(counts).tolist(), *(m0 * entries[:2]).tolist()
 
 
-def _m0(bumps: _Bumps, r, xi, ta, tb, gx, gw):
-    """m0 = int phi(xi t, t) dt over [ta, tb] of bumps r, by value alone:
-    on the abscissae g, t = mid + half g, so s_x = (xi t - x0)/wx and
+def _m0(cols, rays, gx, gw):
+    """m0 = int phi(xi t, t) dt over [ta, tb], rays the rows (xi, 1, ta, tb)
+    and cols the rows (x0, t0, wx, wt) of their bumps, by value alone: on
+    the abscissae g, t = mid + half g, so s_x = (xi t - x0)/wx and
     s_t = (t - t0)/wt are affine in g, and phi = (max(1 - s_x^2, 0)
-    max(1 - s_t^2, 0))^p takes its power by squaring.  Each entry's sum
-    runs along its own row, so it does not depend on the others."""
+    max(1 - s_t^2, 0))^p takes its power by squaring, both factors in each
+    in-place pass along the entries.  Each entry's sum runs along its own
+    row of the transpose, so it does not depend on the others."""
+    xi1, (ta, tb) = rays[:2], rays[2:]
     mid, half = 0.5 * (ta + tb), 0.5 * (tb - ta)
-    x0, wx, t0, wt = (col[r] for col in (bumps.x0, bumps.wx, bumps.t0, bumps.wt))
-    y = _hat((xi * mid - x0) / wx, xi * half / wx, gx)
-    y *= _hat((mid - t0) / wt, half / wt, gx)
-    z, p = None, BUMP_EXPONENT
+    s = np.einsum("ik,j->ijk", xi1 * half / cols[2:], gx)  # outer product, faster than a * b
+    s += ((xi1 * mid - cols[:2]) / cols[2:])[:, None]
+    np.square(s, out=s)
+    np.maximum(np.subtract(1.0, s, out=s), 0.0, out=s)
+    z, y, p = None, np.multiply(s[0], s[1], out=s[0]), BUMP_EXPONENT
     while p:
         if p & 1:
-            z = y if z is None else z * y
+            z = y if z is None else np.multiply(z, y, out=z)
         p >>= 1
         if p:
-            y = y * y
-    return half * (z * gw).sum(-1)
-
-
-def _hat(a, b, g):
-    """max(1 - s^2, 0) at s = a + b g, with g along a new last axis."""
-    s = np.square(a[..., None] + b[..., None] * g)
-    return np.maximum(np.subtract(1.0, s, out=s), 0.0, out=s)
+            y = y * y if z is y else np.square(y, out=y)
+    z *= gw[:, None]
+    return half * np.ascontiguousarray(z.T).sum(-1)
 
 
 def _initial_parts(sol: DeltaSolution, bumps: _Bumps, gx, gw):
-    """(bump, u part, v part) of the initial-data rows, per chunk of rows.
+    """Per bump, the lists (u parts, v parts) of its initial-data rows.
 
     The carriers' constants, a Dirac mass at the origin, take -phi(0, 0)
     times their sum per component, one row per support holding it, unless
-    both sums are 0.  Then a row is a support reaching t = 0, split at
-    x = 0, with the data state there minus the outer segment's state; none
-    is built where the two are equal, no array when they are on both sides.
+    both sums are 0.  Then a row is a support reaching t = 0, on one side
+    of x = 0, with the data state there minus the outer segment's state; a
+    side where the two are equal has none.
     """
+    x0, t0, wx, wt = bumps.cols
+    rows, extra = [], [([], []) for _ in range(len(x0))]
     cu = math.fsum(s.constant for s in sol.singular if s.component == "u")
     cv = math.fsum(s.constant for s in sol.singular if s.component == "v")
     if cu or cv:
-        phi = _bump(-bumps.x0 / bumps.wx) * _bump(-bumps.t0 / bumps.wt)
+        phi = _bump(-x0 / wx) * _bump(-t0 / wt)
         b = np.flatnonzero(phi)  # the supports that hold the origin
-        yield b, -cu * phi[b], -cv * phi[b]
+        rows.append((b, -cu * phi[b], -cv * phi[b]))
     data, lo, hi = sol.initial, sol.segments[0].state, sol.segments[-1].state
-    if (lo, hi) == (data.left, data.right):
-        return
-    low = np.flatnonzero(bumps.t0 - bumps.wt < 0.0)
-    xlo, xhi = bumps.xlo[low], bumps.xhi[low]
-    split = (xlo < 0.0) & (0.0 < xhi)
-    b = np.concatenate([low, low[split]])
-    xa = np.concatenate([xlo, np.zeros(split.sum())])
-    xb = np.concatenate([np.where(split, 0.0, xhi), xhi[split]])
-    left = 0.5 * (xa + xb) < 0.0
-    du = np.where(left, data.left.u - lo.u, data.right.u - hi.u)
-    dv = np.where(left, data.left.v - lo.v, data.right.v - hi.v)
-    keep = (du != 0.0) | (dv != 0.0)
-    b, xa, xb, du, dv = b[keep], xa[keep], xb[keep], du[keep], dv[keep]
-    for k in _slices(len(b), len(gx)):
-        r = b[k]
-        X, XW = _nodes(xa[k], xb[k], gx, gw)
-        mass = (XW * _bump((X - bumps.x0[r, None]) / bumps.wx[r, None])).sum(-1)
-        mass *= _bump(-bumps.t0[r] / bumps.wt[r])
-        yield r, du[k] * mass, dv[k] * mass
+    if (lo, hi) != (data.left, data.right):
+        low = np.flatnonzero(t0 - wt < 0.0)  # the supports that reach t = 0
+        xlo, xhi = bumps.xlo[low], bumps.xhi[low]
+        for datum, outer, xa, xb in ((data.left, lo, xlo, np.minimum(xhi, 0.0)),
+                                     (data.right, hi, np.maximum(xlo, 0.0), xhi)):
+            du, dv = datum.u - outer.u, datum.v - outer.v
+            side = np.flatnonzero(xa < xb) if du or dv else low[:0]
+            for k in _slices(len(side), len(gx)):
+                r, k = low[side[k]], side[k]
+                X, XW = _nodes(xa[k], xb[k], gx, gw)
+                mass = (XW * _bump((X - x0[r, None]) / wx[r, None])).sum(-1)
+                mass *= _bump(-t0[r] / wt[r])
+                rows.append((r, du * mass, dv * mass))
+    for r, pu, pv in rows:
+        for b, u, v in zip(r.tolist(), pu.tolist(), pv.tolist()):
+            extra[b][0].append(u)
+            extra[b][1].append(v)
+    return extra
 
 
 def weak_residual(sol: DeltaSolution, phis, *, nodes: int = 32) -> list[tuple[float, float]]:
@@ -393,7 +390,8 @@ def weak_residual(sol: DeltaSolution, phis, *, nodes: int = 32) -> list[tuple[fl
     beta = rate t + constant, by parts -rate int phi(c t, t) dt minus
     constant phi(0, 0).  So no derivative of phi is taken: but for the rows
     at t = 0, each term is a weight times m0 = int phi(xi t, t) dt along a
-    ray inside the support, all by one value-only kernel (_line_parts):
+    ray inside the support, all by one value-only kernel (_line_parts) on
+    one bump-major entry table, a row per bump:
 
     - fan: each of the n nodes in xi of a (bump, rarefaction segment) row
       weighs -w_xi D, D = (A(U) - xi) U' (_fan_parts).  One ray inverse per
@@ -413,9 +411,10 @@ def weak_residual(sol: DeltaSolution, phis, *, nodes: int = 32) -> list[tuple[fl
     nodes in t integrate it exactly once n >= 2p + 1; on a correct
     solution every weight vanishes, so any n reads the rounding floor.
 
-    The kernels run in slices of at most _CHUNK_POINTS points (n per fan
-    row for its ray inverse and D).  math.fsum adds each bump's parts, so
-    its residual depends neither on their order nor on the other bumps.
+    Each bump's fan nodes and rays are one run of the table, so nothing is
+    sorted.  The kernels run in slices of at most _CHUNK_POINTS points.
+    math.fsum adds each bump's parts, so its residual depends neither on
+    their order nor on the other bumps.
 
     `nodes` must be an integer >= 1 and not a bool, else PreconditionError.
     """
@@ -426,18 +425,19 @@ def weak_residual(sol: DeltaSolution, phis, *, nodes: int = 32) -> list[tuple[fl
         return []
     gx, gw = _gl(nodes)
     bumps = _Bumps.of(phis)
-    entries, states = _fan_parts(sol, bumps, gx, gw)
-    table = _ray_table(sol, states)
-    entries.append((np.repeat(np.arange(len(phis)), len(table)),
-                    *np.tile(table, (len(phis), 1)).T))
-    parts = [_line_parts(bumps, entries, nodes), *_initial_parts(sol, bumps, gx, gw)]
-
-    b, pu, pv = (np.concatenate(col) for col in zip(*parts))
-    order = np.argsort(b, kind="stable")
-    pu, pv = pu[order].tolist(), pv[order].tolist()
-    ends = np.cumsum(np.bincount(b, minlength=len(phis))).tolist()
-    return [(abs(math.fsum(pu[i:j])), abs(math.fsum(pv[i:j])))
-            for i, j in zip([0] + ends[:-1], ends)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        blocks, states = _fan_parts(sol, bumps, gx, gw)
+        rays = _ray_table(sol, states)
+        m = nodes * len(blocks)
+        table = np.ones((6, len(phis), m + rays.shape[1]))
+        valid = np.ones(table.shape[1:], dtype=bool)
+        for k, (hit, cols) in zip(range(0, m, nodes), blocks):
+            table[:3, hit, k:k + nodes] = cols
+            valid[:, k:k + nodes] = hit[:, None]
+        table[:3, :, m:] = rays[:, None]
+        ends, pu, pv = _line_parts(bumps, table, valid, m, nodes)
+    return [(abs(math.fsum(pu[i:j] + eu)), abs(math.fsum(pv[i:j] + ev))) for i, j, (eu, ev)
+            in zip([0] + ends[:-1], ends, _initial_parts(sol, bumps, gx, gw))]
 
 
 @dataclass(frozen=True)

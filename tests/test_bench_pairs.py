@@ -1,4 +1,4 @@
-"""The paired-benchmark script: strict result lines and the peak-RSS fit."""
+"""The paired-benchmark script: strict result lines, the peak-RSS fit and the tier-1 record."""
 
 from __future__ import annotations
 
@@ -69,3 +69,36 @@ def test_rss_fit_needs_the_metric_and_two_op_counts():
     missing = [{"parent": _run(100, 40.0), "change": _run(200, 41.0)}]
     del missing[0]["change"]["metrics"]["peak_rss_mb"]
     assert bench_pairs.rss_fit(missing) is None
+
+
+def _tier1_run(seconds: float, passed: bool = True) -> dict:
+    return {"seconds": seconds, "passed": passed}
+
+
+def test_tier1_summary_takes_each_sides_median_and_verdict():
+    runs = [{"parent": _tier1_run(12.0), "change": _tier1_run(11.0)},
+            {"change": _tier1_run(13.0, False), "parent": _tier1_run(10.0)},
+            {"parent": _tier1_run(14.0), "change": _tier1_run(12.5)}]
+    out = bench_pairs.tier1_summary(runs)
+    assert out["parent"] == {"runs": [_tier1_run(12.0), _tier1_run(10.0), _tier1_run(14.0)],
+                             "median_s": 12.0, "all_passed": True}
+    assert out["change"]["median_s"] == 12.5 and out["change"]["all_passed"] is False
+
+
+def test_merge_times_tier1_once_per_output_file():
+    # The tier-1 timing is a callable here, so nothing runs pytest.
+    calls = []
+
+    def tier1():
+        calls.append(1)
+        return {"parent": {"median_s": 1.0}, "change": {"median_s": 2.0}}
+
+    doc = bench_pairs.merge({"workloads": {}}, "solve_fresh", {"seeds": [1]}, tier1)
+    doc = bench_pairs.merge(doc, "verify_grid", {"seeds": [2]}, tier1)
+    doc = bench_pairs.merge(doc, "solve_fresh", {"seeds": [3]}, tier1)
+    assert len(calls) == 1
+    assert doc["workloads"] == {"solve_fresh": {"seeds": [3]}, "verify_grid": {"seeds": [2]}}
+    assert doc["tier1"]["change"]["median_s"] == 2.0
+    # A file written before the record existed gains it on its next merge.
+    old = bench_pairs.merge({"workloads": {"interface_pool": {}}}, "verify_grid", {}, tier1)
+    assert len(calls) == 2 and set(old["workloads"]) == {"interface_pool", "verify_grid"}

@@ -241,6 +241,18 @@ def test_bad_inputs_exit_1(tmp_path, capsys):
     assert code == 0 and "--flip-speed" in out and err == ""
 
 
+def test_overflowing_energy_is_a_precondition_error(tmp_path, capsys):
+    # q = (u^2 + v^2)/2 overflows past about 1.3e154: the error names the
+    # energy's bound, not the internal TransState it would have made.
+    code, out, err = _run(capsys, "solve", "--left", "1e200,1", "--right", "0,0",
+                          "--out", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "PreconditionError", "message":
+                               "energy of (u=1e+200, v=1.0) overflows: "
+                               "q = (u^2 + v^2)/2 must be finite"}
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_flag_exits_1(tmp_path, capsys):
     # No ODE is integrated, so there is no --tol-ode; the middle state's
     # residual check is fixed, so there is no --tol-root.

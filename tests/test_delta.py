@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import importlib.resources
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import jsonschema
 import mpmath as mp
@@ -549,6 +551,20 @@ def test_large_raw_data_is_bracketed_within_its_scale():
     x[6::7, 3] = 0.0
     for row in x:
         solve_brio(_data(*row))
+
+
+def test_overflowing_energy_is_refused_with_its_bound():
+    # Magnitudes 10^U(150, 300) as scripts/weak_sweep.py draws them: every
+    # draw overflows q = (u^2 + v^2)/2 and is refused where the energy is
+    # formed, with the bound in the message, not with a DomainError on an
+    # internal state.
+    spec = importlib.util.spec_from_file_location(
+        "weak_sweep", Path(__file__).resolve().parent.parent / "scripts" / "weak_sweep.py")
+    weak_sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(weak_sweep)
+    for data in weak_sweep.draws(150.0, 300.0, 4, 200):
+        with pytest.raises(PreconditionError, match=r"q = \(u\^2 \+ v\^2\)/2 must be finite"):
+            solve_brio(data)
 
 
 # Raw data with a v sign change whose fan has no family-1 wave (u_M == u_L

@@ -429,10 +429,14 @@ def test_middle_state_evaluates_each_velocity_once(monkeypatch):
 
 
 def test_small_data_middle_state_is_the_float_root():
-    # Raw draws with every component +-10^U(-6, 3): q_M lies within 1e-12
-    # relative of the float root of phi (middle_sweep.q_error).  A polish
-    # tolerance of 1e-14 absolute lost up to 2e-4 relative at these scales.
-    for left, right in middle_sweep.draws(-6.0, 3.0, 99, 400):
+    # Raw draws with every component +-10^U(-6, 3), then +-10^U(-6, -2): q_M
+    # lies within 1e-12 relative of the float root of phi
+    # (middle_sweep.q_error).  A polish tolerance of 1e-14 absolute lost up
+    # to 2e-4 relative at these scales, and a polish that stopped at a step
+    # of at most 4 eps |u| without taking it left 7 of the second sweep's
+    # draws out, by up to 3.6e-11, where |q| << |u q'|.
+    for left, right in (middle_sweep.draws(-6.0, 3.0, 99, 400)
+                        + middle_sweep.draws(-6.0, -2.0, 7, 1000)):
         mid = solve_middle(left, right)
         assert middle_sweep.q_error(left, right, mid) <= 1e-12, (left, right, mid)
 

@@ -32,8 +32,9 @@ from briodelta.delta import (
     nonuniqueness_example,
     sample_brio_many,
     solve_brio,
+    wave_speeds,
 )
-from briodelta.errors import BlowUp, BrioError, PreconditionError
+from briodelta.errors import BlowUp, BrioError, PreconditionError, QuadratureFailure
 from briodelta.riemann import build_fan
 from briodelta.verify import (
     TOL_WEAK,
@@ -787,3 +788,168 @@ def test_weak_residual_bumps_are_independent(rng):
             for phi, entry in zip(battery, full):
                 assert weak_residual(sol, [phi], nodes=nodes) == [entry]
     assert weak_residual(sol, []) == []
+
+
+# The weak path as it stood before the bump-major entry table, kept to pin
+# weak_residual and solution_battery bit for bit: the same kernels, with
+# the parts grouped by a stable argsort on their bump.
+
+
+def _reference_battery(speeds, T):
+    finite = [s for s in speeds if math.isfinite(s)]
+    lo = min(finite + [0.0]) * T - 0.75
+    hi = max(finite + [0.0]) * T + 0.75
+    xcs = np.linspace(lo, hi, 5)
+    tcs = np.linspace(T / 6.0, 5.0 * T / 6.0, 5)
+    return [TestFunction((float(xc), float(tc)), ((hi - lo) / 4.0, T / 5.0))
+            for tc in tcs for xc in xcs]
+
+
+def _reference_m0(bumps, r, xi, ta, tb, gx, gw):
+    mid, half = 0.5 * (ta + tb), 0.5 * (tb - ta)
+    x0, wx, t0, wt = (bumps[k][r] for k in ("x0", "wx", "t0", "wt"))
+
+    def hat(a, b):
+        return np.maximum(1.0 - np.square(a[..., None] + b[..., None] * gx), 0.0)
+
+    y = hat((xi * mid - x0) / wx, xi * half / wx) * hat((mid - t0) / wt, half / wt)
+    z, p = None, verify.BUMP_EXPONENT
+    while p:
+        if p & 1:
+            z = y if z is None else z * y
+        p >>= 1
+        if p:
+            y = y * y
+    return half * (z * gw).sum(-1)
+
+
+def _reference_weak_residual(sol, phis, nodes=32):
+    gx, gw = verify._gl(nodes)
+    x0, t0, wx, wt = np.array([phi.center + phi.halfwidths for phi in phis]).T
+    bumps = {"x0": x0, "t0": t0, "wx": wx, "wt": wt, "xlo": x0 - wx, "xhi": x0 + wx,
+             "t_lo": np.maximum(t0 - wt, 0.0), "t_hi": t0 + wt}
+    # Fan rows, per rarefaction segment, and every segment's edge states.
+    live = np.flatnonzero(bumps["t_hi"] > bumps["t_lo"])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo = np.fmin(bumps["xlo"] / bumps["t_lo"], bumps["xlo"] / bumps["t_hi"])[live]
+        hi = np.fmax(bumps["xhi"] / bumps["t_lo"], bumps["xhi"] / bumps["t_hi"])[live]
+    entries, states = [], []
+    for seg in sol.segments:
+        if isinstance(seg, ConstantSegment):
+            states.append(((seg.state.u, seg.state.v),) * 2)
+            continue
+        xa, xb = np.maximum(lo, seg.xi_lo), np.minimum(hi, seg.xi_hi)
+        hit = xa < xb
+        X, XW = verify._nodes(xa[hit], xb[hit], gx, gw)
+        xi, wxi = X.ravel(), XW.ravel()
+        u, v, t = _rarefaction_uv(seg, np.append(xi, (seg.xi_lo, seg.xi_hi)))
+        states.append(tuple(zip(u[-2:].tolist(), v[-2:].tolist())))
+        u, v, t = u[:-2], v[:-2], t[:-2]
+        fast = seg.family == 2
+        du = (t + 1.0) / (2.0 * t + (1.0 if fast else 3.0))
+        vdv = (0.5 * t if fast else -0.5 * (t + 2.0)) * du
+        dv = np.divide(vdv, v, out=np.zeros_like(v), where=v != 0.0)
+        entries.append((np.repeat(live[hit], len(gx)), xi,
+                        -wxi * ((u - xi) * du + vdv), -wxi * (v * du + (u - 1.0 - xi) * dv)))
+    # The ray table: (c, ku, kv) per distinct finite ray, tiled over the bumps.
+    edges = [seg.xi_hi for seg in sol.segments[:-1]]
+    rays = sorted({*edges, *(s.speed for s in sol.singular)})
+    table = np.zeros((len(rays), 3))
+    table[:, 0] = rays
+    f, g = sol.flux.f, sol.flux.g
+    for c, (_, (ul, vl)), ((ur, vr), _) in zip(edges, states, states[1:]):
+        table[rays.index(c), 1:] += ((f(ul, vl) - f(ur, vr)) - c * (ul - ur),
+                                     (g(ul, vl) - g(ur, vr)) - c * (vl - vr))
+    for s in sol.singular:
+        table[rays.index(s.speed), 1 if s.component == "u" else 2] -= s.rate
+    entries.append((np.repeat(np.arange(len(phis)), len(table)),
+                    *np.tile(table, (len(phis), 1)).T))
+    # Every entry's weights times m0.
+    b, xi, wu, wv = (np.concatenate(col) for col in zip(*entries))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, bb = bumps["xlo"][b] / xi, bumps["xhi"][b] / xi
+    neg = np.signbit(xi)
+    ta = np.fmax(bumps["t_lo"][b], np.where(neg, bb, a))
+    tb = np.fmin(bumps["t_hi"][b], np.where(neg, a, bb))
+    fan = slice(len(b) - len(entries[-1][0]))
+    if np.any(tb[fan] - ta[fan] < -1e-12 * (1.0 + np.abs(tb[fan]))):
+        raise QuadratureFailure("support times inverted on a ray")
+    keep = ta < tb
+    b, xi, wu, wv, ta, tb = (a[keep] for a in (b, xi, wu, wv, ta, tb))
+    tx, tw = verify._gl(min(nodes, verify._RAY_EXACT))
+    m0 = np.empty_like(xi)
+    step = max(1, 8192 // len(tx))
+    for i in range(0, len(b), step):
+        k = slice(i, i + step)
+        m0[k] = _reference_m0(bumps, b[k], xi[k], ta[k], tb[k], tx, tw)
+    parts = [(b, m0 * wu, m0 * wv)]
+    # The t = 0 rows: the carriers' constants, then the data's jumps.
+    cu = math.fsum(s.constant for s in sol.singular if s.component == "u")
+    cv = math.fsum(s.constant for s in sol.singular if s.component == "v")
+    if cu or cv:
+        phi0 = verify._bump(-x0 / wx) * verify._bump(-t0 / wt)
+        r = np.flatnonzero(phi0)
+        parts.append((r, -cu * phi0[r], -cv * phi0[r]))
+    data, left, right = sol.initial, sol.segments[0].state, sol.segments[-1].state
+    if (left, right) != (data.left, data.right):
+        low = np.flatnonzero(t0 - wt < 0.0)
+        xlo, xhi = bumps["xlo"][low], bumps["xhi"][low]
+        split = (xlo < 0.0) & (0.0 < xhi)
+        r = np.concatenate([low, low[split]])
+        xa = np.concatenate([xlo, np.zeros(split.sum())])
+        xb = np.concatenate([np.where(split, 0.0, xhi), xhi[split]])
+        on_left = 0.5 * (xa + xb) < 0.0
+        du = np.where(on_left, data.left.u - left.u, data.right.u - right.u)
+        dv = np.where(on_left, data.left.v - left.v, data.right.v - right.v)
+        k = (du != 0.0) | (dv != 0.0)
+        r, xa, xb, du, dv = r[k], xa[k], xb[k], du[k], dv[k]
+        X, XW = verify._nodes(xa, xb, gx, gw)
+        mass = (XW * verify._bump((X - x0[r, None]) / wx[r, None])).sum(-1)
+        mass *= verify._bump(-t0[r] / wt[r])
+        parts.append((r, du * mass, dv * mass))
+    # Grouped by bump, each group summed exactly.
+    b, pu, pv = (np.concatenate(col) for col in zip(*parts))
+    order = np.argsort(b, kind="stable")
+    pu, pv = pu[order].tolist(), pv[order].tolist()
+    ends = np.cumsum(np.bincount(b, minlength=len(phis))).tolist()
+    return [(abs(math.fsum(pu[i:j])), abs(math.fsum(pv[i:j])))
+            for i, j in zip([0] + ends[:-1], ends)]
+
+
+def test_weak_path_is_bit_identical_to_the_sorted_assembly(rng):
+    # The bump-major entry table reorders and regroups the parts, never a
+    # value: every residual and every battery equals the reference above
+    # bit for bit (repr tells -0.0 from 0.0 and a NumPy float from a float).
+    sols = [solve_brio(random_brio_data(rng, region, sign_case))
+            for region in ("I", "II", "III", "IV") for sign_case in ("same", "flip")]
+    sols += [verify._lagging(sols[0]), verify._lagging(sols[3])]
+    outer = sols[-3].segments[0]  # region IV: the initial-data rows carry a jump
+    sols.append(replace(sols[-3], segments=(replace(outer, state=BrioState(
+        outer.state.u + 0.1, outer.state.v)),) + sols[-3].segments[1:]))
+    sols.append(nonuniqueness_example(1.0, -1.0, 1.0))
+    brng = np.random.default_rng(33)
+    for sol in sols:
+        battery = solution_battery(sol)
+        assert repr(battery) == repr(_reference_battery(wave_speeds(sol), 1.0))
+        # Random bumps, some reaching t < 0 or holding the origin.
+        loose = [TestFunction((float(x), float(t)), (float(wx), float(wt)))
+                 for x, t, wx, wt in zip(brng.uniform(-3.0, 3.0, 6), brng.uniform(-0.4, 1.5, 6),
+                                         brng.uniform(0.2, 3.0, 6), brng.uniform(0.1, 1.0, 6))]
+        for phis in (battery, loose):
+            for nodes in (1, 4, 13, 32, 64):
+                got = weak_residual(sol, phis, nodes=nodes)
+                assert repr(got) == repr(_reference_weak_residual(sol, phis, nodes)), nodes
+    for _ in range(20):
+        speeds = list(brng.uniform(-5.0, 5.0, int(brng.integers(0, 5)))) + [math.inf]
+        T = float(10.0 ** brng.uniform(-3.0, 3.0))
+        assert repr(test_function_battery(speeds, T)) == repr(_reference_battery(speeds, T))
+    # A fan node beyond the float range: both raise on its inverted support times.
+    segs = list(sols[0].segments)
+    k = next(i for i, seg in enumerate(segs) if isinstance(seg, RarefactionSegment))
+    segs[k] = replace(segs[k], xi_lo=1e308, xi_hi=1.7e308)
+    huge = replace(sols[0], segments=tuple(segs))
+    phi = [TestFunction((1e308, 1.0), (5e307, 0.5))]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for weak in (weak_residual, _reference_weak_residual):
+            with pytest.raises(QuadratureFailure, match="support times inverted"):
+                weak(huge, phi)
