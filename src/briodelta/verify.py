@@ -19,7 +19,6 @@ construction) and is used only for convergence trends, never for equality.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -82,8 +81,8 @@ _RAY_EXACT = 2 * BUMP_EXPONENT + 1
 # Points per array pass of weak_residual, whatever the battery or node count
 # n: n per initial-data row and min(n, 2p + 1) per entry of the bump-major
 # table (a fan xi-node or a (bump, ray) pair), so one pass takes a typical
-# table whole; a rarefaction's one ray inverse takes n a row.
-_CHUNK_POINTS = 16384
+# table of about 500 entries; a rarefaction's one ray inverse takes n a row.
+_CHUNK_POINTS = 8192
 # Draws random_trans_pair makes before giving up on a region.
 _PAIR_TRIES = 64
 # Random bases of the shock-locus jump-condition check.
@@ -199,8 +198,7 @@ def _slices(rows: int, points: int):
 
 @dataclass(frozen=True)
 class _Bumps:
-    """A battery as columns, one entry per bump: `cols` holds the rows
-    (x0, t0, wx, wt), then each support's box."""
+    """A battery as columns: the rows (x0, t0, wx, wt), then each support's box."""
 
     cols: np.ndarray
     xlo: np.ndarray
@@ -210,8 +208,7 @@ class _Bumps:
 
     @classmethod
     def of(cls, phis) -> _Bumps:
-        c = np.fromiter(itertools.chain.from_iterable(
-            phi.center + phi.halfwidths for phi in phis), float, 4 * len(phis)).reshape(-1, 4).T
+        c = np.array([phi.center + phi.halfwidths for phi in phis]).T.copy()
         lo, hi = c[:2] - c[2:], c[:2] + c[2:]
         return cls(c, lo[0], hi[0], np.maximum(lo[1], 0.0), hi[1])
 
@@ -296,7 +293,7 @@ def _line_parts(bumps: _Bumps, table, valid, m: int, n: int):
     tb = np.fmin(bumps.t_hi[:, None], np.where(neg, a, b), out=table[5])
     keep = ta < tb
     lost = (valid > keep)[:, :m]  # fan nodes that miss their support, as only rays may
-    if lost.any() and np.any((tb - ta)[:, :m][lost] < -1e-12 * (1.0 + np.abs(tb[:, :m][lost]))):
+    if lost.any() and np.any((tb - ta)[:, :m][lost] < -1e-12 * (1.0 + abs(tb[:, :m][lost]))):
         raise QuadratureFailure("support times inverted on a ray")
     keep &= valid
     counts = keep.sum(1)
@@ -310,32 +307,37 @@ def _line_parts(bumps: _Bumps, table, valid, m: int, n: int):
 
 
 def _m0(cols, rays, gx, gw):
-    """m0 = int phi(xi t, t) dt over [ta, tb], rays the rows (xi, 1, ta, tb)
-    and cols the rows (x0, t0, wx, wt) of their bumps, by value alone: on
-    the abscissae g, t = mid + half g, so s_x = (xi t - x0)/wx and
-    s_t = (t - t0)/wt are affine in g, and phi = (max(1 - s_x^2, 0)
-    max(1 - s_t^2, 0))^p takes its power by squaring, both factors in each
-    in-place pass along the entries.  Each entry's sum runs along its own
-    row of the transpose, so it does not depend on the others."""
-    xi1, (ta, tb) = rays[:2], rays[2:]
+    """m0 = int phi(xi t, t) dt over [ta, tb] for rays (xi, 1, ta, tb) in
+    bumps cols (x0, t0, wx, wt), by value alone: on the abscissae g,
+    t = mid + half g, so s_x = (xi t - x0)/wx and s_t = (t - t0)/wt are
+    affine in g, and phi = (max(1 - s_x^2, 0) max(1 - s_t^2, 0))^p takes
+    its power by squaring, in place.  Each entry's sum runs along its own
+    row, so it does not depend on the others."""
+    xi, _, ta, tb = rays
     mid, half = 0.5 * (ta + tb), 0.5 * (tb - ta)
-    s = np.einsum("ik,j->ijk", xi1 * half / cols[2:], gx)  # outer product, faster than a * b
-    s += ((xi1 * mid - cols[:2]) / cols[2:])[:, None]
-    np.square(s, out=s)
-    np.maximum(np.subtract(1.0, s, out=s), 0.0, out=s)
-    z, y, p = None, np.multiply(s[0], s[1], out=s[0]), BUMP_EXPONENT
+    x0, t0, wx, wt = cols
+    y = _hat((xi * mid - x0) / wx, xi * half / wx, gx)
+    y *= _hat((mid - t0) / wt, half / wt, gx)
+    z, p = None, BUMP_EXPONENT
     while p:
         if p & 1:
             z = y if z is None else np.multiply(z, y, out=z)
         p >>= 1
         if p:
             y = y * y if z is y else np.square(y, out=y)
-    z *= gw[:, None]
-    return half * np.ascontiguousarray(z.T).sum(-1)
+    z *= gw
+    return half * z.sum(-1)
+
+
+def _hat(a, b, g):
+    """max(1 - s^2, 0) at s = a + b g, g along a new last axis, in place."""
+    s = b[:, None] * g
+    s += a[:, None]
+    return np.maximum(np.subtract(1.0, np.square(s, out=s), out=s), 0.0, out=s)
 
 
 def _initial_parts(sol: DeltaSolution, bumps: _Bumps, gx, gw):
-    """Per bump, the lists (u parts, v parts) of its initial-data rows.
+    """(bump, u part, v part) of each initial-data row.
 
     The carriers' constants, a Dirac mass at the origin, take -phi(0, 0)
     times their sum per component, one row per support holding it, unless
@@ -344,13 +346,12 @@ def _initial_parts(sol: DeltaSolution, bumps: _Bumps, gx, gw):
     side where the two are equal has none.
     """
     x0, t0, wx, wt = bumps.cols
-    rows, extra = [], [([], []) for _ in range(len(x0))]
     cu = math.fsum(s.constant for s in sol.singular if s.component == "u")
     cv = math.fsum(s.constant for s in sol.singular if s.component == "v")
     if cu or cv:
         phi = _bump(-x0 / wx) * _bump(-t0 / wt)
         b = np.flatnonzero(phi)  # the supports that hold the origin
-        rows.append((b, -cu * phi[b], -cv * phi[b]))
+        yield from zip(b.tolist(), (-cu * phi[b]).tolist(), (-cv * phi[b]).tolist())
     data, lo, hi = sol.initial, sol.segments[0].state, sol.segments[-1].state
     if (lo, hi) != (data.left, data.right):
         low = np.flatnonzero(t0 - wt < 0.0)  # the supports that reach t = 0
@@ -364,12 +365,7 @@ def _initial_parts(sol: DeltaSolution, bumps: _Bumps, gx, gw):
                 X, XW = _nodes(xa[k], xb[k], gx, gw)
                 mass = (XW * _bump((X - x0[r, None]) / wx[r, None])).sum(-1)
                 mass *= _bump(-t0[r] / wt[r])
-                rows.append((r, du * mass, dv * mass))
-    for r, pu, pv in rows:
-        for b, u, v in zip(r.tolist(), pu.tolist(), pv.tolist()):
-            extra[b][0].append(u)
-            extra[b][1].append(v)
-    return extra
+                yield from zip(r.tolist(), (du * mass).tolist(), (dv * mass).tolist())
 
 
 def weak_residual(sol: DeltaSolution, phis, *, nodes: int = 32) -> list[tuple[float, float]]:
@@ -391,7 +387,7 @@ def weak_residual(sol: DeltaSolution, phis, *, nodes: int = 32) -> list[tuple[fl
     constant phi(0, 0).  So no derivative of phi is taken: but for the rows
     at t = 0, each term is a weight times m0 = int phi(xi t, t) dt along a
     ray inside the support, all by one value-only kernel (_line_parts) on
-    one bump-major entry table, a row per bump:
+    one bump-major entry table:
 
     - fan: each of the n nodes in xi of a (bump, rarefaction segment) row
       weighs -w_xi D, D = (A(U) - xi) U' (_fan_parts).  One ray inverse per
@@ -412,9 +408,8 @@ def weak_residual(sol: DeltaSolution, phis, *, nodes: int = 32) -> list[tuple[fl
     solution every weight vanishes, so any n reads the rounding floor.
 
     Each bump's fan nodes and rays are one run of the table, so nothing is
-    sorted.  The kernels run in slices of at most _CHUNK_POINTS points.
-    math.fsum adds each bump's parts, so its residual depends neither on
-    their order nor on the other bumps.
+    sorted, and math.fsum adds each bump's parts: its residual depends
+    neither on their order nor on the other bumps.
 
     `nodes` must be an integer >= 1 and not a bool, else PreconditionError.
     """
@@ -425,19 +420,24 @@ def weak_residual(sol: DeltaSolution, phis, *, nodes: int = 32) -> list[tuple[fl
         return []
     gx, gw = _gl(nodes)
     bumps = _Bumps.of(phis)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         blocks, states = _fan_parts(sol, bumps, gx, gw)
         rays = _ray_table(sol, states)
         m = nodes * len(blocks)
-        table = np.ones((6, len(phis), m + rays.shape[1]))
+        table = np.empty((6, len(phis), m + rays.shape[1]))  # off the valid entries unread
+        table[3] = 1.0
         valid = np.ones(table.shape[1:], dtype=bool)
         for k, (hit, cols) in zip(range(0, m, nodes), blocks):
             table[:3, hit, k:k + nodes] = cols
             valid[:, k:k + nodes] = hit[:, None]
         table[:3, :, m:] = rays[:, None]
         ends, pu, pv = _line_parts(bumps, table, valid, m, nodes)
-    return [(abs(math.fsum(pu[i:j] + eu)), abs(math.fsum(pv[i:j] + ev))) for i, j, (eu, ev)
-            in zip([0] + ends[:-1], ends, _initial_parts(sol, bumps, gx, gw))]
+    for b, u, v in _initial_parts(sol, bumps, gx, gw):  # into the end of bump b's run
+        pu.insert(ends[b], u)
+        pv.insert(ends[b], v)
+        ends[b:] = [e + 1 for e in ends[b:]]
+    return [(abs(math.fsum(pu[i:j])), abs(math.fsum(pv[i:j])))
+            for i, j in zip([0] + ends[:-1], ends)]
 
 
 @dataclass(frozen=True)
