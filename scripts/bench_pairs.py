@@ -17,7 +17,9 @@ both sides (see rss_fit).  Runs of further workloads are
 merged into an existing output file, so one file can hold every workload
 of a comparison.  Once per output file, "tier1" records the wall seconds
 and pass/fail of the tier-1 test command in each checkout, TIER1_RUNS
-runs per side, the parent first in even runs (see tier1_summary).
+runs per side, the parent first in even runs (see tier1_summary), and
+"size" the lines and ast node counts of each checkout's modules under
+src/briodelta (see source_size).
 
 The last line of every run's output must be a result: one JSON object
 with a boolean `correct`, integer `attempted` and `failed`, and `metrics`
@@ -29,6 +31,7 @@ with the checkout, workload, seed and mode named.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
 import os
@@ -157,6 +160,19 @@ def tier1_pairs(parent: Path, change: Path) -> dict:
     return tier1_summary(runs)
 
 
+def source_size(checkout: Path) -> dict:
+    """Lines and ast node count of each module under src/briodelta, and their totals."""
+    package = checkout / "src" / "briodelta"
+    modules = {}
+    for path in sorted(package.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        modules[path.relative_to(package).as_posix()] = {
+            "lines": len(text.splitlines()), "ast_nodes": sum(1 for _ in ast.walk(ast.parse(text)))}
+    return {"modules": modules,
+            "lines": sum(m["lines"] for m in modules.values()),
+            "ast_nodes": sum(m["ast_nodes"] for m in modules.values())}
+
+
 def merge(doc: dict, workload: str, entry: dict, tier1) -> dict:
     """doc with `entry` as the workload's; tier1() fills "tier1" only when doc has none."""
     doc.setdefault("workloads", {})[workload] = entry
@@ -218,10 +234,14 @@ def main(argv=None) -> int:
         "traced": traced,
     }
     merge(doc, args.workload, entry, lambda: tier1_pairs(args.parent, args.change))
+    size = doc.setdefault("size", {s: source_size(getattr(args, s)) for s in ("parent", "change")})
     t1 = doc["tier1"]
     print("tier-1 wall s: " + ", ".join(
         f"{s} {t1[s]['median_s']:.1f} ({'pass' if t1[s]['all_passed'] else 'FAIL'})"
         for s in ("parent", "change")), file=sys.stderr)
+    print("src/briodelta lines, ast nodes: " + ", ".join(
+        f"{s} {size[s]['lines']}, {size[s]['ast_nodes']}" for s in ("parent", "change")),
+        file=sys.stderr)
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 

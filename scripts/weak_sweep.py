@@ -3,13 +3,14 @@
 
     PYTHONPATH=src python3 scripts/weak_sweep.py
 
-Each of the three seeded sweeps (SWEEPS) takes DRAWS draws with every
+Each seeded sweep of SWEEPS takes its own number of draws with every
 component of (u_L, v_L, u_R, v_R) as +-10^U(lo, hi), then sets v_L = 0 in
 draw 7k + 5 and v_R = 0 in draw 7k + 6, so v = 0 on one side in 2 of 7
-draws.  Each
+draws.  The first three reach |data| = 1e8; the rest are the ranges of
+ROADMAP item 1's Measured table, out to 1e300 and down to 1e-300.  Each
 draw is solved with solve_brio and judged on its 25-bump battery: the
 largest residual over 1 + max |data| must not exceed TOL_WEAK.  Per sweep
-it prints the typed solve errors, the failures at 8, 32 and 128 nodes
+it prints the solve errors by class name, the failures at 8, 32 and 128 nodes
 (below 2p + 1 = 13 nodes too, a correct solution reads the rounding
 floor), the count of non-finite residuals (a non-finite residual also
 fails), the median wall time of one weak_residual call at 32 nodes, and
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 import statistics
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -35,12 +37,13 @@ from briodelta.verify import (
     weak_residual,
 )
 
-# (lo, hi, seed) of each sweep.
-SWEEPS = ((-3.0, 3.0, 2), (-8.0, 6.0, 3), (-8.0, 8.0, 1))
+# (lo, hi, seed, draws) of each sweep.
+SWEEPS = ((-3.0, 3.0, 2, 600), (-8.0, 6.0, 3, 600), (-8.0, 8.0, 1, 600),
+          (8.0, 16.0, 4, 300), (16.0, 60.0, 4, 200), (60.0, 150.0, 4, 200),
+          (150.0, 300.0, 4, 200), (-300.0, -100.0, 4, 200))
 NODES = (8, 32, 128)
 # Node count whose weak_residual calls are timed.
 TIMED_NODES = 32
-DRAWS = 600
 
 
 def draws(lo: float, hi: float, seed: int, n: int) -> list[RiemannData]:
@@ -54,15 +57,15 @@ def draws(lo: float, hi: float, seed: int, n: int) -> list[RiemannData]:
 
 
 def sweep(lo: float, hi: float, seed: int, n: int) -> dict:
-    errors, nonfinite = 0, 0
+    errors, nonfinite = Counter(), 0
     failures = dict.fromkeys(NODES, 0)
     worst, worst_data = 0.0, None
     seconds = []
     for data in draws(lo, hi, seed, n):
         try:
             sol = solve_brio(data)
-        except BrioError:
-            errors += 1
+        except BrioError as e:
+            errors[type(e).__name__] += 1
             continue
         scale = _suite_weak_scale(data)
         battery = solution_battery(sol)
@@ -86,11 +89,12 @@ def sweep(lo: float, hi: float, seed: int, n: int) -> dict:
 
 
 def main() -> None:
-    for lo, hi, seed in SWEEPS:
-        out = sweep(lo, hi, seed, DRAWS)
+    for lo, hi, seed, n in SWEEPS:
+        out = sweep(lo, hi, seed, n)
         fails = " / ".join(str(out["failures"][nodes]) for nodes in NODES)
-        print(f"10^[{lo:g}, {hi:g}], seed {seed}, {DRAWS} draws: "
-              f"{out['errors']} solve errors, weak failures at "
+        errors = "".join(f" {name} {count}," for name, count in sorted(out["errors"].items()))
+        print(f"10^[{lo:g}, {hi:g}], seed {seed}, {n} draws: solve errors"
+              f"{errors or ' none,'} weak failures at "
               f"{' / '.join(map(str, NODES))} nodes {fails}, "
               f"{out['nonfinite']} non-finite, median weak_residual "
               f"{out['median_ms']:.3f} ms per draw at {TIMED_NODES} nodes")

@@ -6,16 +6,17 @@ on an x-grid at fixed time, plus a sidecar listing the Dirac carriers),
 verify (property suite report), fv-compare (finite-volume refinement
 table).  Outputs land in --out, the BRIODELTA_OUT directory, or the
 working directory, with fixed file names so reruns are byte-identical.
-Every JSON output's text is byte for byte that of json.dumps with an indent
-of 2: solution.json's is its fixed layout filled in one % format
-(_solution_text), singular.json's and report.json's come from one writer,
-_json_text.  CSV values are written as %.17g.  solution.json and report.json
-match their packaged schemas by construction (solution_to_dict and
-property_suite fix every type and enum); the tests check every such document
-the CLI writes.  Each output's text is built before its file is opened, so a
-document that cannot be encoded leaves an existing file alone.  An existing
-output is overwritten in place through a raw descriptor and cut at the end of
-the new text; the write is not atomic, so an interruption can leave it partial.
+Every JSON output's text is that of json.dumps with an indent of 2, the one
+JSON encoder: it writes singular.json and report.json, and solution.json
+fills, in one % format, the layout json.dumps gives the document's skeleton
+(a %s per leaf), built once per shape (_solution_text).  CSV values are
+written as %.17g.  solution.json and report.json match their packaged
+schemas by construction (solution_to_dict and property_suite fix every type
+and enum); the tests check every such document the CLI writes.  Each
+output's text is built before its file is opened, so a document that cannot
+be encoded leaves an existing file alone.  An existing output is overwritten
+in place through a raw descriptor and cut at the end of the new text; the
+write is not atomic, so an interruption can leave it partial.
 
 --config FILE holds a JSON object keyed by option (x_min for --x-min) whose
 values win over flags, with a warning.  Each value is read by its option's
@@ -33,7 +34,6 @@ import json
 import math
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -140,89 +140,35 @@ def _rewrite(path: str, text: str) -> None:
         os.close(fd)
 
 
-_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# The classes json writes, and the bases it writes a subclass as, in its order.
-_JSON_CLASSES = frozenset({float, str, dict, list, tuple, int, bool, type(None)})
-_JSON_BASES = (float, str, dict, list, tuple, int)
-
-
-def _json_text(o) -> str:
-    """o as json.dumps writes it with an indent of 2, byte for byte, from one list of pieces.
-
-    A value of a class json does not write raises TypeError, as in json; so
-    does a key that is not a str (encode_basestring_ascii takes only str),
-    where json would convert a number, bool or None.
-    """
-    out: list[str] = []
-    _json_pieces(o, "\n", out)
-    return "".join(out)
-
-
-def _json_pieces(o, nl: str, out: list[str]) -> None:
-    """Append o's text to out; nl is the line break plus o's indent.
-
-    A subclass instance is written as its first base in _JSON_BASES.
-    """
-    kind = type(o)
-    if kind not in _JSON_CLASSES:
-        kind = next((base for base in _JSON_BASES if isinstance(o, base)), kind)
-    if kind is float:
-        text = float.__repr__(o)
-        out.append(_FLOAT_NAMES.get(text, text))
-    elif kind is str:
-        out.append(encode_basestring_ascii(o))
-    elif kind is dict:
-        inner = nl + "  "
-        sep = "{" + inner
-        for key, value in o.items():
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _json_pieces(value, inner, out)
-            sep = "," + inner
-        out.append(nl + "}" if o else "{}")
-    elif kind is list or kind is tuple:
-        inner = nl + "  "
-        sep = "[" + inner
-        for value in o:
-            out.append(sep)
-            _json_pieces(value, inner, out)
-            sep = "," + inner
-        out.append(nl + "]" if o else "[]")
-    elif o is None or o is True or o is False:
-        out.append("null" if o is None else "true" if o else "false")
-    elif kind is int:
-        out.append(int.__repr__(o))
-    else:
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
 def _dump_json(path: str, doc: dict) -> None:
-    _rewrite(path, _json_text(doc) + "\n")
+    _rewrite(path, json.dumps(doc, indent=2) + "\n")
 
 
-# solution.json as solution_to_dict lays it out, as % formats: the document
-# with a %s for each of its two lists (and %%s for each leaf), and the list
-# items by segment kind (None: a carrier), indented as items, a %s per leaf.
-_UV = dict.fromkeys("uv")
-_SOLUTION_LAYOUT = _json_text({"initial": {"left": _UV, "right": _UV}, "regular": "|",
-                               "singular": "|", "options": {"flip_speed": None}}
-                              ).replace("null", "%%s").replace('"|"', "%s")
-_ITEM_LAYOUT = {kind: _json_text(dict.fromkeys(keys) | states).replace("\n", "\n    ")
-                .replace("null", "%s") for kind, keys, states in (
-    ("constant", ("xi_lo", "xi_hi", "kind"), {"state": _UV}),
-    ("rarefaction", ("xi_lo", "xi_hi", "kind", "family", "v_sign"), {"left": _UV, "right": _UV}),
-    (None, ("speed", "rate", "constant", "component"), {}))}
+# solution.json's layout per shape (segment kinds, carrier count): the text of
+# its skeleton, a %s for each leaf.  A fan has finitely many shapes.
+_LAYOUTS: dict[tuple, str] = {}
+
+
+def _skeleton(o):
+    """o with each value that is neither a dict nor a list replaced by "%s"."""
+    if type(o) is dict:
+        return {key: _skeleton(value) for key, value in o.items()}
+    return [_skeleton(value) for value in o] if type(o) is list else "%s"
 
 
 def _solution_text(doc: dict) -> str:
-    """_json_text(doc) for a solution_to_dict document: its layout in one % format
-    over its leaves, the values of its innermost dicts in key order."""
+    """json.dumps(doc, indent=2) for a solution_to_dict document, whose keys
+    hold no %: its shape's layout in one % format over the json text of its
+    leaves, the values of its innermost dicts in key order.  json.dumps
+    writes all the leaves in one call, NUL-separated: it escapes every
+    control character, so no leaf's text holds a NUL."""
+    shape = (tuple([item["kind"] for item in doc["regular"]]), len(doc["singular"]))
+    layout = _LAYOUTS.get(shape)
+    if layout is None:
+        layout = _LAYOUTS[shape] = json.dumps(_skeleton(doc), indent=2).replace('"%s"', "%s")
     leaves = [x for part in doc.values() for item in (part if type(part) is list else (part,))
               for v in item.values() for x in (v.values() if type(v) is dict else (v,))]
-    layout = _SOLUTION_LAYOUT % tuple(
-        "[\n    " + ",\n    ".join([_ITEM_LAYOUT[item.get("kind")] for item in doc[name]])
-        + "\n  ]" if doc[name] else "[]" for name in ("regular", "singular"))
-    return layout % tuple([_FLOAT_NAMES.get(t := float.__repr__(o), t) if type(o) is float
-                           else _json_text(o) for o in leaves])
+    return layout % tuple(json.dumps(leaves, separators=("\0", ":"))[1:-1].split("\0"))
 
 
 def _write_csv(path: str, header, rows) -> None:

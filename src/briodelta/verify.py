@@ -94,13 +94,10 @@ _BATTERY_PAD = 0.75
 # Gauss-Legendre nodes per sub-cell in compare_fan_fv's exact cell averages.
 _FV_NODES = 8
 
-_gl_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
+@functools.cache
 def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _gl_cache:
-        _gl_cache[n] = np.polynomial.legendre.leggauss(n)
-    return _gl_cache[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _bump(s, slope: bool = False):
@@ -278,7 +275,7 @@ def _fan_parts(sol: DeltaSolution, bumps: _Bumps, gx, gw):
 
 def _line_parts(bumps: _Bumps, table, valid, m: int, n: int):
     """(ends, u parts, v parts) of the entry table (u weight, v weight, xi,
-    1, ta, tb): a row per bump, its fan nodes (the first m columns), then
+    ta, tb): a row per bump, its fan nodes (the first m columns), then
     its rays, kept where valid.  A part is a weight times m0 over [ta, tb],
     the ray's time in the support (t_lo <= t <= t_hi, xlo <= xi t <= xhi;
     at xi = +-0 the x-bounds divide to +-inf, or to NaN for an end at 0,
@@ -289,8 +286,8 @@ def _line_parts(bumps: _Bumps, table, valid, m: int, n: int):
     xi = table[2]
     a, b = bumps.xlo[:, None] / xi, bumps.xhi[:, None] / xi
     neg = np.signbit(xi)
-    ta = np.fmax(bumps.t_lo[:, None], np.where(neg, b, a), out=table[4])
-    tb = np.fmin(bumps.t_hi[:, None], np.where(neg, a, b), out=table[5])
+    ta = np.fmax(bumps.t_lo[:, None], np.where(neg, b, a), out=table[3])
+    tb = np.fmin(bumps.t_hi[:, None], np.where(neg, a, b), out=table[4])
     keep = ta < tb
     lost = (valid > keep)[:, :m]  # fan nodes that miss their support, as only rays may
     if lost.any() and np.any((tb - ta)[:, :m][lost] < -1e-12 * (1.0 + abs(tb[:, :m][lost]))):
@@ -298,7 +295,7 @@ def _line_parts(bumps: _Bumps, table, valid, m: int, n: int):
     keep &= valid
     counts = keep.sum(1)
     cols = np.repeat(bumps.cols, counts, axis=1)
-    entries = table.reshape(6, -1).compress(keep.ravel(), axis=1)
+    entries = table.reshape(5, -1).compress(keep.ravel(), axis=1)
     tx, tw = _gl(min(n, _RAY_EXACT))
     m0 = np.empty(entries.shape[1])
     for k in _slices(len(m0), len(tx)):
@@ -307,13 +304,13 @@ def _line_parts(bumps: _Bumps, table, valid, m: int, n: int):
 
 
 def _m0(cols, rays, gx, gw):
-    """m0 = int phi(xi t, t) dt over [ta, tb] for rays (xi, 1, ta, tb) in
+    """m0 = int phi(xi t, t) dt over [ta, tb] for rays (xi, ta, tb) in
     bumps cols (x0, t0, wx, wt), by value alone: on the abscissae g,
     t = mid + half g, so s_x = (xi t - x0)/wx and s_t = (t - t0)/wt are
     affine in g, and phi = (max(1 - s_x^2, 0) max(1 - s_t^2, 0))^p takes
     its power by squaring, in place.  Each entry's sum runs along its own
     row, so it does not depend on the others."""
-    xi, _, ta, tb = rays
+    xi, ta, tb = rays
     mid, half = 0.5 * (ta + tb), 0.5 * (tb - ta)
     x0, t0, wx, wt = cols
     y = _hat((xi * mid - x0) / wx, xi * half / wx, gx)
@@ -424,8 +421,7 @@ def weak_residual(sol: DeltaSolution, phis, *, nodes: int = 32) -> list[tuple[fl
         blocks, states = _fan_parts(sol, bumps, gx, gw)
         rays = _ray_table(sol, states)
         m = nodes * len(blocks)
-        table = np.empty((6, len(phis), m + rays.shape[1]))  # off the valid entries unread
-        table[3] = 1.0
+        table = np.empty((5, len(phis), m + rays.shape[1]))  # off the valid entries unread
         valid = np.ones(table.shape[1:], dtype=bool)
         for k, (hit, cols) in zip(range(0, m, nodes), blocks):
             table[:3, hit, k:k + nodes] = cols

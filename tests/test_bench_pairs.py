@@ -1,4 +1,4 @@
-"""The paired-benchmark script: strict result lines, the peak-RSS fit and the tier-1 record."""
+"""The paired-benchmark script: strict result lines, the peak-RSS fit, the tier-1 and size records."""
 
 from __future__ import annotations
 
@@ -102,3 +102,18 @@ def test_merge_times_tier1_once_per_output_file():
     # A file written before the record existed gains it on its next merge.
     old = bench_pairs.merge({"workloads": {"interface_pool": {}}}, "verify_grid", {}, tier1)
     assert len(calls) == 2 and set(old["workloads"]) == {"interface_pool", "verify_grid"}
+
+
+def test_source_size_counts_lines_and_ast_nodes_of_each_module(tmp_path):
+    package = tmp_path / "src" / "briodelta"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n\n# a comment\n")
+    (package / "sub" / "b.py").write_text("def f(y):\n    return y\n")
+    (package / "schema.json").write_text("{}\n")
+    (tmp_path / "src" / "other.py").write_text("z = 2\n")
+    out = bench_pairs.source_size(tmp_path)
+    # x = 1: Module, Assign, Name, Store, Constant.  def f(y): return y:
+    # Module, FunctionDef, arguments, arg, Return, Name, Load.
+    assert out == {"modules": {"a.py": {"lines": 3, "ast_nodes": 5},
+                               "sub/b.py": {"lines": 2, "ast_nodes": 7}},
+                   "lines": 5, "ast_nodes": 12}
