@@ -772,6 +772,55 @@ def test_solution_layout_keeps_odd_floats_in_every_slot():
                 assert cli._solution_text(odd) == json.dumps(odd, indent=2), (path, x)
 
 
+_ODD_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-7,
+               0.1, -2.5, 1.7976931348623157e308)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_solution_text_matches_json_dumps_on_random_solutions(seed):
+    """Data over many scales and flip_speed options, with random leaves
+    swapped for odd floats, wide exponents, NumPy floats and None."""
+    rng = np.random.default_rng(seed)
+    docs = 0
+    for _ in range(60):
+        ul, vl, ur, vr = (rng.uniform(-1, 1, 4) * 10.0 ** rng.uniform(-8, 8)).tolist()
+        flip_speed = ("rh", "paper")[int(rng.integers(2))]
+        try:
+            sol = solve_brio(RiemannData(BrioState(ul, vl), BrioState(ur, vr)),
+                             flip_speed=flip_speed)
+        except BrioError:
+            continue
+        options = (sol.options, {}, {"flip_speed": float(rng.normal())})[int(rng.integers(3))]
+        doc = solution_to_dict(replace(sol, options=options))
+        for path in _leaf_paths(doc):
+            pick = rng.integers(6)
+            if pick < 3:
+                continue
+            x = (_ODD_FLOATS[int(rng.integers(len(_ODD_FLOATS)))] if pick == 3 else
+                 float(rng.uniform(-1, 1) * 10.0 ** rng.integers(-320, 309)) if pick == 4 else
+                 np.float64(rng.normal()))
+            functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = x
+        assert cli._solution_text(doc) == json.dumps(doc, indent=2)
+        docs += 1
+    assert docs >= 30
+
+
+@pytest.mark.parametrize("leaf", [
+    object(), np.int64(3), {1, 2}, b"bytes", 1j, np.bool_(True), np.array([0.5]),
+])
+def test_solution_text_refuses_what_json_dumps_refuses(leaf):
+    """A leaf json cannot write raises TypeError in every slot, as in
+    json.dumps, rather than landing in the text as its str()."""
+    doc = solution_to_dict(solve_brio(RiemannData(BrioState(1.0, 3.0), BrioState(0.7, -3.3))))
+    for path in _leaf_paths(doc):
+        bad = copy.deepcopy(doc)
+        functools.reduce(operator.getitem, path[:-1], bad)[path[-1]] = leaf
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2)
+        with pytest.raises(TypeError):
+            cli._solution_text(bad)
+
+
 def _csv_oracle(text: str) -> str:
     """The CSV as csv.writer writes its parsed rows, values as %.17g."""
     header, *rows = csv.reader(io.StringIO(text, newline=""))
