@@ -292,7 +292,7 @@ def _rarefaction_uv(seg: RarefactionSegment, xi) -> tuple[np.ndarray, np.ndarray
 
     |v| = sqrt(t(t + 2))/2 with t from the ray inverse.
     """
-    u, _, t = seg.curve.ray(xi)
+    u, t = seg.curve.ray(xi)
     return u, seg.v_sign * 0.5 * np.sqrt(t * (t + 2.0)), t
 
 

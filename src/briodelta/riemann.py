@@ -6,11 +6,12 @@ right state.  Their difference phi(u) = f1(u) - b2(u) falls monotonically, so
 its one root is bracketed from the data: the interval between the two
 velocities, with each end whose sign is wrong pushed outward by 1, 2, 4, ...
 until phi(lo) >= 0 >= phi(hi), then polished by Newton steps on the curves'
-closed-form slopes, safeguarded by bisection.  The four
-sign combinations of (u_M - u_L, u_R - u_M) classify the fan into the four
-shock/rarefaction regions.  A wave exists exactly when u_M differs from the
-data velocity on its side: there is no tie tolerance, since near q = u^2/2 a
-family-1 wave of u-width du still jumps v by about sqrt(du).
+closed-form slopes, safeguarded by bisection.  One rule (_kind) gives each
+wave's kind in both families: a shock exactly when u falls across it, a
+rarefaction when u rises, none at equal velocities (no tie tolerance: near
+q = u^2/2 a family-1 wave of u-width du still jumps v by about sqrt(du)).
+The region is the pair of kinds in one table, REGIONS; Degenerate when a
+wave is absent.
 
 Each wave is built on the curve the middle state was found on: a family-1
 wave on the curve through the left state, a family-2 wave on the curve
@@ -52,6 +53,7 @@ from .core import TOL_ZERO, TransState, trans_lambdas
 from .errors import BracketFailure, PreconditionError
 from .wave_curves import (
     IntegralCurve,
+    _energy,
     backward_curve_2,
     forward_curve_1,
     integrate_rarefaction,
@@ -216,20 +218,21 @@ def _polish_root(f, a: float, b: float, fa: float, fb: float) -> float:
         f"middle-state polish did not converge in {_POLISH_STEPS} steps on [{a!r}, {b!r}]")
 
 
-def classify(left: TransState, right: TransState, middle: TransState) -> Region:
-    """Assign the region from the middle-state position.
+def _kind(left: TransState, right: TransState) -> str | None:
+    """Wave kind from left to right: None at equal u, a shock where u falls, else a rarefaction."""
+    if right.u == left.u:
+        return None
+    return "shock" if right.u < left.u else "rarefaction"
 
-    I: two rarefactions, II: family-1 shock + family-2 rarefaction,
-    III: rarefaction + shock, IV: two shocks; Degenerate when u_M equals
-    u_L or u_R exactly, that is when a wave is absent.
-    """
-    du1 = middle.u - left.u
-    du2 = right.u - middle.u
-    if du1 == 0.0 or du2 == 0.0:
-        return Region.DEGENERATE
-    if du1 > 0.0:
-        return Region.I if du2 > 0.0 else Region.III
-    return Region.II if du2 > 0.0 else Region.IV
+
+# (family-1 kind, family-2 kind) -> region, in region order.
+REGIONS = {("rarefaction", "rarefaction"): Region.I, ("shock", "rarefaction"): Region.II,
+           ("rarefaction", "shock"): Region.III, ("shock", "shock"): Region.IV}
+
+
+def classify(left: TransState, right: TransState, middle: TransState) -> Region:
+    """Region of the two wave kinds (REGIONS); Degenerate when u_M equals u_L or u_R exactly."""
+    return REGIONS.get((_kind(left, middle), _kind(middle, right)), Region.DEGENERATE)
 
 
 def lax_check(w: Wave) -> bool:
@@ -248,36 +251,26 @@ def lax_check(w: Wave) -> bool:
     return l2l >= c - TOL_LAX and c >= l2r - TOL_LAX and c >= l1l - TOL_LAX
 
 
-def _shock_wave(family: int, left: TransState, right: TransState) -> Wave:
-    c = shock_speed(family, left, right)
-    return Wave("shock", family, left, right, c, c)
-
-
-def _rarefaction_wave(family: int, left: TransState, right: TransState) -> Wave:
+def _wave(family: int, left: TransState, right: TransState) -> Wave | None:
+    """The family's wave from left to right (_kind), or None when u does not change."""
+    kind = _kind(left, right)
+    if kind == "shock":
+        c = shock_speed(family, left, right)
+        return Wave(kind, family, left, right, c, c)
+    if kind is None:
+        return None
     # Family 2 runs backward from the right state to left.u.
     curve = (integrate_rarefaction(1, left, right.u) if family == 1
              else integrate_rarefaction(2, right, left.u))
-    return Wave("rarefaction", family, left, right,
-                curve.lam_at(left.u), curve.lam_at(right.u), curve)
+    return Wave(kind, family, left, right, curve.lam_at(left.u), curve.lam_at(right.u), curve)
 
 
 def build_fan(left: TransState, right: TransState) -> WaveFan:
     """Solve, classify and assemble the ordered wave fan."""
     middle = solve_middle(left, right)
-    region = classify(left, right, middle)
-    waves: list[Wave] = []
-
-    if middle.u < left.u:
-        waves.append(_shock_wave(1, left, middle))
-    elif middle.u > left.u:
-        waves.append(_rarefaction_wave(1, left, middle))
-
-    if right.u < middle.u:
-        waves.append(_shock_wave(2, middle, right))
-    elif right.u > middle.u:
-        waves.append(_rarefaction_wave(2, middle, right))
-
-    return WaveFan(left, middle, right, tuple(waves), region)
+    waves = (_wave(1, left, middle), _wave(2, middle, right))
+    return WaveFan(left, middle, right, tuple(w for w in waves if w is not None),
+                   classify(left, right, middle))
 
 
 def sample_fan(fan: WaveFan, xi: float) -> TransState:
@@ -306,7 +299,8 @@ def sample_fan_many(fan: WaveFan, xi) -> tuple[np.ndarray, np.ndarray]:
         if w.curve is not None:
             m = idx == 2 * widx + 1
             if m.any():
-                u[m], q[m], _ = w.curve.ray(xi[m])
+                u_ray, t = w.curve.ray(xi[m])
+                u[m], q[m] = u_ray, _energy(u_ray, t)
     return u, q
 
 

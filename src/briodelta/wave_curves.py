@@ -188,14 +188,14 @@ class IntegralCurve:
         t = _offset(self.family, self.C, u)
         return u + 0.5 * t if self.family == 2 else u - 1.0 - 0.5 * t
 
-    def ray(self, xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """State (u, q) and t = s - 1 >= 0 where the family's speed equals xi.
+    def ray(self, xi) -> tuple[np.ndarray, np.ndarray]:
+        """Velocity u and t = s - 1 >= 0 where the family's speed equals xi.
 
         With K = 2 xi - 1 - 2C: family 2 has s - 1 = y = omega(K + ln 2)/2,
         u = xi - y/2; family 1 has s + 1 = z = -W_{-1}(-2 e^K)/2, u = xi + z/2.
         Every fan sampler maps ray slopes to rarefaction states through here.
         t gives 2q - u^2 = t(t + 2)/4 without the cancellation of the
-        difference near the critical curve.
+        difference near the critical curve, and q = _energy(u, t).
         """
         xi = np.asarray(xi, dtype=float)
         k = 2.0 * (xi - self.C) - 1.0
@@ -206,7 +206,7 @@ class IntegralCurve:
             z = 0.5 * _root_z_minus_ln_z(-k - _LN2, 4.0)
             t = z - 2.0
             u = xi + 0.5 * z
-        return u, _energy(u, t), t
+        return u, t
 
 
 def _offset(family: int, C: float, u):

@@ -15,6 +15,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -247,6 +248,45 @@ def test_overflowing_energy_is_a_precondition_error(tmp_path, capsys):
     assert json.loads(err) == {"error": "PreconditionError", "message":
                                "energy of (u=1e+200, v=1.0) overflows: "
                                "q = (u^2 + v^2)/2 must be finite"}
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("solve", "--left", "a,1", "--right", "0,1"), "left state must be numeric, got 'a,1'"),
+    (("solve", "--left", "0,1", "--right", "1,1", "--config", "{config}"),
+     "config file must hold a JSON object"),
+    (("curves",), "a base state is required"),
+    (("curves", "--base", "0,1", "--samples", "1"), "samples must be at least 2"),
+    (("sample", "--left", "0,1", "--right", "1,1", "--x-min", "1", "--x-max", "0"),
+     "sampling window must have x_max > x_min"),
+])
+def test_refused_inputs_print_their_json_line(tmp_path, capsys, argv, message):
+    config = tmp_path / "list.json"
+    config.write_text("[1, 2]")
+    out_dir = tmp_path / "out"
+    argv = [a.format(config=config) for a in argv]
+    code, out, err = _run(capsys, *argv, "--out", str(out_dir))
+    assert (code, out) == (1, "")
+    assert err == json.dumps({"error": "PreconditionError", "message": message}) + "\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("window", [(), ("--x-min", "0", "--x-max", "5e-324")])
+def test_fv_compare_on_large_data_stops_at_the_step_cap(tmp_path, capsys, window):
+    # The CFL step shrinks like 1/|data|: at |u| = 1e6 the first step shows
+    # that the run would need far more than verify._FV_MAX_STEPS steps.  On a
+    # window whose cell width rounds to 0 the step is 0 and the count inf.
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "fv-compare", "--left", "1e6,1", "--right", "-1e6,1",
+                          *window, "--out", str(tmp_path))
+    assert time.perf_counter() - start < 10.0
+    assert (code, out) == (1, "")
+    msg = json.loads(err)
+    assert msg["error"] == "CflViolation"
+    m = re.fullmatch(r"the CFL step (\S+) needs about (\S+) steps to reach T = 0\.5, "
+                     r"over the cap of (\d+) steps", msg["message"])
+    assert m and int(m[3]) == verify._FV_MAX_STEPS < float(m[2])
+    assert (float(m[1]) == 0.0) == bool(window)
     assert list(tmp_path.iterdir()) == []
 
 

@@ -531,7 +531,7 @@ def test_raw_data_solves_and_rarefactions_reach_their_end_states():
             if w.kind != "rarefaction":
                 continue
             for xi, end in ((w.speed_lo, w.left), (w.speed_hi, w.right)):
-                u, _, t = w.curve.ray(xi)
+                u, t = w.curve.ray(xi)
                 assert abs(u - end.u) <= 1e-12 * (1.0 + abs(end.u)), (data, w)
                 datum = (data.left if end is sol.fan.left
                          else data.right if end is sol.fan.right else None)

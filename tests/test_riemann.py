@@ -42,6 +42,7 @@ from briodelta.verify import random_trans_pair
 from briodelta.wave_curves import (
     Backward2Curve,
     Forward1Curve,
+    _energy,
     backward_curve_2,
     forward_curve_1,
     shock_q_1,
@@ -482,7 +483,8 @@ def _sample_fan_many_reference(fan, xi):
     for widx, w in enumerate(fan.waves):
         m = idx == 2 * widx + 1
         if m.any():
-            u[m], q[m], _ = w.curve.ray(xi[m])
+            u[m], t = w.curve.ray(xi[m])
+            q[m] = _energy(u[m], t)
     return u, q
 
 
